@@ -17,6 +17,14 @@ through a FIFO: serialization at the current rate, a fixed stack delay, and
 an optional retransmission ladder (per-attempt Bernoulli loss, a fixed
 extra delay per repeat) standing in for HARQ and RLC recovery.
 
+The fading trajectory is presampled on a fixed step grid (``presample``):
+sojourn lengths are drawn exponentially and quantized onto the grid, and
+the autoregression runs vectorized over each sojourn segment. Sampling the
+sojourn directly is the continuous-time form of stepping the chain with
+per-step flip probability 1 - exp(-dt/sojourn). Each transmission looks
+the state up at its own send start; a link never presampled holds its
+initial state at every time.
+
 The LTE link reuses the same machinery in degenerate form: transition
 rates zero, no shadowing, a fixed SNR, and a small constant loss
 probability, so it never sees outage.
@@ -28,13 +36,14 @@ import math
 import random
 from typing import NamedTuple
 
+import numpy as np
+from scipy.signal import lfilter
+
 MMWAVE = "mmwave"
 LTE = "lte"
 
 LOS = 0
 NLOS = 1
-
-_STATE_NAMES = ("LOS", "NLOS")
 
 
 class TxOutcome(NamedTuple):
@@ -45,13 +54,13 @@ class TxOutcome(NamedTuple):
 
 
 class LinkModel:
-    """One directed radio link with its own fading state and FIFO."""
+    """One directed radio link with its own fading trajectory and FIFO."""
 
     __slots__ = (
         "kind", "bandwidth_hz", "efficiency", "base_delay_s",
         "sojourn_s", "snr_mean_db", "snr_sigma_db", "shadow_corr_s",
         "loss_prob", "outage_threshold_db", "ran_retx", "max_attempts",
-        "retx_delay_s", "mode", "snr_db", "busy_until", "rng",
+        "retx_delay_s", "modes", "snrs_db", "inv_step", "busy_until", "rng",
     )
 
     def __init__(
@@ -89,9 +98,15 @@ class LinkModel:
         self.ran_retx = ran_retx
         self.max_attempts = max_attempts
         self.retx_delay_s = retx_delay_s
-        self.mode = initial_mode
         self.rng = rng if rng is not None else random.Random()
-        self.snr_db = self._draw_snr()
+        # drawn even where presample replaces it: later loss draws follow it on rng
+        snr = self.snr_mean_db[initial_mode]
+        if snr_sigma_db != 0.0:
+            snr = self.rng.gauss(snr, snr_sigma_db)
+        # a one-step trajectory (inv_step 0 maps every time onto it)
+        self.modes = [initial_mode]
+        self.snrs_db = [snr]
+        self.inv_step = 0.0
         self.busy_until = 0.0
 
     @classmethod
@@ -104,12 +119,14 @@ class LinkModel:
         ran_retx: bool = True,
         max_attempts: int = 3,
         retx_delay_s: float = 0.004,
+        efficiency: float = 0.6,
         rng: random.Random | None = None,
     ) -> "LinkModel":
         """Always-on cellular fallback; the degenerate LOS-like state."""
         return cls(
             kind=LTE,
             bandwidth_hz=bandwidth_hz,
+            efficiency=efficiency,
             base_delay_s=base_delay_s,
             sojourn_s=(math.inf, math.inf),
             snr_mean_db=(snr_db, snr_db),
@@ -122,82 +139,71 @@ class LinkModel:
             rng=rng,
         )
 
-    def _draw_snr(self) -> float:
-        if self.snr_sigma_db == 0.0:
-            return self.snr_mean_db[self.mode]
-        return self.rng.gauss(self.snr_mean_db[self.mode], self.snr_sigma_db)
+    # -- fading --------------------------------------------------------
 
-    # -- state ---------------------------------------------------------
+    def presample(self, n_steps: int, step_s: float, rng: np.random.Generator) -> None:
+        """Replace the trajectory by ``n_steps`` states ``step_s`` apart.
 
-    @property
-    def outage(self) -> bool:
-        return self.snr_db < self.outage_threshold_db
-
-    @property
-    def state(self) -> str:
-        if self.outage:
-            return "OUTAGE"
-        return _STATE_NAMES[self.mode]
-
-    def rate_matrix(self):
-        """Generator matrix of the mode chain; rows sum to zero."""
-        a = 0.0 if math.isinf(self.sojourn_s[LOS]) else 1.0 / self.sojourn_s[LOS]
-        b = 0.0 if math.isinf(self.sojourn_s[NLOS]) else 1.0 / self.sojourn_s[NLOS]
-        return ((-a, a), (b, -b))
-
-    def step_state(self, dt: float) -> None:
-        """Advance the fading process by dt.
-
-        dt is expected to be small against the sojourn times; at most one
-        mode flip is sampled per step. A flip redraws shadowing fresh;
-        otherwise the shadowing term makes one AR(1) move, which keeps the
-        N(mean, sigma^2) marginal while correlating successive steps over
-        shadow_corr_s. A non-positive correlation time degenerates to an
-        independent redraw every step.
+        Starts in the initial mode and draws from ``rng`` the sojourn
+        lengths first, then one standard normal per step. Each sojourn
+        opens with a fresh shadowing draw; within it the term makes AR(1)
+        moves, which keep the N(mean, sigma^2) marginal while correlating
+        successive steps over shadow_corr_s. A non-positive correlation
+        time degenerates to an independent redraw every step. Times past
+        the last step read the last state.
         """
-        if dt < 0:
-            raise ValueError("dt must be non-negative")
-        sojourn = self.sojourn_s[self.mode]
-        if not math.isinf(sojourn):
-            if self.rng.random() < 1.0 - math.exp(-dt / sojourn):
-                self.mode ^= 1
-                self.snr_db = self._draw_snr()
-                return
-        if self.snr_sigma_db == 0.0:
-            self.snr_db = self.snr_mean_db[self.mode]
-            return
-        rho = math.exp(-dt / self.shadow_corr_s) if self.shadow_corr_s > 0 else 0.0
-        mean = self.snr_mean_db[self.mode]
-        innov = self.snr_sigma_db * math.sqrt(1.0 - rho * rho)
-        self.snr_db = mean + rho * (self.snr_db - mean) + self.rng.gauss(0.0, innov)
+        mode = np.empty(n_steps, dtype=np.int8)
+        m = self.modes[0]
+        t = 0.0
+        i = 0
+        while i < n_steps:
+            t += rng.exponential(self.sojourn_s[m])
+            j = max(i + 1, math.ceil(min(t / step_s, n_steps)))
+            mode[i:j] = m
+            i = j
+            m ^= 1
+        means = np.where(mode == LOS, self.snr_mean_db[LOS], self.snr_mean_db[NLOS])
+        x = rng.standard_normal(n_steps)
+        corr = self.shadow_corr_s
+        if self.snr_sigma_db != 0.0 and corr > 0.0:
+            rho = math.exp(-step_s / corr)
+            innov = math.sqrt(1.0 - rho * rho)
+            bounds = np.concatenate(([0], np.flatnonzero(np.diff(mode)) + 1, [n_steps]))
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                # x[a] keeps its fresh draw; the rest of the sojourn follows it
+                if b - a > 1:
+                    seg, _ = lfilter([innov], [1.0, -rho], x[a + 1:b],
+                                     zi=np.asarray([rho * x[a]]))
+                    x[a + 1:b] = seg
+        self.modes = mode.tolist()
+        self.snrs_db = (means + self.snr_sigma_db * x).tolist()
+        self.inv_step = 1.0 / step_s
 
     # -- data path -----------------------------------------------------
-
-    def current_rate(self) -> float:
-        """Instantaneous PHY rate in bit/s; zero in outage."""
-        if self.outage:
-            return 0.0
-        return self.efficiency * self.bandwidth_hz * math.log2(
-            1.0 + 10.0 ** (self.snr_db / 10.0)
-        )
 
     def transmit(self, size_bytes: int, now: float) -> TxOutcome:
         """Push one packet through the FIFO.
 
-        Loss is sampled per attempt; with RAN retransmissions off a single
-        attempt is made. Each repeat adds retx_delay_s to the delivery time
-        but does not re-occupy the FIFO (the recovery round trip is
+        The channel state is the trajectory's at the send start. Loss is
+        sampled per attempt; with RAN retransmissions off a single attempt
+        is made. Each repeat adds retx_delay_s to the delivery time but
+        does not re-occupy the FIFO (the recovery round trip is
         abstracted, not re-serialized). In outage the packet is dropped
         without consuming airtime.
         """
-        if self.outage:
-            return TxOutcome(False, 0.0, 0, now)
-        rate = self.current_rate()
         send_start = now if now > self.busy_until else self.busy_until
+        snrs = self.snrs_db
+        i = int(send_start * self.inv_step)
+        if i >= len(snrs):
+            i = len(snrs) - 1
+        snr = snrs[i]
+        if snr < self.outage_threshold_db:
+            return TxOutcome(False, 0.0, 0, now)
+        rate = self.efficiency * self.bandwidth_hz * math.log2(1.0 + 10.0 ** (snr / 10.0))
         serialization = size_bytes * 8.0 / rate
         self.busy_until = send_start + serialization
         attempts_allowed = self.max_attempts if self.ran_retx else 1
-        p = self.loss_prob[self.mode]
+        p = self.loss_prob[self.modes[i]]
         attempts = 0
         rng = self.rng
         while attempts < attempts_allowed:

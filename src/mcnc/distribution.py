@@ -18,8 +18,8 @@ exactly k packets and a shortfall is final.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Tuple
 
 from .channel import LTE, MMWAVE
 from .rlnc import Encoder, Generation
@@ -34,13 +34,12 @@ MAX_FEC_ATTEMPTS = 5
 
 @dataclass(frozen=True)
 class PathFeedback:
-    """One receiver report: link observation plus decoder rank snapshots."""
+    """One receiver report: the mmWave link as the receiver last saw it."""
 
     ue_id: int
     sent_at: float
     mmwave_available: bool
     mmwave_snr_db: float
-    generation_reports: Tuple[Tuple[int, int, int], ...] = ()  # (gen_id, rank, k)
 
 
 @dataclass
@@ -114,6 +113,12 @@ def initial_burst_size(k: int, path: str, nc_fec: bool) -> int:
     return -(-k * num // den)
 
 
+def plan_generation(gen_id: int, k: int, path: str, deadline: float,
+                    nc_fec: bool) -> GenerationPlan:
+    """A fresh plan whose initial burst is sized for ``path``."""
+    return GenerationPlan(gen_id, k, path, initial_burst_size(k, path, nc_fec), deadline)
+
+
 def dispatch_generation(
     gen: Generation,
     path: str,
@@ -122,9 +127,8 @@ def dispatch_generation(
     nc_fec: bool = True,
 ) -> Tuple[GenerationPlan, list]:
     """Plan a generation and emit its initial burst (attempt 0)."""
-    n = initial_burst_size(gen.k, path, nc_fec)
-    plan = GenerationPlan(gen.gen_id, gen.k, path, n, deadline)
-    return plan, encoder.burst(n, attempt=0)
+    plan = plan_generation(gen.gen_id, gen.k, path, deadline, nc_fec)
+    return plan, encoder.burst(plan.n_initial, attempt=0)
 
 
 def handle_feedback(

@@ -62,7 +62,6 @@ class SimConfig:
     hysteresis_db: float = 3.0
     feedback_staleness_s: float = 0.020
     feedback_interval_s: float = 0.005
-    feedback_bytes: int = 64
     retx_overshoot: float = 1.0
     plan_check_guard_s: float = 0.010
     receiver_giveup_s: float = 0.050
@@ -158,6 +157,8 @@ class SimConfig:
             raise ConfigError("ran_max_attempts must be at least 1")
         if self.retx_overshoot < 1.0:
             raise ConfigError("retx_overshoot must be at least 1.0")
+        if not 0.0 < self.efficiency <= 1.0:
+            raise ConfigError("efficiency must lie in (0, 1]")
         for name in (
             "backhaul_delay_s",
             "stagger_step_s",
@@ -167,6 +168,8 @@ class SimConfig:
             "receiver_giveup_empty_s",
             "plan_check_guard_s",
             "mmwave_shadow_corr_s",
+            "feedback_staleness_s",
+            "hysteresis_db",
         ):
             if getattr(self, name) < 0:
                 raise ConfigError("%s must be non-negative" % name)
@@ -214,7 +217,6 @@ _SCHEMA: Dict[str, Dict[str, Tuple[str, str]]] = {
         "hysteresis_db": ("hysteresis_db", "float"),
         "feedback_staleness_s": ("feedback_staleness_s", "float"),
         "feedback_interval_s": ("feedback_interval_s", "float"),
-        "feedback_bytes": ("feedback_bytes", "int"),
         "retx_overshoot": ("retx_overshoot", "float"),
         "plan_check_guard_s": ("plan_check_guard_s", "float"),
         "receiver_giveup_s": ("receiver_giveup_s", "float"),

@@ -11,12 +11,10 @@ stream is split off the master seed with a distinct label.
 Scale choices, made so a 60 s five-receiver session stays under a second
 of wall clock without changing observable behavior:
 
-- Fading is presampled. Sojourn lengths are drawn exponentially per link,
-  quantized onto the channel step grid, and the shadowing autoregression
-  runs vectorized over each sojourn segment; transmissions look the state
-  up by timestamp. Sampling the sojourn directly is the continuous-time
-  form of stepping the two-state chain with per-step flip probability
-  1 - exp(-dt/sojourn).
+- Fading is presampled. Each mmWave link draws its whole trajectory on
+  the channel step grid up front (``LinkModel.presample``), and
+  transmissions, feedback survival and path reports look the state up by
+  timestamp.
 - Transmissions are presimulated at dispatch. The FIFO link yields each
   packet's delivery time immediately, so a burst's effect on the decoder
   rank timeline is known when the burst is sent; rank queries and the
@@ -42,6 +40,7 @@ of wall clock without changing observable behavior:
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import random
@@ -49,20 +48,13 @@ from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.signal import lfilter
 
 from ..channel import LOS, MMWAVE, NLOS, LinkModel
-from ..distribution import (
-    GenerationPlan,
-    PathFeedback,
-    PathSelector,
-    handle_feedback,
-    initial_burst_size,
-)
+from ..distribution import PathFeedback, PathSelector, handle_feedback, plan_generation
 from ..gf import FieldSpec
 from ..rlnc import split_counts, wire_size
 from ..seeding import derive_seed
-from ..video.structure import dyadic_parents, packetize
+from ..video.structure import decodable, packetize
 from ..video.playout import PlayoutBuffer
 from ..video.trace import VideoTrace, load_trace
 from ..video.tracegen import synthesize_trace
@@ -99,11 +91,10 @@ _CTRL_PROC_S = 0.0005
 class _FramePlan:
     """Per-frame template shared by every receiver: generation cut + psnr."""
 
-    __slots__ = ("gens", "parents", "n_nalus", "psnr_recv", "psnr_lost", "base_count")
+    __slots__ = ("gens", "n_nalus", "psnr_recv", "psnr_lost", "base_count")
 
-    def __init__(self, gens, parents, n_nalus, psnr_recv, psnr_lost):
+    def __init__(self, gens, n_nalus, psnr_recv, psnr_lost):
         self.gens = gens  # tuple of (nalu_slot, is_base, k)
-        self.parents = parents
         self.n_nalus = n_nalus
         self.psnr_recv = psnr_recv
         self.psnr_lost = psnr_lost
@@ -136,7 +127,7 @@ class _GenState:
 
 class _FrameState:
     __slots__ = ("idx", "gen_time", "deadline", "plan", "gens", "base_left",
-                 "consumed_at", "lost", "data_ok")
+                 "consumed_at", "lost")
 
     def __init__(self, idx, gen_time, deadline, plan):
         self.idx = idx
@@ -147,13 +138,11 @@ class _FrameState:
         self.base_left = plan.base_count
         self.consumed_at: Optional[float] = None
         self.lost = False
-        self.data_ok = False  # memo; once true it stays true
 
 
 class _UEState:
     __slots__ = ("idx", "stream_start", "mm", "lte", "selector", "metrics",
-                 "mm_mode", "mm_snr", "fb_ok", "frames", "ptr", "buffer",
-                 "ul_delay", "ctrl_delay")
+                 "fb_ok", "frames", "base_complete", "decode_memo", "ptr", "buffer", "ul_delay")
 
 
 _TRACE_CACHE: Dict[tuple, VideoTrace] = {}
@@ -205,8 +194,7 @@ def _frame_plans(trace_key, trace: VideoTrace, n_frames: int,
             for k in split_counts(n_pkts, k_max):
                 gens.append((slot, is_base, k))
         plans.append(
-            _FramePlan(tuple(gens), dyadic_parents(f, n_frames),
-                       len(rec.nalu_ids), rec.psnr_received, rec.psnr_lost)
+            _FramePlan(tuple(gens), len(rec.nalu_ids), rec.psnr_received, rec.psnr_lost)
         )
     _PLAN_CACHE[key] = plans
     return plans
@@ -283,9 +271,9 @@ class _Engine:
             ran_retx=cfg.ran_retx,
             max_attempts=cfg.ran_max_attempts,
             retx_delay_s=cfg.ran_retx_delay_s,
+            efficiency=cfg.efficiency,
             rng=random.Random(derive_seed(self.seed, "lteloss", u)),
         )
-        ue.lte.efficiency = cfg.efficiency
         ue.selector = PathSelector(
             multi_connectivity=cfg.multi_connectivity,
             outage_threshold_db=cfg.outage_threshold_db,
@@ -293,9 +281,12 @@ class _Engine:
             staleness_s=cfg.feedback_staleness_s,
         )
         ue.metrics = UEMetrics(ue_id=u)
-        ue.mm_mode, ue.mm_snr = self._sample_fading(u, ue.mm)
+        ue.mm.presample(self.n_steps, cfg.channel_step_s,
+                        np.random.default_rng(derive_seed(self.seed, "chan", u)))
         ue.fb_ok = self._sample_report_survival(u, ue)
         ue.frames = [None] * self.n_frames
+        ue.base_complete = functools.partial(self._base_complete, ue)
+        ue.decode_memo = set()  # frames found decodable; they stay so
         ue.ptr = 0
         ue.buffer = PlayoutBuffer(
             ue.stream_start + cfg.backhaul_delay_s + buffer_depth,
@@ -305,46 +296,11 @@ class _Engine:
         # feedback rides the fallback path when there is one, else the
         # mmWave uplink (where outage also costs the reports)
         fb_base = cfg.lte_base_delay_s if cfg.multi_connectivity else cfg.mmwave_base_delay_s
+        # one delay for every control packet: reports and abandon notices
         ue.ul_delay = cfg.backhaul_delay_s + fb_base + _CTRL_PROC_S
-        ue.ctrl_delay = cfg.backhaul_delay_s + fb_base + _CTRL_PROC_S
         ue.metrics.feedback_sent = self.n_reports
         ue.metrics.feedback_lost = int(np.count_nonzero(~ue.fb_ok))
         return ue
-
-    def _sample_fading(self, u: int, link: LinkModel):
-        rng = np.random.default_rng(derive_seed(self.seed, "chan", u))
-        n = self.n_steps
-        step = self.cfg.channel_step_s
-        mode = np.empty(n, dtype=np.int8)
-        m = link.mode
-        t = 0.0
-        i = 0
-        while i < n:
-            t += rng.exponential(link.sojourn_s[m])
-            j = min(n, max(i + 1, int(math.ceil(t / step))))
-            mode[i:j] = m
-            i = j
-            m ^= 1
-        means = np.where(mode == LOS, link.snr_mean_db[0], link.snr_mean_db[1])
-        eps = rng.standard_normal(n)
-        sigma = link.snr_sigma_db
-        corr = link.shadow_corr_s
-        if sigma == 0.0 or corr <= 0.0:
-            return mode, means + sigma * eps
-        # per-sojourn AR(1): fresh draw at each mode boundary, then the
-        # same recursion as LinkModel.step_state, run segment by segment
-        rho = math.exp(-step / corr)
-        innov = math.sqrt(1.0 - rho * rho)
-        x = np.empty(n)
-        bounds = np.concatenate(
-            ([0], np.flatnonzero(np.diff(mode)) + 1, [n]))
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            x[a] = eps[a]
-            if b - a > 1:
-                seg, _ = lfilter([innov], [1.0, -rho], eps[a + 1:b],
-                                 zi=np.asarray([rho * x[a]]))
-                x[a + 1:b] = seg
-        return mode, means + sigma * x
 
     def _sample_report_survival(self, u: int, ue: _UEState) -> np.ndarray:
         cfg = self.cfg
@@ -358,8 +314,8 @@ class _Engine:
             (np.arange(self.n_reports) * self.fb_int * self._inv_step).astype(np.int64),
             self.n_steps - 1,
         )
-        snr = ue.mm_snr[idx]
-        mode = ue.mm_mode[idx]
+        snr = np.asarray(ue.mm.snrs_db)[idx]
+        mode = np.asarray(ue.mm.modes)[idx]
         p_mode = np.where(mode == LOS, cfg.mmwave_loss_los, cfg.mmwave_loss_nlos)
         p_eff = p_mode ** attempts
         ok = draws >= p_eff
@@ -430,7 +386,7 @@ class _Engine:
         rep = self._latest_report(ue, now)
         if rep >= 0:
             idx = min(int(rep * self.fb_int * self._inv_step), self.n_steps - 1)
-            snr = float(ue.mm_snr[idx])
+            snr = ue.mm.snrs_db[idx]
             ue.selector.update(PathFeedback(
                 ue_id=ue.idx,
                 sent_at=rep * self.fb_int,
@@ -447,20 +403,6 @@ class _Engine:
             b = wire_size(self.field, k, self.cfg.packet_bytes)
             self._wire_bytes[k] = b
         return b
-
-    def _transmit(self, ue: _UEState, path: str, nbytes: int, now: float):
-        if path == MMWAVE:
-            link = ue.mm
-            st = link.busy_until
-            if st < now:
-                st = now
-            idx = int(st * self._inv_step)
-            if idx >= self.n_steps:
-                idx = self.n_steps - 1
-            link.mode = int(ue.mm_mode[idx])
-            link.snr_db = float(ue.mm_snr[idx])
-            return link.transmit(nbytes, now)
-        return ue.lte.transmit(nbytes, now)
 
     def _dep_probs(self, k: int) -> List[float]:
         """P(arrival is linearly dependent | receiver rank r), r in [0, k)."""
@@ -481,15 +423,15 @@ class _Engine:
         backhaul = cfg.backhaul_delay_s
         survivors = []
         est = now
+        link = ue.mm if path == MMWAVE else ue.lte
         for emission in range(first, first + n):
-            out = self._transmit(ue, path, nbytes, now)
+            out = link.transmit(nbytes, now)
             metrics.count_packet(path, out.delivered)
             if out.delivered:
                 arr = out.deliver_at + backhaul
                 survivors.append((arr, emission))
                 if arr > est:
                     est = arr
-        link = ue.mm if path == MMWAVE else ue.lte
         tail = link.busy_until + link.base_delay_s + backhaul
         if tail > est:
             est = tail
@@ -562,11 +504,10 @@ class _Engine:
             g = _GenState(gen_id, k, fr, nalu_slot, is_base)
             if cfg.uncoded:
                 g.mask = 0
-            n0 = initial_burst_size(k, path, nc)
-            g.plan = GenerationPlan(gen_id, k, path, n0, fr.deadline)
+            g.plan = plan_generation(gen_id, k, path, fr.deadline, nc)
             fr.gens.append(g)
             m.generations_total += 1
-            self._send_burst(ue, g, n0, path, now)
+            self._send_burst(ue, g, g.plan.n_initial, path, now)
             if not nc:
                 # no sender-side plan without reactive coding: losses
                 # resolve through the receiver timer or the display clock
@@ -595,7 +536,7 @@ class _Engine:
                 self._finish_plan(ue, g)
                 if g.is_base and (g.complete_at is None
                                   or g.complete_at > g.frame.deadline):
-                    self._push(now + ue.ctrl_delay, _ABANDON, ue.idx, g)
+                    self._push(now + ue.ul_delay, _ABANDON, ue.idx, g)
             else:
                 self._push(now + self.fb_int, _CHECK, ue.idx, g)
             return
@@ -608,7 +549,7 @@ class _Engine:
         if act.kind == "failed":
             self._finish_plan(ue, g)
             if g.is_base and (g.complete_at is None or g.complete_at > g.frame.deadline):
-                self._push(now + ue.ctrl_delay, _ABANDON, ue.idx, g)
+                self._push(now + ue.ul_delay, _ABANDON, ue.idx, g)
             return
         path = self._current_path(ue, now)
         self._send_burst(ue, g, act.count, path, now)
@@ -672,19 +613,16 @@ class _Engine:
             break
         ue.ptr = ptr
 
-    def _data_ok(self, ue: _UEState, f: int, t: float) -> bool:
+    def _base_complete(self, ue: _UEState, f: int) -> bool:
+        """Whether every base generation of frame f is complete by the
+        current event time."""
         fr = ue.frames[f]
         if fr is None:
             return False
-        if fr.data_ok:
-            return True
+        now = self.now
         for g in fr.gens:
-            if g.is_base and (g.complete_at is None or g.complete_at > t):
+            if g.is_base and (g.complete_at is None or g.complete_at > now):
                 return False
-        for p in fr.plan.parents:
-            if not self._data_ok(ue, p, t):
-                return False
-        fr.data_ok = True
         return True
 
     def _on_deadline(self, ue: _UEState, f: int, now: float):
@@ -699,7 +637,8 @@ class _Engine:
 
         m = ue.metrics
         m.frames_total += 1
-        usable = fr.consumed_at is not None and self._data_ok(ue, f, now)
+        usable = fr.consumed_at is not None and decodable(
+            f, self.n_frames, ue.base_complete, ue.decode_memo)
         if usable:
             m.frames_played += 1
             m.psnr_sum_db += fr.plan.psnr_recv

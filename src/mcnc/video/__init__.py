@@ -3,8 +3,8 @@ from .structure import (
     LAYER_POPULATIONS,
     N_TEMPORAL_LAYERS,
     compute_decodable,
+    decodable,
     dyadic_parents,
-    frame_decodable,
     packetize,
     temporal_layer_of,
 )
@@ -27,8 +27,8 @@ __all__ = [
     "LAYER_POPULATIONS",
     "N_TEMPORAL_LAYERS",
     "compute_decodable",
+    "decodable",
     "dyadic_parents",
-    "frame_decodable",
     "packetize",
     "temporal_layer_of",
     "FrameRecord",

@@ -14,7 +14,7 @@ layer NALUs arrived and every parent inside the stream is decodable.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Callable, List, Sequence, Set, Tuple
 
 GOP_SIZE = 16
 N_TEMPORAL_LAYERS = 5
@@ -65,36 +65,42 @@ def packetize(size_bytes: int, packet_bytes: int) -> List[int]:
     return sizes
 
 
-def frame_decodable(
-    frame,
-    delivered_nalus: Set[int],
-    decodable_frames: Set[int],
-    n_frames: int | None = None,
+def decodable(
+    frame_id: int,
+    n_frames: int,
+    base_arrived: Callable[[int], bool],
+    memo: Set[int],
 ) -> bool:
-    """Whether a frame can be reconstructed.
+    """Whether a frame can be reconstructed: ``base_arrived(frame_id)``
+    holds and every parent inside the stream is decodable.
 
-    ``decodable_frames`` carries the ids already established as decodable;
-    parents must appear there. Enhancement-layer NALUs do not gate
-    decodability (reconstruction quality is accounted on the base layer).
+    ``base_arrived`` says whether all of a frame's base spatial layer NALUs
+    arrived; enhancement-layer NALUs do not gate decodability. ``memo``
+    caches the frames found decodable, so reuse it across calls only while
+    ``base_arrived`` never turns back to false.
     """
-    for nalu_id, slayer in zip(frame.nalu_ids, frame.nalu_layers):
-        if slayer == 0 and nalu_id not in delivered_nalus:
+    if frame_id in memo:
+        return True
+    if not base_arrived(frame_id):
+        return False
+    for parent in dyadic_parents(frame_id, n_frames):
+        if not decodable(parent, n_frames, base_arrived, memo):
             return False
-    for parent in dyadic_parents(frame.frame_id, n_frames):
-        if parent not in decodable_frames:
-            return False
+    memo.add(frame_id)
     return True
 
 
 def compute_decodable(frames: Sequence, delivered_nalus: Set[int]) -> Set[int]:
-    """Decodable closure over a whole stream.
+    """Decodable closure over a whole stream."""
+    by_id = {frame.frame_id: frame for frame in frames}
 
-    Frames are visited by ascending temporal layer, so parents (always on a
-    strictly lower layer) are settled before their children.
-    """
+    def base_arrived(frame_id: int) -> bool:
+        frame = by_id.get(frame_id)
+        return frame is not None and all(
+            nalu_id in delivered_nalus
+            for nalu_id, slayer in zip(frame.nalu_ids, frame.nalu_layers)
+            if slayer == 0)
+
+    memo: Set[int] = set()
     n_frames = len(frames)
-    decodable: Set[int] = set()
-    for frame in sorted(frames, key=lambda f: (f.temporal_layer, f.frame_id)):
-        if frame_decodable(frame, delivered_nalus, decodable, n_frames):
-            decodable.add(frame.frame_id)
-    return decodable
+    return {f.frame_id for f in frames if decodable(f.frame_id, n_frames, base_arrived, memo)}

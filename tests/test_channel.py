@@ -1,10 +1,11 @@
-"""Link model: fading process, outage gating, FIFO timing, retry ladder."""
+"""Link model: presampled fading, outage gating, FIFO timing, retry ladder."""
 
 from __future__ import annotations
 
 import math
 import random
 
+import numpy as np
 import pytest
 
 from mcnc.channel import LOS, LTE, MMWAVE, NLOS, LinkModel
@@ -22,60 +23,70 @@ def _los_link(**kw):
     return LinkModel(**defaults)
 
 
+def _presampled(link, n_steps, step_s=0.01, seed=0):
+    link.presample(n_steps, step_s, np.random.default_rng(seed))
+    return np.asarray(link.modes), np.asarray(link.snrs_db)
+
+
+def _shannon(snr_db, bandwidth_hz=1e9, efficiency=0.6):
+    return efficiency * bandwidth_hz * math.log2(1.0 + 10.0 ** (snr_db / 10.0))
+
+
+def _lag1(xs):
+    d = xs - xs.mean()
+    return float(np.dot(d[:-1], d[1:]) / np.dot(d, d))
+
+
 # -- fading and outage ---------------------------------------------------
 
 
 def test_los_without_shadowing_never_sees_outage():
     link = _los_link()
-    for _ in range(5000):
-        link.step_state(0.01)
-        assert not link.outage
-        assert link.state == "LOS"
-        assert link.snr_db == 20.0
+    modes, snrs = _presampled(link, 5000)
+    assert (modes == LOS).all()
+    assert (snrs == 20.0).all()
+    for i in range(0, 5000, 50):
+        assert link.transmit(1000, now=(i + 0.5) * 0.01).delivered
 
 
 def test_deep_nlos_is_permanent_outage():
     link = _los_link(initial_mode=NLOS, snr_mean_db=(20.0, -10.0))
-    for _ in range(1000):
-        link.step_state(0.01)
-        assert link.outage
-        assert link.state == "OUTAGE"
-        assert link.current_rate() == 0.0
+    modes, snrs = _presampled(link, 1000)
+    assert (modes == NLOS).all()
+    assert (snrs < link.outage_threshold_db).all()
+    for i in range(0, 1000, 10):
+        out = link.transmit(1000, now=(i + 0.5) * 0.01)
+        assert not out.delivered and out.attempts == 0
+    assert link.busy_until == 0.0
 
 
 def test_outage_threshold_is_a_strict_boundary():
-    link = _los_link(outage_threshold_db=-5.0)
-    link.snr_db = -5.0
-    assert not link.outage
-    link.snr_db = -5.0000001
-    assert link.outage
+    at = _los_link(snr_mean_db=(-5.0, -5.0), outage_threshold_db=-5.0)
+    assert at.transmit(1000, now=0.0).attempts == 1
+    below = _los_link(snr_mean_db=(-5.0000001, -5.0), outage_threshold_db=-5.0)
+    assert below.transmit(1000, now=0.0).attempts == 0
 
 
 def test_shannon_rate_value():
-    link = _los_link(bandwidth_hz=1e9, efficiency=0.6)
+    link = _los_link(bandwidth_hz=1e9, efficiency=0.6, base_delay_s=0.0)
     expected = 0.6 * 1e9 * math.log2(1.0 + 10.0 ** (20.0 / 10.0))
-    assert link.current_rate() == pytest.approx(expected)
-    assert link.current_rate() == pytest.approx(3.995e9, rel=1e-3)
+    out = link.transmit(1000, now=0.0)
+    assert 8000.0 / out.deliver_at == pytest.approx(expected)
+    assert 8000.0 / out.deliver_at == pytest.approx(3.995e9, rel=1e-3)
 
 
 def test_mode_flips_follow_sojourn_times():
-    rng = random.Random(5)
     link = LinkModel(
         sojourn_s=(2.0, 1.0),
         snr_sigma_db=0.0,
         loss_prob=(0.0, 0.0),
-        rng=rng,
+        rng=random.Random(5),
     )
     dt = 0.01
-    time_in = [0.0, 0.0]
-    flips = 0
-    mode = link.mode
-    for _ in range(400_000):
-        time_in[link.mode] += dt
-        link.step_state(dt)
-        if link.mode != mode:
-            flips += 1
-            mode = link.mode
+    modes, _ = _presampled(link, 400_000, dt, seed=5)
+    assert modes[0] == LOS  # the trajectory starts in the initial mode
+    flips = int(np.count_nonzero(np.diff(modes)))
+    time_in = [np.count_nonzero(modes == LOS) * dt, np.count_nonzero(modes == NLOS) * dt]
     # long-run occupancy 2:1 and mean sojourns near the configured values
     assert time_in[LOS] / time_in[NLOS] == pytest.approx(2.0, rel=0.1)
     mean_sojourn = (time_in[LOS] + time_in[NLOS]) / flips
@@ -85,70 +96,53 @@ def test_mode_flips_follow_sojourn_times():
 def test_shadowing_marginal_and_correlation():
     link = _los_link(snr_sigma_db=4.0, shadow_corr_s=0.05)
     dt = 0.01
-    xs = []
-    for _ in range(40_000):
-        link.step_state(dt)
-        xs.append(link.snr_db)
-    n = len(xs)
-    mean = sum(xs) / n
-    var = sum((x - mean) ** 2 for x in xs) / n
-    assert mean == pytest.approx(20.0, abs=0.3)
-    assert math.sqrt(var) == pytest.approx(4.0, abs=0.3)
-    lag1 = sum((xs[i] - mean) * (xs[i + 1] - mean) for i in range(n - 1)) / (n * var)
-    assert lag1 == pytest.approx(math.exp(-dt / 0.05), abs=0.03)
+    _, xs = _presampled(link, 40_000, dt, seed=3)
+    assert xs.mean() == pytest.approx(20.0, abs=0.3)
+    assert xs.std() == pytest.approx(4.0, abs=0.3)
+    assert _lag1(xs) == pytest.approx(math.exp(-dt / 0.05), abs=0.03)
 
 
 def test_zero_correlation_time_redraws_independently():
     link = _los_link(snr_sigma_db=4.0, shadow_corr_s=0.0)
-    xs = []
-    for _ in range(20_000):
-        link.step_state(0.01)
-        xs.append(link.snr_db)
-    n = len(xs)
-    mean = sum(xs) / n
-    var = sum((x - mean) ** 2 for x in xs) / n
-    lag1 = sum((xs[i] - mean) * (xs[i + 1] - mean) for i in range(n - 1)) / (n * var)
-    assert abs(lag1) < 0.03
+    _, xs = _presampled(link, 20_000, seed=4)
+    assert xs.std() == pytest.approx(4.0, abs=0.3)
+    assert abs(_lag1(xs)) < 0.03
 
 
 def test_mode_flip_redraws_shadowing_fresh():
-    # with a huge correlation time the AR step barely moves, so any jump
-    # bigger than the innovation scale must come from a mode transition
-    rng = random.Random(11)
+    # equal mode means and a huge correlation time: within a sojourn the
+    # AR step barely moves, so a jump at a flip can only be a fresh draw
     link = LinkModel(
         sojourn_s=(0.05, 0.05),
-        snr_mean_db=(50.0, -50.0),
+        snr_mean_db=(0.0, 0.0),
         snr_sigma_db=1.0,
         shadow_corr_s=1e9,
         loss_prob=(0.0, 0.0),
-        rng=rng,
+        rng=random.Random(11),
     )
-    mode = link.mode
-    saw_flip = False
-    for _ in range(2000):
-        before = link.snr_db
-        link.step_state(0.01)
-        if link.mode != mode:
-            saw_flip = True
-            assert abs(link.snr_db - before) > 50.0
-            mode = link.mode
-        else:
-            assert abs(link.snr_db - before) < 1.0
-    assert saw_flip
+    modes, snrs = _presampled(link, 2000, seed=11)
+    flip = np.diff(modes) != 0
+    jump = np.abs(np.diff(snrs))
+    assert np.count_nonzero(flip) > 100
+    assert (jump[~flip] < 1e-3).all()
+    # two independent N(0, 1) draws differ by 2/sqrt(pi) on average
+    assert jump[flip].mean() == pytest.approx(2.0 / math.sqrt(math.pi), rel=0.15)
 
 
-def test_step_state_rejects_negative_dt():
-    with pytest.raises(ValueError):
-        _los_link().step_state(-0.01)
-
-
-def test_rate_matrix_rows_sum_to_zero():
-    link = LinkModel(sojourn_s=(2.0, 1.0), rng=random.Random(0))
-    (a, b), (c, d) = link.rate_matrix()
-    assert a + b == 0.0 and c + d == 0.0
-    assert b == pytest.approx(0.5) and c == pytest.approx(1.0)
-    lte = LinkModel.lte(rng=random.Random(0))
-    assert lte.rate_matrix() == ((0.0, 0.0), (0.0, 0.0))
+def test_transmit_reads_state_at_its_send_start():
+    # LOS for 5 s, then outage; a packet queued behind a long one starts
+    # after the boundary and meets the outage, however early it was handed in
+    link = _los_link(sojourn_s=(5.0, math.inf), snr_mean_db=(20.0, -10.0),
+                     bandwidth_hz=1e3)
+    modes, _ = _presampled(link, 10_000, step_s=0.01, seed=2)
+    boundary = int(np.argmax(modes == NLOS)) * 0.01
+    assert 0.1 < boundary < 100.0
+    before = link.transmit(100, now=boundary - 0.05)
+    assert before.delivered and link.busy_until > boundary
+    queued = link.transmit(100, now=boundary - 0.04)
+    assert not queued.delivered and queued.attempts == 0
+    # past the trajectory's end the last state holds
+    assert not link.transmit(100, now=1e6).delivered
 
 
 # -- transmission --------------------------------------------------------
@@ -156,7 +150,7 @@ def test_rate_matrix_rows_sum_to_zero():
 
 def test_transmit_serializes_through_a_fifo():
     link = _los_link(bandwidth_hz=1e9, base_delay_s=0.0005)
-    rate = link.current_rate()
+    rate = _shannon(20.0)
     first = link.transmit(1000, now=0.0)
     second = link.transmit(1000, now=0.0)
     tx = 8000.0 / rate
@@ -190,7 +184,7 @@ def test_retry_ladder_and_attempt_cap():
     # three coin flips at 1/2: failure rate near 1/8
     assert len(failed) / len(outcomes) == pytest.approx(0.125, abs=0.02)
     for o in delivered:
-        base = o.send_start + 8000.0 / link.current_rate() + link.base_delay_s
+        base = o.send_start + 8000.0 / _shannon(20.0) + link.base_delay_s
         assert o.deliver_at == pytest.approx(base + (o.attempts - 1) * 0.004)
 
 
@@ -204,33 +198,38 @@ def test_single_attempt_when_retx_disabled():
 
 
 def test_loss_probability_tracks_mode():
-    rng = random.Random(31)
-    link = _los_link(loss_prob=(0.0, 1.0), ran_retx=False, rng=rng)
-    assert link.transmit(100, now=0.0).delivered
-    link.mode = NLOS
-    link.snr_db = 20.0  # stay out of outage; only the loss regime changes
-    assert not link.transmit(100, now=1.0).delivered
+    # both modes stay out of outage; only the loss regime changes
+    link = _los_link(sojourn_s=(0.5, 0.5), snr_mean_db=(20.0, 20.0),
+                     loss_prob=(0.0, 1.0), ran_retx=False, rng=random.Random(31))
+    modes, _ = _presampled(link, 2000, seed=31)
+    assert 0 < np.count_nonzero(modes == NLOS) < 2000
+    for i in range(0, 2000, 7):
+        out = link.transmit(100, now=(i + 0.5) * 0.01)
+        assert out.delivered == (modes[i] == LOS)
 
 
 def test_lte_factory_is_static():
     lte = LinkModel.lte(bandwidth_hz=20e6, snr_db=18.0, loss_prob=1e-3,
                         rng=random.Random(3))
     assert lte.kind == LTE
-    for _ in range(200):
-        lte.step_state(0.01)
-        assert lte.snr_db == 18.0
-        assert not lte.outage
-    assert lte.current_rate() == pytest.approx(
+    out = lte.transmit(1000, now=0.0)
+    assert 8000.0 / (lte.busy_until - out.send_start) == pytest.approx(
         0.6 * 20e6 * math.log2(1.0 + 10.0 ** 1.8)
     )
+    modes, snrs = _presampled(lte, 200, seed=3)
+    assert (modes == LOS).all() and (snrs == 18.0).all()
+    # never in outage: every packet takes airtime
+    assert all(lte.transmit(1000, now=i * 0.01).attempts >= 1 for i in range(200))
 
 
 def test_lte_rate_at_20db_is_80mbps():
     # 0.6 * 20e6 * log2(1 + 100) = 79.90 Mb/s
     lte = LinkModel.lte(bandwidth_hz=20e6, snr_db=20.0, loss_prob=0.0,
                         rng=random.Random(0))
-    assert lte.current_rate() == pytest.approx(0.6 * 20e6 * math.log2(101.0))
-    assert abs(lte.current_rate() - 79.9e6) < 0.1e6
+    lte.transmit(1000, now=0.0)
+    rate = 8000.0 / lte.busy_until
+    assert rate == pytest.approx(0.6 * 20e6 * math.log2(101.0))
+    assert abs(rate - 79.9e6) < 0.1e6
 
 
 def test_mmwave_kind_default():

@@ -69,6 +69,11 @@ def test_labels():
         ("lte_loss", -0.1),
         ("mmwave_bandwidth_hz", 0.0),
         ("mmwave_sojourn_los_s", 0.0),
+        ("efficiency", 0.0),
+        ("efficiency", -0.5),
+        ("efficiency", 1.5),
+        ("feedback_staleness_s", -0.001),
+        ("hysteresis_db", -1.0),
         ("trace_file", "/definitely/not/a/file"),
     ],
 )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
@@ -111,6 +112,16 @@ def test_lossy_mmwave_only_cells_order_sanely():
     loss_none = run(none, seed=5).nalu_loss_ratio
     loss_both = run(both, seed=5).nalu_loss_ratio
     assert loss_none > loss_both
+
+
+def test_infinite_los_sojourn_never_leaves_los():
+    # an infinite sojourn passes validation; the receivers never flip and
+    # their clean mmWave links deliver everything
+    cfg = dataclasses.replace(LOSSLESS, ues_los=BASE.n_ues,
+                              mmwave_sojourn_los_s=math.inf)
+    rep = run(cfg, seed=1)
+    assert rep.nalu_loss_ratio == 0.0
+    assert check_conservation(rep) is None
 
 
 def test_uncoded_transport_runs():
