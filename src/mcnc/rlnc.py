@@ -14,9 +14,8 @@ Coefficient draw modes
                   first k emissions are then linearly independent, so a
                   loss-free delivery of a redundancy-free burst always
                   decodes. Emissions past rank k fall back to nonzero
-                  draws. This is the transmit-side default.
-    nonzero       uniform draws with all-zero vectors redrawn, so the first
-                  packet of a generation is always innovative.
+                  draws (all-zero vectors redrawn). This is the
+                  transmit-side default.
     unrestricted  raw uniform draws, zero vector included. Matches the
                   closed form in :func:`full_rank_probability`; used by the
                   statistical tests.
@@ -80,7 +79,6 @@ class Generation:
         "symbol_size",
         "payloads",
         "payload_bytes",
-        "origin_nalu",
     )
 
     def __init__(
@@ -91,7 +89,6 @@ class Generation:
         symbol_size: int,
         payloads: Optional[List[SymbolVector]] = None,
         payload_bytes: Optional[int] = None,
-        origin_nalu=None,
     ):
         if k < 1:
             raise EmptyGenerationError("generation needs at least one packet")
@@ -116,7 +113,6 @@ class Generation:
         self.symbol_size = symbol_size
         self.payloads = payloads
         self.payload_bytes = payload_bytes
-        self.origin_nalu = origin_nalu
 
     @classmethod
     def from_block(
@@ -125,7 +121,6 @@ class Generation:
         field: FieldSpec,
         data: bytes,
         packet_bytes: int,
-        origin_nalu=None,
     ) -> "Generation":
         """Split a byte block into one generation, zero-padding the tail."""
         if not data:
@@ -137,7 +132,7 @@ class Generation:
             chunk = data[i * packet_bytes : (i + 1) * packet_bytes]
             chunk = chunk.ljust(packet_bytes, b"\x00")
             payloads.append(SymbolVector.unpack(field, chunk, size))
-        return cls(gen_id, field, k, size, payloads, len(data), origin_nalu)
+        return cls(gen_id, field, k, size, payloads, len(data))
 
 
 def split_counts(n_packets: int, k_max: int) -> List[int]:
@@ -156,7 +151,6 @@ def split_block(
     data: bytes,
     packet_bytes: int,
     k_max: int,
-    origin_nalu=None,
 ) -> List[Generation]:
     """Split a byte block into as many generations as the k cap requires."""
     if not data:
@@ -166,9 +160,7 @@ def split_block(
     offset = 0
     for i, k in enumerate(split_counts(n_packets, k_max)):
         chunk = data[offset : offset + k * packet_bytes]
-        gens.append(
-            Generation.from_block(first_gen_id + i, field, chunk, packet_bytes, origin_nalu)
-        )
+        gens.append(Generation.from_block(first_gen_id + i, field, chunk, packet_bytes))
         offset += k * packet_bytes
     return gens
 
@@ -182,19 +174,6 @@ class CodedPacket:
     attempt: int = 0
 
 
-def _draw_coeffs(rng: random.Random, k: int, m: int, mode: str, emitted=None) -> Tuple[int, ...]:
-    while True:
-        coeffs = tuple(rng.getrandbits(m) for _ in range(k))
-        if mode == "unrestricted":
-            return coeffs
-        if not any(coeffs):
-            continue
-        if emitted is None or emitted.rank >= k:
-            return coeffs
-        if emitted.consume_coeffs(coeffs):
-            return coeffs
-
-
 class Encoder:
     """Rateless packet source for one generation.
 
@@ -204,7 +183,7 @@ class Encoder:
     """
 
     def __init__(self, gen: Generation, seed: int, mode: str = "guarded"):
-        if mode not in ("guarded", "nonzero", "unrestricted"):
+        if mode not in ("guarded", "unrestricted"):
             raise ValueError(f"unknown draw mode {mode!r}")
         self.gen = gen
         self.seed = seed
@@ -219,9 +198,13 @@ class Encoder:
 
     def next_coeffs(self) -> Tuple[int, ...]:
         """Coefficient vector of the next emission; advances the sequence."""
-        coeffs = _draw_coeffs(
-            self._rng, self.gen.k, self.gen.field.m, self.mode, self._emitted
-        )
+        k, m, rng, emitted = self.gen.k, self.gen.field.m, self._rng, self._emitted
+        while True:
+            coeffs = tuple(rng.getrandbits(m) for _ in range(k))
+            if emitted is None:
+                break
+            if any(coeffs) and (emitted.rank >= k or emitted.consume_coeffs(coeffs)):
+                break
         self.seq += 1
         return coeffs
 
@@ -247,29 +230,6 @@ class Encoder:
         return [self.next_packet(attempt) for _ in range(n)]
 
 
-def encode(gen: Generation, seed: int, seq: int, mode: str = "nonzero") -> CodedPacket:
-    """One-shot emission with a per-call stream keyed by (seed, gen_id, seq).
-
-    Stateless convenience for tests and tooling; guarded mode is stateful
-    and needs an Encoder instance. The per-call derivation means this does
-    not replay an Encoder's internal sequence.
-    """
-    if mode == "guarded":
-        raise ValueError("guarded draws are stateful; use Encoder")
-    rng = random.Random(derive_seed(seed, "pkt", gen.gen_id, seq))
-    coeffs = _draw_coeffs(rng, gen.k, gen.field.m, mode)
-    payload = None
-    if gen.payloads is not None:
-        field = gen.field
-        out = np.zeros(gen.symbol_size, dtype=np.uint8)
-        mul = field.mul_table
-        for c, row in zip(coeffs, (p.symbols for p in gen.payloads)):
-            if c:
-                np.bitwise_xor(out, mul[c].take(row), out=out)
-        payload = SymbolVector(field, out)
-    return CodedPacket(gen.gen_id, coeffs, payload, seq, 0)
-
-
 class DecoderState:
     """Incremental Gaussian elimination for one generation.
 
@@ -280,7 +240,7 @@ class DecoderState:
     """
 
     __slots__ = ("gen", "k", "field", "rank", "row_ops", "last_consume_row_ops",
-                 "_rows", "_numpy", "_width")
+                 "_rows", "_payloads")
 
     def __init__(self, gen: Generation, track_payloads: Optional[bool] = None):
         if track_payloads is None:
@@ -294,8 +254,7 @@ class DecoderState:
         self.row_ops = 0
         self.last_consume_row_ops = 0
         self._rows = {}
-        self._numpy = track_payloads
-        self._width = gen.k + (gen.symbol_size if track_payloads else 0)
+        self._payloads = track_payloads
 
     @property
     def delivered(self) -> bool:
@@ -310,7 +269,7 @@ class DecoderState:
             raise LengthMismatchError(
                 f"{len(packet.coeffs)} coefficients for k={self.k}"
             )
-        if self._numpy:
+        if self._payloads:
             if packet.payload is None:
                 raise LengthMismatchError("decoder tracks payloads, packet has none")
             if packet.payload.field != self.field:
@@ -319,45 +278,23 @@ class DecoderState:
                 raise LengthMismatchError(
                     f"payload of {len(packet.payload)} symbols, expected {self.gen.symbol_size}"
                 )
-            row = np.empty(self._width, dtype=np.uint8)
+            row = np.empty(self.k + self.gen.symbol_size, dtype=np.uint8)
             row[: self.k] = packet.coeffs
             row[self.k :] = packet.payload.symbols
-            return self._consume_numpy(row)
+            return self._eliminate(row)
         return self.consume_coeffs(packet.coeffs)
 
     def consume_coeffs(self, coeffs: Sequence[int]) -> int:
-        """Coefficient-only fast path (list rows, no numpy round trips)."""
+        """Consume a bare coefficient vector (decoders tracking no payloads)."""
         if len(coeffs) != self.k:
             raise LengthMismatchError(f"{len(coeffs)} coefficients for k={self.k}")
-        if self._numpy:
+        if self._payloads:
             raise ValueError("decoder tracks payloads; feed full packets")
-        ops = 0
-        mul = self.field.mul_table
-        v = list(coeffs)
-        rows = self._rows
-        for col in range(self.k):
-            c = v[col]
-            if not c:
-                continue
-            pivot = rows.get(col)
-            if pivot is None:
-                if c != 1:
-                    inv_row = mul[gf_inv(self.field, c)]
-                    v = [int(inv_row[x]) for x in v]
-                    ops += 1
-                rows[col] = v
-                self.rank += 1
-                self.row_ops += ops
-                self.last_consume_row_ops = ops
-                return 1
-            crow = mul[c]
-            v = [x ^ int(crow[y]) for x, y in zip(v, pivot)]
-            ops += 1
-        self.row_ops += ops
-        self.last_consume_row_ops = ops
-        return 0
+        return self._eliminate(np.array(coeffs, dtype=np.uint8))
 
-    def _consume_numpy(self, row: np.ndarray) -> int:
+    def _eliminate(self, row: np.ndarray) -> int:
+        """Reduce ``row`` (coefficients, then any payload symbols) in place
+        against the pivots; keep it as a new pivot if innovative."""
         ops = 0
         mul = self.field.mul_table
         rows = self._rows
@@ -386,7 +323,7 @@ class DecoderState:
         """Back-substitute and return the k source payloads, padding removed."""
         if self.rank < self.k:
             raise RankDeficientError(self.rank, self.k)
-        if not self._numpy:
+        if not self._payloads:
             raise ValueError("decoder holds no payload symbols")
         mul = self.field.mul_table
         k = self.k
@@ -411,13 +348,18 @@ class DecoderState:
 
 
 def serialize(packet: CodedPacket, field: FieldSpec) -> bytes:
-    """Wire form: gen_id(4) | k(2) | seq(2) | attempt(1) | coeffs | payload."""
+    """Wire form: gen_id(4) | k(2) | seq(2) | attempt(1) | coeffs | payload.
+
+    ``seq`` goes out modulo 2^16; the decoder never reads it.
+    """
     if packet.payload is None:
         raise ValueError("cannot serialize a packet without payload symbols")
     coeffs = SymbolVector(field, packet.coeffs)
     return b"".join(
         (
-            WIRE_HEADER.pack(packet.gen_id, len(packet.coeffs), packet.seq, packet.attempt),
+            WIRE_HEADER.pack(
+                packet.gen_id, len(packet.coeffs), packet.seq & 0xFFFF, packet.attempt
+            ),
             coeffs.pack(),
             packet.payload.pack(),
         )

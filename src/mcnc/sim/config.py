@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
@@ -117,6 +118,11 @@ class SimConfig:
         return "multi" if self.multi_connectivity else "mmwave_only"
 
     def validate(self) -> None:
+        # every range check below is a comparison, and NaN fails none of them
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and math.isnan(value):
+                raise ConfigError("%s must be a number, got nan" % f.name)
         if self.duration_s <= 0:
             raise ConfigError("duration_s must be positive")
         if self.runs < 1:

@@ -104,7 +104,7 @@ class _FramePlan:
 class _GenState:
     __slots__ = ("gen_id", "k", "frame", "nalu_slot", "is_base", "plan",
                  "rank", "mask", "rank_ts", "rank_rs", "complete_at",
-                 "last_arrival", "est_settle", "giveup_epoch", "abandoned", "seq")
+                 "last_arrival", "est_settle", "giveup_epoch", "seq")
 
     def __init__(self, gen_id, k, frame, nalu_slot, is_base):
         self.gen_id = gen_id
@@ -121,7 +121,6 @@ class _GenState:
         self.last_arrival = -1.0
         self.est_settle = 0.0
         self.giveup_epoch = 0
-        self.abandoned = False
         self.seq = 0
 
 
@@ -579,7 +578,6 @@ class _Engine:
     def _on_abandon(self, ue: _UEState, g: _GenState, now: float):
         if g.complete_at is not None and g.complete_at <= g.frame.deadline:
             return
-        g.abandoned = True
         self._resolve_failure(ue, g, now)
 
     def _on_giveup(self, ue: _UEState, arg, now: float):
@@ -588,7 +586,6 @@ class _Engine:
             return
         if g.complete_at is not None and g.complete_at <= g.frame.deadline:
             return
-        g.abandoned = True
         self._resolve_failure(ue, g, now)
 
     def _try_advance(self, ue: _UEState, now: float):

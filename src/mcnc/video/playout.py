@@ -12,8 +12,6 @@ under the cap.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 
 class PlayoutBuffer:
     __slots__ = ("start_time", "fps", "capacity", "_pending", "_next_display",
@@ -50,17 +48,11 @@ class PlayoutBuffer:
         if len(self._pending) > self.max_occupancy:
             self.max_occupancy = len(self._pending)
 
-    def step(self, now: float) -> List[Tuple[str, int]]:
-        """Advance the display clock, returning played/skipped events."""
-        events = []
+    def step(self, now: float) -> None:
+        """Advance the display clock, counting each due frame played or skipped."""
         while self.deadline(self._next_display) <= now:
-            idx = self._next_display
-            if idx in self._pending:
-                del self._pending[idx]
-                self.played += 1
-                events.append(("played", idx))
-            else:
+            if self._pending.pop(self._next_display, None) is None:
                 self.skipped += 1
-                events.append(("skipped", idx))
+            else:
+                self.played += 1
             self._next_display += 1
-        return events

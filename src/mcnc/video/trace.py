@@ -15,7 +15,7 @@ at 99.99 dB by convention for a bit-exact reconstruction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .structure import GOP_SIZE, LAYER_POPULATIONS, temporal_layer_of
 
@@ -54,7 +54,6 @@ class NaluRecord:
     frame_id: int
     spatial_layer: int
     size_bytes: int
-    creation_time: Optional[float] = None
 
 
 class VideoTrace:
@@ -71,9 +70,6 @@ class VideoTrace:
     @property
     def n_frames(self) -> int:
         return len(self.frames)
-
-    def nalus_of(self, frame_id: int) -> List[NaluRecord]:
-        return [self.nalus_by_id[i] for i in self.frames_by_id[frame_id].nalu_ids]
 
 
 def _validate(trace: VideoTrace) -> None:
@@ -128,8 +124,6 @@ def _validate(trace: VideoTrace) -> None:
         frame = trace.frames_by_id[nalu.frame_id]
         frame.nalu_ids.append(nalu.nalu_id)
         frame.nalu_layers.append(nalu.spatial_layer)
-        if nalu.creation_time is None:
-            nalu.creation_time = nalu.frame_id / trace.fps
     for f in trace.frames:
         if 0 not in f.nalu_layers:
             raise InvariantViolation(f, "frame has no base-layer NALU")

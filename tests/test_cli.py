@@ -89,6 +89,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[sim]\nn_ues = 0\n", encoding="utf-8")
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "y")]) == 2
+    bad.write_text("[sim]\nbackhaul_delay_s = nan\n", encoding="utf-8")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "w")]) == 2
     assert main(["run", "--out", str(tmp_path / "z"), "--workers", "0"]) == 2
     err = capsys.readouterr().err
     assert "config error" in err

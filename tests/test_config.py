@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
@@ -75,6 +76,14 @@ def test_labels():
         ("feedback_staleness_s", -0.001),
         ("hysteresis_db", -1.0),
         ("trace_file", "/definitely/not/a/file"),
+        ("duration_s", math.nan),
+        ("fps", math.nan),
+        ("channel_step_s", math.nan),
+        ("feedback_staleness_s", math.nan),
+        ("backhaul_delay_s", math.nan),
+        ("hysteresis_db", math.nan),
+        ("mmwave_snr_los_db", math.nan),
+        ("retx_overshoot", math.nan),
     ],
 )
 def test_validation_rejects(field, value):
@@ -173,6 +182,9 @@ def test_ini_rejects_bad_values(tmp_path):
     with pytest.raises(ConfigError):
         load_config(str(path))
     path.write_text("[sim]\nduration_s = -5\n", encoding="utf-8")
+    with pytest.raises(ConfigError):
+        load_config(str(path))
+    path.write_text("[distribution]\nhysteresis_db = nan\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(str(path))
 

@@ -1,18 +1,25 @@
-"""Golden output digest: a small fixed grid must reproduce pinned bytes.
+"""Golden output digests: a small fixed grid and a fixed codec stream must
+reproduce pinned bytes.
 
 Criterion 7 only compares runs with each other, so a refactor that quietly
 changes behaviour would still pass it. This test pins the sha256 of the
 ``results.csv`` a 16-cell, 2-run, 3 s grid writes, and of every run's full
 ``MetricsReport.to_dict()`` (per-path packet totals, FEC round histograms,
 p95 latency), so any drift in the channel, coding, distribution or video
-layers shows up here. An intentional behaviour change re-pins both values
-and says why in CHANGES.md.
+layers shows up here. The codec digest pins the real payload codec the
+simulator never runs: guarded emissions, their wire bytes, every decoder
+step and the recovered payloads. An intentional behaviour change re-pins
+the affected value and says why in CHANGES.md.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
+
+from mcnc.gf import FieldSpec
+from mcnc.rlnc import DecoderState, Encoder, Generation, serialize
 
 from mcnc.sim.config import SimConfig
 from mcnc.sim.montecarlo import run_grid, run_seeds
@@ -20,6 +27,7 @@ from mcnc.sim.results import emit_results
 
 RESULTS_CSV_SHA256 = "bd1d0883708f5ef4bf4e2b9cad3079f183984ae9fb9c451596f6ccaa1090f4c4"
 REPORTS_SHA256 = "639d7bffbe6f927c4101723bda64eb281a2edecc6c5a9e1b4e024f19452fe4e3"
+CODEC_SHA256 = "b2b7200eda086ff425cf662c7848693938f5c1aff1e3a906fa72f1187dc3aae2"
 
 
 def test_golden_digest(tmp_path):
@@ -35,3 +43,28 @@ def test_golden_digest(tmp_path):
     reports_digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     assert csv_digest == RESULTS_CSV_SHA256
     assert reports_digest == REPORTS_SHA256
+
+
+def test_codec_golden_digest():
+    # LC (GF(16), k=40), HC (GF(256), k=100) and GF(2) with k=16: the
+    # first 2k guarded packets of a fixed block through 30 % erasures
+    h = hashlib.sha256()
+    for m, k in ((4, 40), (8, 100), (1, 16)):
+        field = FieldSpec(m)
+        rng = random.Random(1000 * m + k)
+        data = rng.randbytes(k * 48 - 17)
+        gen = Generation.from_block(k, field, data, 48)
+        enc = Encoder(gen, seed=99, mode="guarded")
+        dec = DecoderState(gen)
+        for _ in range(2 * k):
+            pkt = enc.next_packet()
+            h.update(serialize(pkt, field))
+            if rng.random() < 0.3:
+                continue  # erased
+            h.update(bytes((dec.consume(pkt), dec.last_consume_row_ops)))
+        assert dec.delivered
+        h.update(dec.row_ops.to_bytes(8, "big"))
+        payloads = dec.extract()
+        assert b"".join(payloads) == data
+        h.update(b"".join(payloads))
+    assert h.hexdigest() == CODEC_SHA256

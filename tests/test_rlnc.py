@@ -17,7 +17,6 @@ from mcnc.rlnc import (
     RankDeficientError,
     WIRE_HEADER,
     deserialize,
-    encode,
     full_rank_probability,
     serialize,
     split_block,
@@ -103,10 +102,13 @@ def test_guarded_prefix_is_linearly_independent():
         assert dec.delivered
 
 
-def test_nonzero_mode_never_emits_zero_vector():
+def test_guarded_tail_never_emits_zero_vector():
+    # past rank k the guard has nothing left to check, yet the zero vector
+    # (probability 1/4 per raw draw in GF(2)^2) must still be redrawn
     rng = random.Random(9)
-    gen, _ = _random_generation(rng, GF16, 2)
-    enc = Encoder(gen, seed=1, mode="nonzero")
+    gen, _ = _random_generation(rng, FieldSpec(1), 2)
+    enc = Encoder(gen, seed=1, mode="guarded")
+    enc.coeff_burst(gen.k)
     for coeffs in enc.coeff_burst(500):
         assert any(coeffs)
 
@@ -114,20 +116,9 @@ def test_nonzero_mode_never_emits_zero_vector():
 def test_unknown_mode_rejected():
     rng = random.Random(1)
     gen, _ = _random_generation(rng, GF16, 2)
-    with pytest.raises(ValueError):
-        Encoder(gen, seed=0, mode="systematic")
-
-
-def test_one_shot_encode_keyed_by_seq():
-    rng = random.Random(13)
-    gen, _ = _random_generation(rng, GF256, 4)
-    a = encode(gen, seed=5, seq=0)
-    b = encode(gen, seed=5, seq=0)
-    c = encode(gen, seed=5, seq=1)
-    assert a.coeffs == b.coeffs and a.payload == b.payload
-    assert c.coeffs != a.coeffs or c.payload != a.payload
-    with pytest.raises(ValueError):
-        encode(gen, seed=5, seq=0, mode="guarded")
+    for mode in ("systematic", "nonzero"):
+        with pytest.raises(ValueError):
+            Encoder(gen, seed=0, mode=mode)
 
 
 # -- decoding ----------------------------------------------------------
@@ -202,6 +193,23 @@ def test_consume_cost_bounded_by_rank():
             assert dec.last_consume_row_ops <= rank_before + 1
 
 
+def test_payload_and_coeff_only_decoders_agree():
+    # consume (payload rows) and consume_coeffs (bare coefficient rows) run
+    # one elimination, so rank and row-op counts match step by step
+    rng = random.Random(59)
+    for m, k in ((4, 9), (8, 6), (1, 12)):
+        gen, _ = _random_generation(rng, FieldSpec(m), k)
+        enc = Encoder(gen, seed=rng.randrange(2**32), mode="unrestricted")
+        full = DecoderState(gen)
+        bare = DecoderState(gen, track_payloads=False)
+        while not full.delivered:
+            pkt = enc.next_packet()
+            assert full.consume(pkt) == bare.consume_coeffs(pkt.coeffs)
+            assert full.last_consume_row_ops == bare.last_consume_row_ops
+            assert (full.rank, full.row_ops) == (bare.rank, bare.row_ops)
+        assert bare.delivered
+
+
 def test_coeff_only_decoder_refuses_payload_work():
     gen = Generation(0, GF16, 2, 4)
     dec = DecoderState(gen, track_payloads=False)
@@ -262,6 +270,17 @@ def test_wire_header_layout():
     assert raw[:4] == b"\x01\x02\x03\x04"  # gen_id, big endian
     assert raw[4:6] == b"\x00\x01"  # k
     assert raw[6:8] == b"\x00\x00"  # seq
+
+
+def test_wire_seq_wraps_at_16_bits():
+    gen = Generation.from_block(5, GF256, b"\xcc" * 8, 8)
+    pkt = Encoder(gen, seed=0).next_packet()
+    wrapped = CodedPacket(pkt.gen_id, pkt.coeffs, pkt.payload, seq=65536)
+    raw = serialize(wrapped, GF256)
+    assert len(raw) == wire_size(GF256, 1, 8)
+    back = deserialize(raw, GF256)
+    assert back.seq == 0
+    assert back.coeffs == pkt.coeffs and back.payload == pkt.payload
 
 
 def test_deserialize_rejects_truncation():

@@ -245,16 +245,17 @@ def test_playout_plays_in_order():
     buf = PlayoutBuffer(start_time=1.0, fps=50.0, capacity=4)
     buf.admit(0, 0.9)
     buf.admit(1, 0.95)
-    assert buf.step(1.0) == [("played", 0)]
-    assert buf.step(1.02) == [("played", 1)]
-    assert buf.played == 2 and buf.skipped == 0
+    buf.step(1.0)
+    assert (buf.played, buf.skipped, buf.occupancy) == (1, 0, 1)
+    buf.step(1.02)
+    assert (buf.played, buf.skipped, buf.occupancy) == (2, 0, 0)
 
 
 def test_playout_skips_missing_frames_for_good():
     buf = PlayoutBuffer(start_time=0.0, fps=50.0)
     buf.admit(0, 0.0)
-    events = buf.step(0.05)  # displays frames 0, 1, 2
-    assert events == [("played", 0), ("skipped", 1), ("skipped", 2)]
+    buf.step(0.05)  # displays frames 0, 1, 2
+    assert (buf.played, buf.skipped, buf.occupancy) == (1, 2, 0)
     # frame 1 can no longer be admitted
     with pytest.raises(ValueError):
         buf.admit(1, 0.05)
