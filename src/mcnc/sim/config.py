@@ -27,6 +27,9 @@ PROFILES: Dict[str, Tuple[int, int]] = {
     "HC": (100, 8),
 }
 
+#: most channel or feedback states the engine may presample per receiver
+MAX_GRID_STATES = 10**7
+
 ERROR_CONTROL_LABELS = ("none", "ran_retx", "nc_fec", "ran_retx+nc_fec")
 CONNECTIVITY_LABELS = ("mmwave_only", "multi")
 
@@ -117,6 +120,19 @@ class SimConfig:
     def connectivity_label(self) -> str:
         return "multi" if self.multi_connectivity else "mmwave_only"
 
+    def frame_count(self) -> int:
+        """Frames one receiver plays: ``duration_s * fps``, at least one."""
+        return max(1, int(round(self.duration_s * self.fps)))
+
+    def session_end_s(self) -> float:
+        """Simulated time by which every receiver is done: the last stream
+        start, its last frame, the backhaul delay, the playout buffer depth
+        and one second of slack. The engine presamples channel and feedback
+        state up to here."""
+        return ((self.n_ues - 1) * self.stagger_step_s
+                + (self.frame_count() - 1) / self.fps
+                + self.backhaul_delay_s + self.playout_buffer_frames / self.fps + 1.0)
+
     def validate(self) -> None:
         # every range check below is a comparison, and NaN fails none of them
         for f in dataclasses.fields(self):
@@ -152,6 +168,9 @@ class SimConfig:
             raise ConfigError("playout_buffer_frames must be at least 1")
         if self.feedback_interval_s <= 0 or self.channel_step_s <= 0:
             raise ConfigError("feedback_interval_s and channel_step_s must be positive")
+        if math.isinf(self.feedback_interval_s):
+            # report instants are multiples of the interval: 0 * inf is NaN
+            raise ConfigError("feedback_interval_s must be finite")
         if self.channel_step_s % self.feedback_interval_s > 1e-12:
             # report instants must land on channel-state boundaries
             ratio = self.channel_step_s / self.feedback_interval_s
@@ -189,6 +208,17 @@ class SimConfig:
             raise ConfigError("sojourn times must be positive")
         if self.trace_file and not os.path.isfile(self.trace_file):
             raise ConfigError("trace_file does not exist: %r" % self.trace_file)
+        if not math.isfinite(self.duration_s * self.fps):
+            raise ConfigError("duration_s * fps must be finite")
+        end_s = self.session_end_s()
+        for name in ("channel_step_s", "feedback_interval_s"):
+            states = end_s / getattr(self, name) + 2
+            if not states <= MAX_GRID_STATES:
+                raise ConfigError(
+                    "%s=%g over a %g s session needs %.3g presampled states per "
+                    "receiver, more than %d" % (name, getattr(self, name), end_s,
+                                                 states, MAX_GRID_STATES)
+                )
 
 
 # (section, key) -> (attribute, parser tag)

@@ -59,7 +59,7 @@ from ..video.playout import PlayoutBuffer
 from ..video.trace import VideoTrace, load_trace
 from ..video.tracegen import synthesize_trace
 from .config import SimConfig
-from .metrics import MetricsReport, UEMetrics
+from .metrics import MetricsReport, UEMetrics, check_conservation
 
 
 class TraceError(RuntimeError):
@@ -150,22 +150,21 @@ _PLAN_CACHE: Dict[tuple, List[_FramePlan]] = {}
 
 def _obtain_trace(cfg: SimConfig) -> Tuple[tuple, VideoTrace]:
     if cfg.trace_file:
-        key = ("file", cfg.trace_file, cfg.fps)
+        key = ("file", cfg.trace_file)
         if key not in _TRACE_CACHE:
             try:
-                _TRACE_CACHE[key] = load_trace(cfg.trace_file, fps=cfg.fps)
+                _TRACE_CACHE[key] = load_trace(cfg.trace_file)
             except OSError as exc:
                 raise TraceError(f"cannot read trace {cfg.trace_file!r}: {exc}") from None
             except ValueError as exc:
                 raise TraceError(f"bad trace {cfg.trace_file!r}: {exc}") from None
         return key, _TRACE_CACHE[key]
-    n_frames = max(1, int(round(cfg.duration_s * cfg.fps)))
-    key = ("gen", n_frames, cfg.fps, cfg.trace_seed, cfg.base_nalu_bytes,
+    n_frames = cfg.frame_count()
+    key = ("gen", n_frames, cfg.trace_seed, cfg.base_nalu_bytes,
            cfg.enh_nalu_bytes, cfg.size_jitter, cfg.psnr_lost_db, cfg.spatial_layers)
     if key not in _TRACE_CACHE:
         _TRACE_CACHE[key] = synthesize_trace(
             frames=n_frames,
-            fps=cfg.fps,
             seed=cfg.trace_seed,
             base_bytes=cfg.base_nalu_bytes,
             enh_bytes=cfg.enh_nalu_bytes,
@@ -219,9 +218,7 @@ class _Engine:
 
         fps = cfg.fps
         buffer_depth = cfg.playout_buffer_frames / fps
-        last_start = (cfg.n_ues - 1) * cfg.stagger_step_s
-        self.t_end = (last_start + (n_frames - 1) / fps
-                      + cfg.backhaul_delay_s + buffer_depth + 1.0)
+        self.t_end = cfg.session_end_s()
         self._inv_step = 1.0 / cfg.channel_step_s
         self.n_steps = int(self.t_end * self._inv_step) + 2
         self.fb_int = cfg.feedback_interval_s
@@ -658,12 +655,14 @@ def run(config: SimConfig, seed: Optional[int] = None,
 
     Deterministic: identical (config, seed) give an identical report and,
     when ``events_log`` is supplied, an identical log line sequence.
+    Raises RuntimeError if the report breaks one of the bookkeeping
+    identities of :func:`~mcnc.sim.metrics.check_conservation`.
     """
     config.validate()
     if seed is None:
         seed = config.seed
     trace_key, trace = _obtain_trace(config)
-    n_frames = max(1, int(round(config.duration_s * config.fps)))
+    n_frames = config.frame_count()
     if trace.n_frames < n_frames:
         raise TraceError(
             f"trace has {trace.n_frames} frames, need {n_frames} "
@@ -671,5 +670,8 @@ def run(config: SimConfig, seed: Optional[int] = None,
         )
     plans = _frame_plans(trace_key, trace, n_frames,
                          config.packet_bytes, config.generation_size)
-    engine = _Engine(config, seed, plans, n_frames, events_log)
-    return engine.run()
+    report = _Engine(config, seed, plans, n_frames, events_log).run()
+    violation = check_conservation(report)
+    if violation is not None:
+        raise RuntimeError("conservation violated: " + violation)
+    return report

@@ -59,10 +59,9 @@ class NaluRecord:
 class VideoTrace:
     """Validated, ordered view of a trace."""
 
-    def __init__(self, frames: List[FrameRecord], nalus: List[NaluRecord], fps: float = 50.0):
+    def __init__(self, frames: List[FrameRecord], nalus: List[NaluRecord]):
         self.frames = sorted(frames, key=lambda f: f.frame_id)
         self.nalus = sorted(nalus, key=lambda n: n.nalu_id)
-        self.fps = fps
         self.frames_by_id: Dict[int, FrameRecord] = {f.frame_id: f for f in self.frames}
         self.nalus_by_id: Dict[int, NaluRecord] = {n.nalu_id: n for n in self.nalus}
         _validate(self)
@@ -129,7 +128,7 @@ def _validate(trace: VideoTrace) -> None:
             raise InvariantViolation(f, "frame has no base-layer NALU")
 
 
-def loads(text: str, fps: float = 50.0) -> VideoTrace:
+def loads(text: str) -> VideoTrace:
     frames: List[FrameRecord] = []
     nalus: List[NaluRecord] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -169,12 +168,12 @@ def loads(text: str, fps: float = 50.0) -> VideoTrace:
             raise
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
-    return VideoTrace(frames, nalus, fps=fps)
+    return VideoTrace(frames, nalus)
 
 
-def load_trace(path, fps: float = 50.0) -> VideoTrace:
+def load_trace(path) -> VideoTrace:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read(), fps=fps)
+        return loads(fh.read())
 
 
 def dumps(trace: VideoTrace, header: str = "") -> str:

@@ -31,7 +31,11 @@ def synthesize_trace(
     psnr_lost: float = 12.0,
     spatial_layers: int = 2,
 ) -> VideoTrace:
-    """Build a trace of ``frames`` frames, rounded up to whole GOPs."""
+    """Build a trace of ``frames`` frames, rounded up to whole GOPs.
+
+    A trace carries no timing, so ``fps`` is accepted and unused: the
+    session's frame rate places the frames.
+    """
     if frames < 1:
         raise ValueError("need at least one frame")
     if spatial_layers not in (1, 2):
@@ -61,7 +65,7 @@ def synthesize_trace(
             size = max(1, round(mean * factor * rng.uniform(1.0 - jitter, 1.0 + jitter)))
             nalus.append(NaluRecord(nalu_id, frame_id, slayer, size))
             nalu_id += 1
-    return VideoTrace(frame_records, nalus, fps=fps)
+    return VideoTrace(frame_records, nalus)
 
 
 def main(argv=None) -> int:
@@ -85,7 +89,6 @@ def main(argv=None) -> int:
     try:
         trace = synthesize_trace(
             frames=args.frames,
-            fps=args.fps,
             seed=args.seed,
             base_bytes=args.base_bytes,
             enh_bytes=args.enh_bytes,

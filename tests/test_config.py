@@ -10,6 +10,7 @@ import pytest
 from mcnc.sim.config import (
     CONNECTIVITY_LABELS,
     ERROR_CONTROL_LABELS,
+    MAX_GRID_STATES,
     PROFILES,
     ConfigError,
     SimConfig,
@@ -84,12 +85,35 @@ def test_labels():
         ("hysteresis_db", math.nan),
         ("mmwave_snr_los_db", math.nan),
         ("retx_overshoot", math.nan),
+        ("feedback_interval_s", 1e-9),
+        ("feedback_interval_s", math.inf),
+        ("duration_s", 1e6),
+        ("duration_s", math.inf),
+        ("stagger_step_s", math.inf),
     ],
 )
 def test_validation_rejects(field, value):
     cfg = dataclasses.replace(SimConfig(), **{field: value})
     with pytest.raises(ConfigError):
         cfg.validate()
+
+
+def test_step_grid_is_capped_per_receiver():
+    # 1 ns steps over a 60 s session would presample ~6e10 states per receiver
+    with pytest.raises(ConfigError, match="states per receiver"):
+        SimConfig(channel_step_s=1e-9, feedback_interval_s=1e-9).validate()
+    # an endless session over an endless channel step is inf / inf states
+    with pytest.raises(ConfigError, match="states per receiver"):
+        SimConfig(stagger_step_s=math.inf, channel_step_s=math.inf).validate()
+    end_s = SimConfig().session_end_s()
+    for states, ok in ((MAX_GRID_STATES - 1, True), (MAX_GRID_STATES + 1, False)):
+        step = end_s / (states - 2)
+        cfg = SimConfig(channel_step_s=step, feedback_interval_s=step)
+        if ok:
+            cfg.validate()
+        else:
+            with pytest.raises(ConfigError, match="states per receiver"):
+                cfg.validate()
 
 
 def test_uncoded_excludes_fec():

@@ -7,9 +7,10 @@ import math
 
 import pytest
 
+from mcnc.sim import engine
 from mcnc.sim.config import SimConfig
 from mcnc.sim.engine import TraceError, run
-from mcnc.sim.metrics import check_conservation
+from mcnc.sim.metrics import UEMetrics, check_conservation
 from mcnc.video.tracegen import synthesize_trace
 from mcnc.video.trace import save_trace
 
@@ -145,6 +146,35 @@ def test_trace_file_feeds_the_run(tmp_path):
     rep = run(cfg, seed=1)
     assert rep.frames_total == 200  # duration bounds the session, not the trace
     assert rep.nalu_loss_ratio == 0.0
+
+
+def test_trace_file_is_loaded_once_across_fps(tmp_path, monkeypatch):
+    # a trace carries no timing, so the session's fps must not key its cache
+    path = tmp_path / "shared.trace"
+    save_trace(synthesize_trace(32, seed=9), path)
+    loads = []
+
+    def counting_load(p):
+        loads.append(p)
+        return real_load(p)
+
+    real_load = engine.load_trace
+    monkeypatch.setattr(engine, "load_trace", counting_load)
+    cfg = dataclasses.replace(LOSSLESS, duration_s=0.5, trace_file=str(path))
+    reports = [run(dataclasses.replace(cfg, fps=fps), seed=1) for fps in (50.0, 24.0)]
+    assert loads == [str(path)]
+    assert [r.frames_total for r in reports] == [2 * 25, 2 * 12]
+
+
+def test_broken_packet_count_fails_the_run(monkeypatch):
+    def count_sent_twice(self, path, delivered):
+        real_count(self, path, delivered)
+        self.packets_sent[path] += 1
+
+    real_count = UEMetrics.count_packet
+    monkeypatch.setattr(UEMetrics, "count_packet", count_sent_twice)
+    with pytest.raises(RuntimeError, match="conservation violated: path"):
+        run(dataclasses.replace(BASE, duration_s=0.5), seed=1)
 
 
 def test_short_trace_rejected(tmp_path):

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-from mcnc.gf import FieldSpec, LengthMismatchError
+from mcnc.gf import FieldSpec, LengthMismatchError, SymbolVector, gf_inv, vec_axpy
 from mcnc.rlnc import (
     CodedPacket,
     DecoderState,
@@ -119,6 +120,80 @@ def test_unknown_mode_rejected():
     for mode in ("systematic", "nonzero"):
         with pytest.raises(ValueError):
             Encoder(gen, seed=0, mode=mode)
+
+
+# -- payload kernels against a per-symbol reference ---------------------
+
+# (m, k, symbols): sizes that are no multiple of 8 pad the word rows
+KERNEL_CASES = [(1, 5, 13), (1, 1, 8), (4, 6, 7), (4, 1, 3), (8, 9, 24), (8, 1, 5), (8, 4, 1)]
+
+
+def _symbol_generation(rng, field, k, size):
+    payloads = [SymbolVector(field, [rng.randrange(field.order) for _ in range(size)])
+                for _ in range(k)]
+    return Generation(0, field, k, size, payloads)
+
+
+def _reference_combination(gen, coeffs):
+    out = np.zeros(gen.symbol_size, dtype=np.uint8)
+    for c, p in zip(coeffs, gen.payloads):
+        vec_axpy(gen.field, out, c, p)
+    return out
+
+
+def _reference_solve(field, packets):
+    """Gauss-Jordan on (coefficients | payload) rows with vec_axpy only."""
+    k = len(packets[0].coeffs)
+    rows = [np.concatenate([np.array(p.coeffs, dtype=np.uint8), p.payload.symbols])
+            for p in packets]
+    for col in range(k):
+        piv = next(i for i in range(col, len(rows)) if rows[i][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        scaled = np.zeros_like(rows[col])
+        vec_axpy(field, scaled, gf_inv(field, int(rows[col][col])), rows[col])
+        rows[col] = scaled
+        for i, row in enumerate(rows):
+            if i != col and row[col]:
+                vec_axpy(field, row, int(row[col]), rows[col])
+    return [row[k:] for row in rows[:k]]
+
+
+@pytest.mark.parametrize("m,k,size", KERNEL_CASES)
+def test_coded_payload_matches_axpy_reference(m, k, size):
+    field = FieldSpec(m)
+    gen = _symbol_generation(random.Random(m * 1000 + k * 10 + size), field, k, size)
+    for mode in ("guarded", "unrestricted"):
+        for pkt in Encoder(gen, seed=5, mode=mode).burst(k + 6):
+            assert len(pkt.payload) == size
+            assert pkt.payload.symbols.tolist() == _reference_combination(gen, pkt.coeffs).tolist()
+
+
+def test_zero_coefficient_vector_gives_zero_payload():
+    # unrestricted draws in GF(2)^1 are zero half the time
+    gen = _symbol_generation(random.Random(3), FieldSpec(1), 1, 13)
+    packets = Encoder(gen, seed=1, mode="unrestricted").burst(20)
+    zeros = [p for p in packets if not any(p.coeffs)]
+    assert zeros
+    for p in zeros:
+        assert p.payload.symbols.tolist() == [0] * 13
+
+
+@pytest.mark.parametrize("m,k,size", KERNEL_CASES)
+def test_extract_matches_axpy_reference(m, k, size):
+    field = FieldSpec(m)
+    rng = random.Random(m * 1000 + k * 10 + size + 1)
+    gen = _symbol_generation(rng, field, k, size)
+    dec = DecoderState(gen)
+    kept = []
+    for pkt in Encoder(gen, seed=rng.randrange(2**32), mode="unrestricted").burst(20 * k + 20):
+        if dec.consume(pkt):
+            kept.append(pkt)
+        if dec.delivered:
+            break
+    assert dec.delivered
+    expected = [SymbolVector(field, row).pack() for row in _reference_solve(field, kept)]
+    assert dec.extract() == expected
+    assert expected == [p.pack() for p in gen.payloads]
 
 
 # -- decoding ----------------------------------------------------------
