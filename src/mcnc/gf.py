@@ -192,12 +192,6 @@ class SymbolVector:
     def __repr__(self):
         return f"SymbolVector(m={self.field.m}, n={len(self.symbols)})"
 
-    def copy(self) -> "SymbolVector":
-        out = SymbolVector.__new__(SymbolVector)
-        out.field = self.field
-        out.symbols = self.symbols.copy()
-        return out
-
     def pack(self) -> bytes:
         m = self.field.m
         s = self.symbols

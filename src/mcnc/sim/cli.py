@@ -95,8 +95,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = _load(args)
         if args.workers < 1:
             raise ConfigError("--workers must be at least 1")
-        if args.runs is not None and args.runs < 1:
-            raise ConfigError("--runs must be at least 1")
         if args.events and args.grid:
             raise ConfigError("--events only applies to single-cell runs")
     except ConfigError as exc:

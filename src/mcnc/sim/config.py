@@ -27,7 +27,7 @@ PROFILES: Dict[str, Tuple[int, int]] = {
     "HC": (100, 8),
 }
 
-#: most channel or feedback states the engine may presample per receiver
+#: most frames, channel states or feedback states the engine may build per receiver
 MAX_GRID_STATES = 10**7
 
 ERROR_CONTROL_LABELS = ("none", "ran_retx", "nc_fec", "ran_retx+nc_fec")
@@ -210,6 +210,11 @@ class SimConfig:
             raise ConfigError("trace_file does not exist: %r" % self.trace_file)
         if not math.isfinite(self.duration_s * self.fps):
             raise ConfigError("duration_s * fps must be finite")
+        if self.frame_count() > MAX_GRID_STATES:
+            raise ConfigError(
+                "duration_s * fps = %d frames per receiver, more than %d"
+                % (self.frame_count(), MAX_GRID_STATES)
+            )
         end_s = self.session_end_s()
         for name in ("channel_step_s", "feedback_interval_s"):
             states = end_s / getattr(self, name) + 2
@@ -221,90 +226,46 @@ class SimConfig:
                 )
 
 
-# (section, key) -> (attribute, parser tag)
-_SCHEMA: Dict[str, Dict[str, Tuple[str, str]]] = {
-    "sim": {
-        "duration_s": ("duration_s", "float"),
-        "n_ues": ("n_ues", "int"),
-        "backhaul_delay_s": ("backhaul_delay_s", "float"),
-        "stagger_step_s": ("stagger_step_s", "float"),
-        "playout_buffer_frames": ("playout_buffer_frames", "int"),
-        "seed": ("seed", "int"),
-        "runs": ("runs", "int"),
-    },
-    "video": {
-        "fps": ("fps", "float"),
-        "packet_bytes": ("packet_bytes", "int"),
-        "trace_file": ("trace_file", "str"),
-        "trace_seed": ("trace_seed", "int"),
-        "base_nalu_bytes": ("base_nalu_bytes", "int"),
-        "enh_nalu_bytes": ("enh_nalu_bytes", "int"),
-        "size_jitter": ("size_jitter", "float"),
-        "psnr_lost_db": ("psnr_lost_db", "float"),
-        "spatial_layers": ("spatial_layers", "int"),
-    },
-    "coding": {
-        "coding_profile": ("coding_profile", "str"),
-        "nc_fec": ("nc_fec", "bool"),
-        "uncoded": ("uncoded", "bool"),
-    },
-    "distribution": {
-        "multi_connectivity": ("multi_connectivity", "bool"),
-        "hysteresis_db": ("hysteresis_db", "float"),
-        "feedback_staleness_s": ("feedback_staleness_s", "float"),
-        "feedback_interval_s": ("feedback_interval_s", "float"),
-        "retx_overshoot": ("retx_overshoot", "float"),
-        "plan_check_guard_s": ("plan_check_guard_s", "float"),
-        "receiver_giveup_s": ("receiver_giveup_s", "float"),
-        "receiver_giveup_empty_s": ("receiver_giveup_empty_s", "float"),
-    },
-    "channel": {
-        "ran_retx": ("ran_retx", "bool"),
-        "ran_max_attempts": ("ran_max_attempts", "int"),
-        "ran_retx_delay_s": ("ran_retx_delay_s", "float"),
-        "efficiency": ("efficiency", "float"),
-        "outage_threshold_db": ("outage_threshold_db", "float"),
-        "channel_step_s": ("channel_step_s", "float"),
-    },
-    "channel.mmwave": {
-        "bandwidth_hz": ("mmwave_bandwidth_hz", "float"),
-        "base_delay_s": ("mmwave_base_delay_s", "float"),
-        "snr_los_db": ("mmwave_snr_los_db", "float"),
-        "snr_nlos_db": ("mmwave_snr_nlos_db", "float"),
-        "snr_sigma_db": ("mmwave_snr_sigma_db", "float"),
-        "shadow_corr_s": ("mmwave_shadow_corr_s", "float"),
-        "sojourn_los_s": ("mmwave_sojourn_los_s", "float"),
-        "sojourn_nlos_s": ("mmwave_sojourn_nlos_s", "float"),
-        "loss_los": ("mmwave_loss_los", "float"),
-        "loss_nlos": ("mmwave_loss_nlos", "float"),
-        "ues_los": ("ues_los", "int"),
-    },
-    "channel.lte": {
-        "bandwidth_hz": ("lte_bandwidth_hz", "float"),
-        "base_delay_s": ("lte_base_delay_s", "float"),
-        "snr_db": ("lte_snr_db", "float"),
-        "loss": ("lte_loss", "float"),
-    },
-}
-
-_BOOL_STATES = {
-    "1": True, "yes": True, "true": True, "on": True,
-    "0": False, "no": False, "false": False, "off": False,
+#: INI section -> the SimConfig fields it holds. A field's key is its name,
+#: less the ``mmwave_`` / ``lte_`` prefix inside ``[channel.mmwave]`` /
+#: ``[channel.lte]``; its annotation picks the parser.
+_SECTIONS: Dict[str, Tuple[str, ...]] = {
+    "sim": ("duration_s", "n_ues", "backhaul_delay_s", "stagger_step_s",
+            "playout_buffer_frames", "seed", "runs"),
+    "video": ("fps", "packet_bytes", "trace_file", "trace_seed", "base_nalu_bytes",
+              "enh_nalu_bytes", "size_jitter", "psnr_lost_db", "spatial_layers"),
+    "coding": ("coding_profile", "nc_fec", "uncoded"),
+    "distribution": ("multi_connectivity", "hysteresis_db", "feedback_staleness_s",
+                     "feedback_interval_s", "retx_overshoot", "plan_check_guard_s",
+                     "receiver_giveup_s", "receiver_giveup_empty_s"),
+    "channel": ("ran_retx", "ran_max_attempts", "ran_retx_delay_s", "efficiency",
+                "outage_threshold_db", "channel_step_s"),
+    "channel.mmwave": ("mmwave_bandwidth_hz", "mmwave_base_delay_s", "mmwave_snr_los_db",
+                       "mmwave_snr_nlos_db", "mmwave_snr_sigma_db", "mmwave_shadow_corr_s",
+                       "mmwave_sojourn_los_s", "mmwave_sojourn_nlos_s", "mmwave_loss_los",
+                       "mmwave_loss_nlos", "ues_los"),
+    "channel.lte": ("lte_bandwidth_hz", "lte_base_delay_s", "lte_snr_db", "lte_loss"),
 }
 
 
-def _parse_value(raw: str, tag: str, where: str):
+def _parse_value(raw: str, kind: str, where: str):
     raw = raw.strip()
     try:
-        if tag == "int":
-            return int(float(raw)) if ("e" in raw.lower() or "." in raw) else int(raw)
-        if tag == "float":
+        if kind == "int":
+            try:
+                return int(raw)
+            except ValueError:
+                value = float(raw)  # "1e3" and "5.0" are integers too
+                if not value.is_integer():
+                    raise ValueError("not an integer")
+                return int(value)
+        if kind == "float":
             return float(raw)
-        if tag == "bool":
-            key = raw.lower()
-            if key not in _BOOL_STATES:
+        if kind == "bool":
+            states = configparser.ConfigParser.BOOLEAN_STATES
+            if raw.lower() not in states:
                 raise ValueError("not a boolean")
-            return _BOOL_STATES[key]
+            return states[raw.lower()]
         return raw
     except ValueError as exc:
         raise ConfigError("bad value for %s: %r (%s)" % (where, raw, exc)) from None
@@ -322,15 +283,18 @@ def load_config(path: str) -> SimConfig:
         raise ConfigError("malformed config file %r: %s" % (path, exc)) from None
 
     cfg = SimConfig()
+    kinds = {f.name: f.type for f in dataclasses.fields(SimConfig)}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError("unknown section [%s]" % section)
-        table = _SCHEMA[section]
+        # [channel.mmwave] strips "mmwave_"; an undotted section strips nothing
+        prefix = section.partition(".")[2] + "_"
+        names = {name.removeprefix(prefix): name for name in _SECTIONS[section]}
         for key, raw in parser.items(section):
-            if key not in table:
+            if key not in names:
                 raise ConfigError("unknown key %r in section [%s]" % (key, section))
-            attr, tag = table[key]
-            setattr(cfg, attr, _parse_value(raw, tag, "[%s] %s" % (section, key)))
+            name = names[key]
+            setattr(cfg, name, _parse_value(raw, kinds[name], "[%s] %s" % (section, key)))
     cfg.validate()
     return cfg
 

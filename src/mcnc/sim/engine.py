@@ -103,7 +103,7 @@ class _FramePlan:
 
 class _GenState:
     __slots__ = ("gen_id", "k", "frame", "nalu_slot", "is_base", "plan",
-                 "rank", "mask", "rank_ts", "rank_rs", "complete_at",
+                 "rank", "mask", "rank_ts", "complete_at",
                  "last_arrival", "est_settle", "giveup_epoch", "seq")
 
     def __init__(self, gen_id, k, frame, nalu_slot, is_base):
@@ -115,13 +115,17 @@ class _GenState:
         self.plan = None
         self.rank = 0
         self.mask = None  # uncoded mode: bitmask of source indices received
-        self.rank_ts: List[float] = []
-        self.rank_rs: List[int] = []
+        self.rank_ts: List[float] = []  # rank_ts[i]: when the rank reached i + 1
         self.complete_at: Optional[float] = None
         self.last_arrival = -1.0
         self.est_settle = 0.0
         self.giveup_epoch = 0
         self.seq = 0
+
+
+def _in_time(g: _GenState) -> bool:
+    """Whether the generation completed by its frame's display deadline."""
+    return g.complete_at is not None and g.complete_at <= g.frame.deadline
 
 
 class _FrameState:
@@ -331,7 +335,7 @@ class _Engine:
             _FRAME: self._on_frame,
             _CHECK: self._on_check,
             _DONE: self._on_done,
-            _ABANDON: self._on_abandon,
+            _ABANDON: self._resolve_failure,
             _GIVEUP: self._on_giveup,
             _DEADLINE: self._on_deadline,
         }
@@ -372,9 +376,7 @@ class _Engine:
         rep = self._latest_report(ue, now)
         if rep < 0:
             return 0
-        t_rep = rep * self.fb_int
-        i = bisect_right(g.rank_ts, t_rep) - 1
-        return g.rank_rs[i] if i >= 0 else 0
+        return bisect_right(g.rank_ts, rep * self.fb_int)
 
     def _current_path(self, ue: _UEState, now: float) -> str:
         if not self.cfg.multi_connectivity:
@@ -455,7 +457,6 @@ class _Engine:
                 if ts and arrival < ts[-1]:
                     arrival = ts[-1]
                 ts.append(arrival)
-                g.rank_rs.append(g.rank)
                 if g.rank == k:
                     g.complete_at = arrival
                     ue.metrics.generations_delivered += 1
@@ -483,6 +484,28 @@ class _Engine:
         a = g.plan.attempts_used
         h[a if a < len(h) else len(h) - 1] += 1
 
+    def _schedule_check(self, ue: _UEState, g: _GenState, now: float):
+        # look again once the burst just sent has settled and the report
+        # showing it can have arrived, unless the rank the sender will know
+        # by then already completes the plan
+        guard = self.cfg.plan_check_guard_s
+        t_check = g.est_settle + ue.ul_delay + guard
+        if t_check <= now:
+            t_check = now + guard
+        if self._known_rank(ue, g, t_check) >= g.k:
+            g.plan.delivered = True
+            self._finish_plan(ue, g)
+        else:
+            self._push(t_check, _CHECK, ue.idx, g)
+
+    def _fail_plan(self, ue: _UEState, g: _GenState, now: float):
+        # the sender gives up; the receiver hears of it one uplink delay
+        # later and drops the frame unless this base generation made it
+        g.plan.failed = True
+        self._finish_plan(ue, g)
+        if g.is_base and not _in_time(g):
+            self._push(now + ue.ul_delay, _ABANDON, ue.idx, g)
+
     # ------------------------------------------------------------ handlers
 
     def _on_frame(self, ue: _UEState, f: int, now: float):
@@ -492,7 +515,6 @@ class _Engine:
         ue.frames[f] = fr
         path = self._current_path(ue, now)
         nc = cfg.nc_fec
-        guard = cfg.plan_check_guard_s
         m = ue.metrics
         for nalu_slot, is_base, k in plan.gens:
             gen_id = self._next_gen_id
@@ -510,53 +532,30 @@ class _Engine:
                 m.fec_rounds_hist[0] += 1
                 self._arm_giveup(ue, g, now)
                 continue
-            t_check = g.est_settle + ue.ul_delay + guard
-            if self._known_rank(ue, g, t_check) >= k:
-                g.plan.delivered = True
-                self._finish_plan(ue, g)
-            else:
-                self._push(t_check, _CHECK, ue.idx, g)
+            self._schedule_check(ue, g, now)
 
     def _on_check(self, ue: _UEState, g: _GenState, now: float):
         cfg = self.cfg
         plan = g.plan
-        if plan.delivered or plan.failed:
-            return
         rep = self._latest_report(ue, now)
         if rep < 0 or now - rep * self.fb_int - ue.ul_delay > cfg.feedback_staleness_s:
             # feedback blackout (mmWave-only uplink in outage): hold the
             # plan instead of burning top-up rounds blind; the display
             # deadline still bounds how long the receiver waits
             if now + self.fb_int > g.frame.deadline:
-                plan.failed = True
-                self._finish_plan(ue, g)
-                if g.is_base and (g.complete_at is None
-                                  or g.complete_at > g.frame.deadline):
-                    self._push(now + ue.ul_delay, _ABANDON, ue.idx, g)
+                self._fail_plan(ue, g, now)
             else:
                 self._push(now + self.fb_int, _CHECK, ue.idx, g)
             return
         rank = self._known_rank(ue, g, now)
-        act = handle_feedback(plan, rank, now, nc_fec=cfg.nc_fec,
-                              overshoot=cfg.retx_overshoot)
+        act = handle_feedback(plan, rank, now, overshoot=cfg.retx_overshoot)
         if act.kind == "delivered":
             self._finish_plan(ue, g)
-            return
-        if act.kind == "failed":
-            self._finish_plan(ue, g)
-            if g.is_base and (g.complete_at is None or g.complete_at > g.frame.deadline):
-                self._push(now + ue.ul_delay, _ABANDON, ue.idx, g)
-            return
-        path = self._current_path(ue, now)
-        self._send_burst(ue, g, act.count, path, now)
-        t_next = g.est_settle + ue.ul_delay + cfg.plan_check_guard_s
-        if t_next <= now:
-            t_next = now + cfg.plan_check_guard_s
-        if self._known_rank(ue, g, t_next) >= g.k:
-            plan.delivered = True
-            self._finish_plan(ue, g)
+        elif act.kind == "failed":
+            self._fail_plan(ue, g, now)
         else:
-            self._push(t_next, _CHECK, ue.idx, g)
+            self._send_burst(ue, g, act.count, self._current_path(ue, now), now)
+            self._schedule_check(ue, g, now)
 
     def _on_done(self, ue: _UEState, g: _GenState, now: float):
         fr = g.frame
@@ -566,24 +565,18 @@ class _Engine:
                 self._try_advance(ue, now)
 
     def _resolve_failure(self, ue: _UEState, g: _GenState, now: float):
+        # an abandon notice or a receiver give-up: the frame is lost unless
+        # the generation made its deadline or the frame is already resolved
         fr = g.frame
-        if fr.lost or fr.consumed_at is not None:
+        if _in_time(g) or fr.lost or fr.consumed_at is not None:
             return
         fr.lost = True
         self._try_advance(ue, now)
 
-    def _on_abandon(self, ue: _UEState, g: _GenState, now: float):
-        if g.complete_at is not None and g.complete_at <= g.frame.deadline:
-            return
-        self._resolve_failure(ue, g, now)
-
     def _on_giveup(self, ue: _UEState, arg, now: float):
         g, epoch = arg
-        if epoch != g.giveup_epoch:
-            return
-        if g.complete_at is not None and g.complete_at <= g.frame.deadline:
-            return
-        self._resolve_failure(ue, g, now)
+        if epoch == g.giveup_epoch:
+            self._resolve_failure(ue, g, now)
 
     def _try_advance(self, ue: _UEState, now: float):
         frames = ue.frames

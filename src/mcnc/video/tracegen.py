@@ -73,8 +73,6 @@ def main(argv=None) -> int:
         prog="tracegen", description="Generate a synthetic scalable-video trace."
     )
     parser.add_argument("--frames", type=int, required=True, help="frame count (rounded up to whole GOPs)")
-    parser.add_argument("--gop", type=int, default=GOP_SIZE, help="GOP length; only 16 is supported")
-    parser.add_argument("--fps", type=float, default=50.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--base-bytes", type=int, default=2000, help="mean base-layer NALU size")
     parser.add_argument("--enh-bytes", type=int, default=2000, help="mean enhancement NALU size")
@@ -84,8 +82,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="-", help="output path, '-' for stdout")
     args = parser.parse_args(argv)
 
-    if args.gop != GOP_SIZE:
-        parser.error(f"unsupported GOP length {args.gop}; the dyadic hierarchy needs {GOP_SIZE}")
     try:
         trace = synthesize_trace(
             frames=args.frames,
@@ -100,7 +96,7 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     header = (
         f"synthetic video trace\n"
-        f"frames={trace.n_frames} fps={args.fps:g} gop={GOP_SIZE} seed={args.seed}\n"
+        f"frames={trace.n_frames} gop={GOP_SIZE} seed={args.seed}\n"
         f"base_bytes={args.base_bytes} enh_bytes={args.enh_bytes} jitter={args.jitter:g}"
     )
     text = dumps(trace, header)

@@ -91,9 +91,11 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "y")]) == 2
     bad.write_text("[sim]\nbackhaul_delay_s = nan\n", encoding="utf-8")
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "w")]) == 2
+    bad.write_text("[sim]\nn_ues = 1e400\n", encoding="utf-8")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "v")]) == 2
     assert main(["run", "--out", str(tmp_path / "z"), "--workers", "0"]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err
+    assert "config error" in err and "Traceback" not in err
 
 
 def test_events_with_grid_rejected(tiny_ini, tmp_path):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import configparser
 import dataclasses
 import math
+import pathlib
+import re
 
 import pytest
 
@@ -90,6 +93,7 @@ def test_labels():
         ("duration_s", 1e6),
         ("duration_s", math.inf),
         ("stagger_step_s", math.inf),
+        ("fps", 1e9),
     ],
 )
 def test_validation_rejects(field, value):
@@ -211,6 +215,19 @@ def test_ini_rejects_bad_values(tmp_path):
     path.write_text("[distribution]\nhysteresis_db = nan\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(str(path))
+    # an integer key takes no fraction and no value beyond the float range
+    for raw in ("2.5", "1e400", "inf", "nan"):
+        path.write_text("[sim]\nn_ues = %s\n" % raw, encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"\[sim\] n_ues"):
+            load_config(str(path))
+
+
+def test_ini_integers_accept_integral_float_forms(tmp_path):
+    path = tmp_path / "e.ini"
+    path.write_text("[sim]\nruns = 1e3\nn_ues = 4.0\n", encoding="utf-8")
+    cfg = load_config(str(path))
+    assert cfg.runs == 1000 and isinstance(cfg.runs, int)
+    assert cfg.n_ues == 4 and isinstance(cfg.n_ues, int)
 
 
 def test_ini_missing_file():
@@ -244,3 +261,61 @@ def test_grid_inherits_base_settings():
     for cell in grid_cells(base):
         assert cell.duration_s == 7.0 and cell.seed == 5
         assert cell.uncoded is False
+
+
+# -- the README configuration reference ---------------------------------------
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_ini() -> str:
+    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    return blocks[0]
+
+
+def _readme_keys():
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.read_string(_readme_ini())
+    return [(s, k) for s in parser.sections() for k in parser[s]]
+
+
+def _field_of(section: str, key: str) -> str:
+    # keys in the per-link sections drop their link's prefix; ues_los has none
+    if section in ("channel.mmwave", "channel.lte") and key != "ues_los":
+        return section.split(".")[1] + "_" + key
+    return key
+
+
+def test_readme_reference_loads_to_the_defaults(tmp_path):
+    path = tmp_path / "readme.ini"
+    path.write_text(_readme_ini(), encoding="utf-8")
+    assert load_config(str(path)) == SimConfig()
+
+
+def test_readme_reference_names_every_field_once():
+    fields = [_field_of(s, k) for s, k in _readme_keys()]
+    assert sorted(fields) == sorted(f.name for f in dataclasses.fields(SimConfig))
+
+
+@pytest.mark.parametrize("section,key", _readme_keys())
+def test_each_readme_key_sets_its_own_field(section, key, tmp_path, monkeypatch):
+    # this pins which field a key writes, so a non-default value need not
+    # make a consistent scenario on its own (uncoded = yes needs nc_fec = no)
+    monkeypatch.setattr(SimConfig, "validate", lambda self: None)
+    name = _field_of(section, key)
+    default = getattr(SimConfig(), name)
+    if isinstance(default, bool):
+        value, raw = not default, "no" if default else "yes"
+    elif isinstance(default, (int, float)):
+        value = default + 1
+        raw = repr(value)
+    else:
+        value = raw = default + "_other"
+    path = tmp_path / "one.ini"
+    path.write_text("[%s]\n%s = %s\n" % (section, key, raw), encoding="utf-8")
+    cfg = load_config(str(path))
+    changed = {f.name for f in dataclasses.fields(SimConfig)
+               if getattr(cfg, f.name) != getattr(SimConfig(), f.name)}
+    assert changed == {name}
+    assert getattr(cfg, name) == value and type(getattr(cfg, name)) is type(default)
