@@ -282,6 +282,10 @@ def load_config(path: str) -> SimConfig:
     except configparser.Error as exc:
         raise ConfigError("malformed config file %r: %s" % (path, exc)) from None
 
+    if parser.defaults():
+        # configparser keeps [DEFAULT] out of sections() and copies its keys
+        # into every other section; it is no section of ours
+        raise ConfigError("unknown section [%s]" % parser.default_section)
     cfg = SimConfig()
     kinds = {f.name: f.type for f in dataclasses.fields(SimConfig)}
     for section in parser.sections():

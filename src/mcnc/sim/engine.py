@@ -36,11 +36,22 @@ of wall clock without changing observable behavior:
   Byte counts use the padded wire size, and the codec's real elimination
   path has its own tests. Uncoded transport tracks distinct source
   indices instead.
+- Static events skip the heap. Frame arrivals and display deadlines are
+  fixed at init, so they are built once as a reverse-sorted list and
+  popped from its end; the loop takes the list's head whenever it sorts
+  before the heap's. Each carries the seq number a heap push would have
+  given it, so the (time, kind, seq) dispatch order is unchanged.
+- The per-run object graph is acyclic: a generation names its frame by
+  index, not by reference, and nothing a receiver holds points back at the
+  engine. Reference counting frees a run as it ends, so the cyclic
+  collector is held off around the event loop (and restored, even when a
+  handler raises) instead of rescanning the live graph.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import heapq
 import math
 import random
@@ -109,7 +120,7 @@ class _GenState:
     def __init__(self, gen_id, k, frame, nalu_slot, is_base):
         self.gen_id = gen_id
         self.k = k
-        self.frame = frame
+        self.frame = frame  # frame index, not the _FrameState: no cycle
         self.nalu_slot = nalu_slot
         self.is_base = is_base
         self.plan = None
@@ -125,7 +136,7 @@ class _GenState:
 
 def _in_time(g: _GenState) -> bool:
     """Whether the generation completed by its frame's display deadline."""
-    return g.complete_at is not None and g.complete_at <= g.frame.deadline
+    return g.complete_at is not None and g.complete_at <= g.plan.deadline
 
 
 class _FrameState:
@@ -145,7 +156,7 @@ class _FrameState:
 
 class _UEState:
     __slots__ = ("idx", "stream_start", "mm", "lte", "selector", "metrics",
-                 "fb_ok", "frames", "base_complete", "decode_memo", "ptr", "buffer", "ul_delay")
+                 "fb_ok", "frames", "decode_memo", "ptr", "buffer", "ul_delay")
 
 
 _TRACE_CACHE: Dict[tuple, VideoTrace] = {}
@@ -216,7 +227,6 @@ class _Engine:
         self._dep: Dict[int, List[float]] = {}
         self._rank_rng = random.Random(derive_seed(seed, "rank"))
         self._next_gen_id = 0
-        self._seq = 0
         self._heap: list = []
         self.now = 0.0
 
@@ -233,10 +243,23 @@ class _Engine:
 
         self.ues = [self._build_ue(u, buffer_depth) for u in range(cfg.n_ues)]
 
+        # frame arrivals and display deadlines are fixed up front; they form
+        # a presorted stream beside the heap, with the seq numbers a push of
+        # each (frame, deadline) pair per receiver would have given them.
+        # It is popped from its end, so each event is freed once run.
+        static = []
         for ue in self.ues:
-            for f in range(n_frames):
-                self._push(ue.stream_start + f / fps, _FRAME, ue.idx, f)
-                self._push(ue.buffer.deadline(f), _DEADLINE, ue.idx, f)
+            u = ue.idx
+            seq0 = 2 * u * n_frames
+            start = ue.stream_start
+            deadline = ue.buffer.deadline
+            static += [(start + f / fps, _FRAME, seq0 + 2 * f + 1, u, f)
+                       for f in range(n_frames)]
+            static += [(deadline(f), _DEADLINE, seq0 + 2 * f + 2, u, f)
+                       for f in range(n_frames)]
+        static.sort(reverse=True)
+        self._static = static
+        self._seq = 2 * len(self.ues) * n_frames
 
     # ------------------------------------------------------------- setup
 
@@ -285,7 +308,6 @@ class _Engine:
                         np.random.default_rng(derive_seed(self.seed, "chan", u)))
         ue.fb_ok = self._sample_report_survival(u, ue)
         ue.frames = [None] * self.n_frames
-        ue.base_complete = functools.partial(self._base_complete, ue)
         ue.decode_memo = set()  # frames found decodable; they stay so
         ue.ptr = 0
         ue.buffer = PlayoutBuffer(
@@ -330,6 +352,9 @@ class _Engine:
 
     def run(self) -> MetricsReport:
         heap = self._heap
+        static = self._static
+        heappop = heapq.heappop
+        ues = self.ues
         log = self.log
         handlers = {
             _FRAME: self._on_frame,
@@ -339,15 +364,30 @@ class _Engine:
             _GIVEUP: self._on_giveup,
             _DEADLINE: self._on_deadline,
         }
-        while heap:
-            t, kind, _, ue_idx, arg = heapq.heappop(heap)
-            self.now = t
-            if log is not None:
-                log.append(f"{t:.9f} {_KIND_NAMES[kind]} ue={ue_idx} arg={self._log_arg(arg)}")
-            handlers[kind](self.ues[ue_idx], arg, t)
-        for ue in self.ues:
+        # the run's object graph is acyclic, so reference counting frees
+        # everything the loop drops and the cyclic collector has nothing
+        # to find; hold it off instead of letting it rescan the live graph
+        gc_was_on = gc.isenabled()
+        gc.disable()
+        try:
+            while True:
+                # seq numbers are unique, so the tuples order on (t, kind, seq)
+                if static and (not heap or static[-1] < heap[0]):
+                    t, kind, _, ue_idx, arg = static.pop()
+                elif heap:
+                    t, kind, _, ue_idx, arg = heappop(heap)
+                else:
+                    break
+                self.now = t
+                if log is not None:
+                    log.append(f"{t:.9f} {_KIND_NAMES[kind]} ue={ue_idx} arg={self._log_arg(arg)}")
+                handlers[kind](ues[ue_idx], arg, t)
+        finally:
+            if gc_was_on:
+                gc.enable()
+        for ue in ues:
             ue.metrics.max_buffer_occupancy = ue.buffer.max_occupancy
-        return MetricsReport(self.seed, self.cfg.duration_s, [u.metrics for u in self.ues])
+        return MetricsReport(self.seed, self.cfg.duration_s, [u.metrics for u in ues])
 
     @staticmethod
     def _log_arg(arg):
@@ -519,7 +559,7 @@ class _Engine:
         for nalu_slot, is_base, k in plan.gens:
             gen_id = self._next_gen_id
             self._next_gen_id += 1
-            g = _GenState(gen_id, k, fr, nalu_slot, is_base)
+            g = _GenState(gen_id, k, f, nalu_slot, is_base)
             if cfg.uncoded:
                 g.mask = 0
             g.plan = plan_generation(gen_id, k, path, fr.deadline, nc)
@@ -542,7 +582,7 @@ class _Engine:
             # feedback blackout (mmWave-only uplink in outage): hold the
             # plan instead of burning top-up rounds blind; the display
             # deadline still bounds how long the receiver waits
-            if now + self.fb_int > g.frame.deadline:
+            if now + self.fb_int > plan.deadline:
                 self._fail_plan(ue, g, now)
             else:
                 self._push(now + self.fb_int, _CHECK, ue.idx, g)
@@ -558,7 +598,7 @@ class _Engine:
             self._schedule_check(ue, g, now)
 
     def _on_done(self, ue: _UEState, g: _GenState, now: float):
-        fr = g.frame
+        fr = ue.frames[g.frame]
         if g.is_base and not fr.lost:
             fr.base_left -= 1
             if fr.base_left == 0:
@@ -567,7 +607,7 @@ class _Engine:
     def _resolve_failure(self, ue: _UEState, g: _GenState, now: float):
         # an abandon notice or a receiver give-up: the frame is lost unless
         # the generation made its deadline or the frame is already resolved
-        fr = g.frame
+        fr = ue.frames[g.frame]
         if _in_time(g) or fr.lost or fr.consumed_at is not None:
             return
         fr.lost = True
@@ -625,7 +665,8 @@ class _Engine:
         m = ue.metrics
         m.frames_total += 1
         usable = fr.consumed_at is not None and decodable(
-            f, self.n_frames, ue.base_complete, ue.decode_memo)
+            f, self.n_frames, functools.partial(self._base_complete, ue),
+            ue.decode_memo)
         if usable:
             m.frames_played += 1
             m.psnr_sum_db += fr.plan.psnr_recv

@@ -93,6 +93,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "w")]) == 2
     bad.write_text("[sim]\nn_ues = 1e400\n", encoding="utf-8")
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "v")]) == 2
+    bad.write_text("[DEFAULT]\nn_ues = 3\n", encoding="utf-8")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "u")]) == 2
     assert main(["run", "--out", str(tmp_path / "z"), "--workers", "0"]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err

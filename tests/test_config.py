@@ -201,6 +201,18 @@ def test_ini_rejects_unknown_names(tmp_path):
         load_config(str(bad_key))
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nn_ues = 3\n",  # alone it used to load n_ues = 5 in silence
+    "[DEFAULT]\nn_ues = 3\n[video]\nfps = 25\n",
+    "[sim]\nruns = 2\n[DEFAULT]\nseed = 4\n",
+])
+def test_ini_rejects_default_section_keys(tmp_path, text):
+    path = tmp_path / "defaults.ini"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+        load_config(str(path))
+
+
 def test_ini_rejects_bad_values(tmp_path):
     path = tmp_path / "c.ini"
     path.write_text("[sim]\nduration_s = sixty\n", encoding="utf-8")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 
 import pytest
@@ -191,3 +192,46 @@ def test_event_log_is_chronological():
     run(BASE, seed=11, events_log=log)
     times = [float(line.split()[0]) for line in log]
     assert times == sorted(times)
+
+
+@pytest.fixture
+def collector_state():
+    # every test here sets the collector state it needs; put back the
+    # state pytest ran with
+    was_on = gc.isenabled()
+    yield
+    if was_on:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def test_run_leaves_no_cyclic_garbage(collector_state):
+    # the run's object graph is acyclic, so reference counting alone frees
+    # it and the collector held off during the loop misses nothing
+    gc.disable()
+    gc.collect()
+    run(dataclasses.replace(BASE, duration_s=1.0), seed=1)
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_restores_collector_state(collector_state, enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    run(dataclasses.replace(BASE, duration_s=0.5), seed=1)
+    assert gc.isenabled() is enabled
+
+
+def test_collector_restored_when_a_handler_raises(collector_state, monkeypatch):
+    def broken(self, ue, f, now):
+        assert not gc.isenabled()  # raised from inside the held loop
+        raise ValueError("handler failed")
+
+    monkeypatch.setattr(engine._Engine, "_on_frame", broken)
+    gc.enable()
+    with pytest.raises(ValueError, match="handler failed"):
+        run(dataclasses.replace(BASE, duration_s=0.5), seed=1)
+    assert gc.isenabled()

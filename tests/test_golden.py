@@ -6,7 +6,9 @@ changes behaviour would still pass it. This test pins the sha256 of the
 ``results.csv`` a 16-cell, 2-run, 3 s grid writes, and of every run's full
 ``MetricsReport.to_dict()`` (per-path packet totals, FEC round histograms,
 p95 latency), so any drift in the channel, coding, distribution or video
-layers shows up here. The codec digest pins the real payload codec the
+layers shows up here. The events-log digest pins the engine's dispatch
+order itself: every event of the 16 cells at one seed, with its time, kind
+and argument. The codec digest pins the real payload codec the
 simulator never runs: guarded emissions, their wire bytes, every decoder
 step and the recovered payloads. An intentional behaviour change re-pins
 the affected value and says why in CHANGES.md.
@@ -21,12 +23,14 @@ import random
 from mcnc.gf import FieldSpec
 from mcnc.rlnc import DecoderState, Encoder, Generation, serialize
 
-from mcnc.sim.config import SimConfig
+from mcnc.sim import engine
+from mcnc.sim.config import SimConfig, grid_cells
 from mcnc.sim.montecarlo import run_grid, run_seeds
 from mcnc.sim.results import emit_results
 
 RESULTS_CSV_SHA256 = "bd1d0883708f5ef4bf4e2b9cad3079f183984ae9fb9c451596f6ccaa1090f4c4"
 REPORTS_SHA256 = "639d7bffbe6f927c4101723bda64eb281a2edecc6c5a9e1b4e024f19452fe4e3"
+EVENTS_LOG_SHA256 = "7da32004990fbf9a2aaabb234bbd85c697d82cc4a9728b58fee82b4a740efa1d"
 CODEC_SHA256 = "b2b7200eda086ff425cf662c7848693938f5c1aff1e3a906fa72f1187dc3aae2"
 
 
@@ -43,6 +47,16 @@ def test_golden_digest(tmp_path):
     reports_digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     assert csv_digest == RESULTS_CSV_SHA256
     assert reports_digest == REPORTS_SHA256
+
+
+def test_events_log_golden_digest():
+    h = hashlib.sha256()
+    for cell in grid_cells(SimConfig(duration_s=3.0, seed=7)):
+        log = []
+        engine.run(cell, events_log=log)
+        for line in log:
+            h.update(line.encode("utf-8") + b"\n")
+    assert h.hexdigest() == EVENTS_LOG_SHA256
 
 
 def test_codec_golden_digest():
