@@ -27,7 +27,12 @@ initial state at every time.
 
 The LTE link reuses the same machinery in degenerate form: transition
 rates zero, no shadowing, a fixed SNR, and a small constant loss
-probability, so it never sees outage.
+probability. It is in outage throughout when that SNR lies below its
+threshold, and never otherwise.
+
+Receiver reports are too small to queue behind data: ``control_survival``
+decides each one's fate from the state at its send time, by the same
+outage rule and retry ladder.
 """
 
 from __future__ import annotations
@@ -178,6 +183,31 @@ class LinkModel:
         self.modes = mode.tolist()
         self.snrs_db = (means + self.snr_sigma_db * x).tolist()
         self.inv_step = 1.0 / step_s
+
+    # -- state lookup --------------------------------------------------
+
+    def snr_at(self, t: float) -> float:
+        """SNR of the trajectory state in force at time ``t``."""
+        snrs = self.snrs_db
+        i = int(t * self.inv_step)
+        return snrs[i] if i < len(snrs) else snrs[-1]
+
+    def control_survival(self, send_times: np.ndarray,
+                         rng: np.random.Generator) -> np.ndarray:
+        """Which control packets sent at ``send_times`` get through.
+
+        Each packet reads the state at its send time. In outage it is
+        lost; otherwise it is lost only if every allowed attempt fails at
+        the mode's loss probability. One uniform per packet comes from
+        ``rng``.
+        """
+        draws = rng.random(len(send_times))
+        snrs = np.asarray(self.snrs_db)
+        idx = np.minimum((send_times * self.inv_step).astype(np.int64), len(snrs) - 1)
+        attempts = self.max_attempts if self.ran_retx else 1
+        ok = draws >= np.asarray(self.loss_prob)[np.asarray(self.modes)[idx]] ** attempts
+        ok[snrs[idx] < self.outage_threshold_db] = False
+        return ok
 
     # -- data path -----------------------------------------------------
 

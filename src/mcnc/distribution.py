@@ -55,7 +55,7 @@ class GenerationPlan:
 
 
 class RetxAction(NamedTuple):
-    kind: str  # "delivered" | "retransmit" | "failed" | "wait"
+    kind: str  # "delivered" | "retransmit" | "failed"
     count: int = 0
 
 

@@ -77,8 +77,7 @@ class Generation:
     """k source payloads plus the metadata needed to undo padding.
 
     ``payloads`` may be None for rate-and-rank bookkeeping without payload
-    arithmetic; the simulator runs in that mode, the codec tests carry real
-    bytes.
+    arithmetic; the codec tests carry real bytes.
     """
 
     __slots__ = (

@@ -59,7 +59,6 @@ class SimConfig:
     # --- coding ---
     coding_profile: str = "LC"
     nc_fec: bool = True
-    uncoded: bool = False
 
     # --- distribution ---
     multi_connectivity: bool = True
@@ -156,8 +155,6 @@ class SimConfig:
                 "coding_profile must be one of %s, got %r"
                 % (sorted(PROFILES), self.coding_profile)
             )
-        if self.uncoded and self.nc_fec:
-            raise ConfigError("uncoded transport cannot run with nc_fec enabled")
         if not 0.0 <= self.size_jitter < 1.0:
             raise ConfigError("size_jitter must lie in [0, 1)")
         if self.spatial_layers not in (1, 2):
@@ -234,7 +231,7 @@ _SECTIONS: Dict[str, Tuple[str, ...]] = {
             "playout_buffer_frames", "seed", "runs"),
     "video": ("fps", "packet_bytes", "trace_file", "trace_seed", "base_nalu_bytes",
               "enh_nalu_bytes", "size_jitter", "psnr_lost_db", "spatial_layers"),
-    "coding": ("coding_profile", "nc_fec", "uncoded"),
+    "coding": ("coding_profile", "nc_fec"),
     "distribution": ("multi_connectivity", "hysteresis_db", "feedback_staleness_s",
                      "feedback_interval_s", "retx_overshoot", "plan_check_guard_s",
                      "receiver_giveup_s", "receiver_giveup_empty_s"),
@@ -320,7 +317,6 @@ def grid_cells(base: SimConfig) -> List[SimConfig]:
                         multi_connectivity=(connectivity == "multi"),
                         ran_retx=retx,
                         nc_fec=fec,
-                        uncoded=False,
                     )
                 )
     return cells

@@ -21,8 +21,10 @@ of wall clock without changing observable behavior:
   completion event read that timeline instead of per-packet events. A
   retried packet can overlap a later burst by a few milliseconds; the
   timeline clamps such arrivals to keep rank monotone in time.
-- Feedback is pulled, not evented. Receiver reports live on a fixed grid;
-  per-report survival is presampled, and "what did the sender know at t"
+- Feedback is pulled, not evented. Receiver reports live on a fixed grid
+  and ride one feedback link: LTE with multi connectivity, else the mmWave
+  uplink. That link presamples per-report survival
+  (``LinkModel.control_survival``), and "what did the sender know at t"
   resolves to the newest surviving report that had arrived by t.
 - Decoding is rank-sampled. Payloads are never materialized here, and the
   transmit side uses guarded draws: a generation's first k emissions are
@@ -34,8 +36,7 @@ of wall clock without changing observable behavior:
   arrival landing after tail packets already raised the rank could in
   truth be dependent, at odds ~q^(rank-k); the shortcut ignores that.)
   Byte counts use the padded wire size, and the codec's real elimination
-  path has its own tests. Uncoded transport tracks distinct source
-  indices instead.
+  path has its own tests.
 - Static events skip the heap. Frame arrivals and display deadlines are
   fixed at init, so they are built once as a reverse-sorted list and
   popped from its end; the loop takes the list's head whenever it sorts
@@ -56,7 +57,7 @@ import heapq
 import math
 import random
 from bisect import bisect_right
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -114,7 +115,7 @@ class _FramePlan:
 
 class _GenState:
     __slots__ = ("gen_id", "k", "frame", "nalu_slot", "is_base", "plan",
-                 "rank", "mask", "rank_ts", "complete_at",
+                 "rank", "rank_ts", "complete_at",
                  "last_arrival", "est_settle", "giveup_epoch", "seq")
 
     def __init__(self, gen_id, k, frame, nalu_slot, is_base):
@@ -125,7 +126,6 @@ class _GenState:
         self.is_base = is_base
         self.plan = None
         self.rank = 0
-        self.mask = None  # uncoded mode: bitmask of source indices received
         self.rank_ts: List[float] = []  # rank_ts[i]: when the rank reached i + 1
         self.complete_at: Optional[float] = None
         self.last_arrival = -1.0
@@ -159,43 +159,41 @@ class _UEState:
                  "fb_ok", "frames", "decode_memo", "ptr", "buffer", "ul_delay")
 
 
-_TRACE_CACHE: Dict[tuple, VideoTrace] = {}
-_PLAN_CACHE: Dict[tuple, List[_FramePlan]] = {}
+#: run inputs kept per process: enough for a grid's one trace and its two
+#: plan lists (one per coding profile), small enough that sweeps stay flat
+RUN_INPUT_CACHE_SIZE = 4
 
 
-def _obtain_trace(cfg: SimConfig) -> Tuple[tuple, VideoTrace]:
+@functools.lru_cache(maxsize=RUN_INPUT_CACHE_SIZE)
+def _file_trace(path: str) -> VideoTrace:
+    try:
+        return load_trace(path)
+    except OSError as exc:
+        raise TraceError(f"cannot read trace {path!r}: {exc}") from None
+    except ValueError as exc:
+        raise TraceError(f"bad trace {path!r}: {exc}") from None
+
+
+@functools.lru_cache(maxsize=RUN_INPUT_CACHE_SIZE)
+def _synthetic_trace(frames: int, seed: int, base_bytes: int, enh_bytes: int,
+                     jitter: float, psnr_lost: float, spatial_layers: int) -> VideoTrace:
+    return synthesize_trace(frames=frames, seed=seed, base_bytes=base_bytes,
+                            enh_bytes=enh_bytes, jitter=jitter, psnr_lost=psnr_lost,
+                            spatial_layers=spatial_layers)
+
+
+def _obtain_trace(cfg: SimConfig) -> VideoTrace:
     if cfg.trace_file:
-        key = ("file", cfg.trace_file)
-        if key not in _TRACE_CACHE:
-            try:
-                _TRACE_CACHE[key] = load_trace(cfg.trace_file)
-            except OSError as exc:
-                raise TraceError(f"cannot read trace {cfg.trace_file!r}: {exc}") from None
-            except ValueError as exc:
-                raise TraceError(f"bad trace {cfg.trace_file!r}: {exc}") from None
-        return key, _TRACE_CACHE[key]
-    n_frames = cfg.frame_count()
-    key = ("gen", n_frames, cfg.trace_seed, cfg.base_nalu_bytes,
-           cfg.enh_nalu_bytes, cfg.size_jitter, cfg.psnr_lost_db, cfg.spatial_layers)
-    if key not in _TRACE_CACHE:
-        _TRACE_CACHE[key] = synthesize_trace(
-            frames=n_frames,
-            seed=cfg.trace_seed,
-            base_bytes=cfg.base_nalu_bytes,
-            enh_bytes=cfg.enh_nalu_bytes,
-            jitter=cfg.size_jitter,
-            psnr_lost=cfg.psnr_lost_db,
-            spatial_layers=cfg.spatial_layers,
-        )
-    return key, _TRACE_CACHE[key]
+        return _file_trace(cfg.trace_file)
+    return _synthetic_trace(cfg.frame_count(), cfg.trace_seed, cfg.base_nalu_bytes,
+                            cfg.enh_nalu_bytes, cfg.size_jitter, cfg.psnr_lost_db,
+                            cfg.spatial_layers)
 
 
-def _frame_plans(trace_key, trace: VideoTrace, n_frames: int,
+@functools.lru_cache(maxsize=RUN_INPUT_CACHE_SIZE)
+def _frame_plans(trace: VideoTrace, n_frames: int,
                  packet_bytes: int, k_max: int) -> List[_FramePlan]:
-    key = (trace_key, n_frames, packet_bytes, k_max)
-    cached = _PLAN_CACHE.get(key)
-    if cached is not None:
-        return cached
+    # keyed on the trace object itself, which the trace caches share
     plans = []
     for f in range(n_frames):
         rec = trace.frames[f]
@@ -209,7 +207,6 @@ def _frame_plans(trace_key, trace: VideoTrace, n_frames: int,
         plans.append(
             _FramePlan(tuple(gens), len(rec.nalu_ids), rec.psnr_received, rec.psnr_lost)
         )
-    _PLAN_CACHE[key] = plans
     return plans
 
 
@@ -233,8 +230,7 @@ class _Engine:
         fps = cfg.fps
         buffer_depth = cfg.playout_buffer_frames / fps
         self.t_end = cfg.session_end_s()
-        self._inv_step = 1.0 / cfg.channel_step_s
-        self.n_steps = int(self.t_end * self._inv_step) + 2
+        self.n_steps = int(self.t_end * (1.0 / cfg.channel_step_s)) + 2
         self.fb_int = cfg.feedback_interval_s
         self.n_reports = int(self.t_end / self.fb_int) + 2
         # how many missed reports to scan back before declaring ignorance;
@@ -299,14 +295,21 @@ class _Engine:
         )
         ue.selector = PathSelector(
             multi_connectivity=cfg.multi_connectivity,
-            outage_threshold_db=cfg.outage_threshold_db,
+            outage_threshold_db=ue.mm.outage_threshold_db,
             hysteresis_db=cfg.hysteresis_db,
             staleness_s=cfg.feedback_staleness_s,
         )
         ue.metrics = UEMetrics(ue_id=u)
         ue.mm.presample(self.n_steps, cfg.channel_step_s,
                         np.random.default_rng(derive_seed(self.seed, "chan", u)))
-        ue.fb_ok = self._sample_report_survival(u, ue)
+        # feedback rides the fallback path when there is one, else the
+        # mmWave uplink: its state decides which reports survive, and every
+        # control packet (reports, abandon notices) takes its delay
+        fb_link = ue.lte if cfg.multi_connectivity else ue.mm
+        ue.fb_ok = fb_link.control_survival(
+            np.arange(self.n_reports) * self.fb_int,
+            np.random.default_rng(derive_seed(self.seed, "fb", u)))
+        ue.ul_delay = cfg.backhaul_delay_s + fb_link.base_delay_s + _CTRL_PROC_S
         ue.frames = [None] * self.n_frames
         ue.decode_memo = set()  # frames found decodable; they stay so
         ue.ptr = 0
@@ -315,34 +318,9 @@ class _Engine:
             fps=cfg.fps,
             capacity=cfg.playout_buffer_frames,
         )
-        # feedback rides the fallback path when there is one, else the
-        # mmWave uplink (where outage also costs the reports)
-        fb_base = cfg.lte_base_delay_s if cfg.multi_connectivity else cfg.mmwave_base_delay_s
-        # one delay for every control packet: reports and abandon notices
-        ue.ul_delay = cfg.backhaul_delay_s + fb_base + _CTRL_PROC_S
         ue.metrics.feedback_sent = self.n_reports
         ue.metrics.feedback_lost = int(np.count_nonzero(~ue.fb_ok))
         return ue
-
-    def _sample_report_survival(self, u: int, ue: _UEState) -> np.ndarray:
-        cfg = self.cfg
-        rng = np.random.default_rng(derive_seed(self.seed, "fb", u))
-        draws = rng.random(self.n_reports)
-        attempts = cfg.ran_max_attempts if cfg.ran_retx else 1
-        if cfg.multi_connectivity:
-            p_eff = cfg.lte_loss ** attempts
-            return draws >= p_eff
-        idx = np.minimum(
-            (np.arange(self.n_reports) * self.fb_int * self._inv_step).astype(np.int64),
-            self.n_steps - 1,
-        )
-        snr = np.asarray(ue.mm.snrs_db)[idx]
-        mode = np.asarray(ue.mm.modes)[idx]
-        p_mode = np.where(mode == LOS, cfg.mmwave_loss_los, cfg.mmwave_loss_nlos)
-        p_eff = p_mode ** attempts
-        ok = draws >= p_eff
-        ok[snr < cfg.outage_threshold_db] = False
-        return ok
 
     # --------------------------------------------------------- event loop
 
@@ -423,12 +401,12 @@ class _Engine:
             return MMWAVE
         rep = self._latest_report(ue, now)
         if rep >= 0:
-            idx = min(int(rep * self.fb_int * self._inv_step), self.n_steps - 1)
-            snr = ue.mm.snrs_db[idx]
+            sent_at = rep * self.fb_int
+            snr = ue.mm.snr_at(sent_at)
             ue.selector.update(PathFeedback(
                 ue_id=ue.idx,
-                sent_at=rep * self.fb_int,
-                mmwave_available=snr >= self.cfg.outage_threshold_db,
+                sent_at=sent_at,
+                mmwave_available=snr >= ue.mm.outage_threshold_db,
                 mmwave_snr_db=snr,
             ))
         return ue.selector.select_path(now)
@@ -482,11 +460,7 @@ class _Engine:
     def _feed(self, ue: _UEState, g: _GenState, arrival: float, emission: int):
         k = g.k
         if g.rank < k:
-            if g.mask is not None:
-                bit = 1 << (emission % k)
-                advanced = not g.mask & bit
-                g.mask |= bit
-            elif emission < k:
+            if emission < k:
                 advanced = True  # guarded draw: independent by construction
             else:
                 p = self._dep_probs(k)[g.rank]
@@ -560,8 +534,6 @@ class _Engine:
             gen_id = self._next_gen_id
             self._next_gen_id += 1
             g = _GenState(gen_id, k, f, nalu_slot, is_base)
-            if cfg.uncoded:
-                g.mask = 0
             g.plan = plan_generation(gen_id, k, path, fr.deadline, nc)
             fr.gens.append(g)
             m.generations_total += 1
@@ -695,15 +667,14 @@ def run(config: SimConfig, seed: Optional[int] = None,
     config.validate()
     if seed is None:
         seed = config.seed
-    trace_key, trace = _obtain_trace(config)
+    trace = _obtain_trace(config)
     n_frames = config.frame_count()
     if trace.n_frames < n_frames:
         raise TraceError(
             f"trace has {trace.n_frames} frames, need {n_frames} "
             f"for {config.duration_s}s at {config.fps}fps"
         )
-    plans = _frame_plans(trace_key, trace, n_frames,
-                         config.packet_bytes, config.generation_size)
+    plans = _frame_plans(trace, n_frames, config.packet_bytes, config.generation_size)
     report = _Engine(config, seed, plans, n_frames, events_log).run()
     violation = check_conservation(report)
     if violation is not None:

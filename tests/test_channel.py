@@ -241,3 +241,65 @@ def test_constructor_validation():
         LinkModel(sojourn_s=(0.0, 1.0))
     with pytest.raises(ValueError):
         LinkModel(max_attempts=0)
+
+
+# -- control packets -----------------------------------------------------
+
+
+def _report_times(n, interval=0.005):
+    # a quarter interval off the 10 ms step boundaries, so rounding cannot
+    # move a report into the neighbouring state
+    return (np.arange(n) + 0.25) * interval
+
+
+def test_snr_at_reads_the_state_in_force():
+    link = _los_link(sojourn_s=(0.5, 0.5), snr_sigma_db=4.0)
+    _, snrs = _presampled(link, 300, step_s=0.01, seed=7)
+    for t in (0.0, 0.004, 0.01, 1.2345, 2.99):
+        assert link.snr_at(t) == snrs[int(t / 0.01)]
+    # past the trajectory's end the last state holds
+    assert link.snr_at(1e6) == snrs[-1]
+    # a link never presampled holds its initial state at every time
+    lte = LinkModel.lte(snr_db=12.0)
+    assert lte.snr_at(0.0) == lte.snr_at(1e6) == 12.0
+
+
+def test_control_survival_without_loss_keeps_every_report():
+    link = _los_link()
+    _presampled(link, 500)
+    ok = link.control_survival(_report_times(1000), np.random.default_rng(1))
+    assert ok.dtype == bool and ok.shape == (1000,) and ok.all()
+    lte = LinkModel.lte(snr_db=18.0, loss_prob=0.0)
+    assert lte.control_survival(_report_times(1000), np.random.default_rng(1)).all()
+
+
+def test_control_survival_in_outage_loses_every_report():
+    # no loss setting can save a report sent in outage: LTE below its
+    # threshold and a deep-NLOS mmWave link lose them all
+    lte = LinkModel.lte(snr_db=-10.0, loss_prob=0.0)
+    assert not lte.control_survival(_report_times(1000), np.random.default_rng(2)).any()
+    mm = _los_link(initial_mode=NLOS, snr_mean_db=(20.0, -10.0))
+    _presampled(mm, 500)
+    assert not mm.control_survival(_report_times(1000), np.random.default_rng(2)).any()
+    # a report is lost exactly where the state it was sent in is in outage
+    flip = _los_link(sojourn_s=(0.5, 0.5), snr_mean_db=(20.0, -10.0))
+    modes, _ = _presampled(flip, 500, seed=3)
+    times = _report_times(1000)
+    ok = flip.control_survival(times, np.random.default_rng(3))
+    assert 0 < np.count_nonzero(ok) < 1000
+    np.testing.assert_array_equal(ok, modes[(times / 0.01).astype(int)] == LOS)
+
+
+@pytest.mark.parametrize("ran_retx,attempts", [(True, 3), (False, 1)])
+def test_control_survival_loss_follows_every_allowed_attempt(ran_retx, attempts):
+    # one uniform per report against the mode's loss to the power of the
+    # attempts the link allows
+    link = _los_link(sojourn_s=(0.5, 0.5), snr_mean_db=(20.0, 20.0),
+                     loss_prob=(0.5, 0.8), ran_retx=ran_retx, max_attempts=3)
+    modes, _ = _presampled(link, 500, seed=4)
+    times = _report_times(1000)
+    ok = link.control_survival(times, np.random.default_rng(4))
+    draws = np.random.default_rng(4).random(1000)
+    p = np.where(modes[(times / 0.01).astype(int)] == LOS, 0.5, 0.8)
+    np.testing.assert_array_equal(ok, draws >= p ** attempts)
+    assert np.mean(ok) == pytest.approx(1.0 - np.mean(p ** attempts), abs=0.05)

@@ -120,12 +120,6 @@ def test_step_grid_is_capped_per_receiver():
                 cfg.validate()
 
 
-def test_uncoded_excludes_fec():
-    with pytest.raises(ConfigError):
-        SimConfig(uncoded=True, nc_fec=True).validate()
-    SimConfig(uncoded=True, nc_fec=False).validate()
-
-
 def test_channel_step_must_align_with_feedback_interval():
     SimConfig(channel_step_s=0.010, feedback_interval_s=0.005).validate()
     with pytest.raises(ConfigError):
@@ -148,7 +142,6 @@ size_jitter = 0.2
 [coding]
 coding_profile = HC
 nc_fec = off
-uncoded = no
 
 [distribution]
 multi_connectivity = yes
@@ -179,7 +172,7 @@ def test_ini_round_trip(tmp_path):
     assert cfg.fps == 25.0 and cfg.packet_bytes == 500
     assert cfg.base_nalu_bytes == 1500 and cfg.size_jitter == 0.2
     assert cfg.coding_profile == "HC"
-    assert cfg.nc_fec is False and cfg.uncoded is False
+    assert cfg.nc_fec is False
     assert cfg.multi_connectivity is True
     assert cfg.hysteresis_db == 2.5 and cfg.receiver_giveup_s == 0.04
     assert cfg.ran_retx is False and cfg.efficiency == 0.5
@@ -272,7 +265,6 @@ def test_grid_inherits_base_settings():
     base = dataclasses.replace(SimConfig(), duration_s=7.0, seed=5)
     for cell in grid_cells(base):
         assert cell.duration_s == 7.0 and cell.seed == 5
-        assert cell.uncoded is False
 
 
 # -- the README configuration reference ---------------------------------------
@@ -313,7 +305,8 @@ def test_readme_reference_names_every_field_once():
 @pytest.mark.parametrize("section,key", _readme_keys())
 def test_each_readme_key_sets_its_own_field(section, key, tmp_path, monkeypatch):
     # this pins which field a key writes, so a non-default value need not
-    # make a consistent scenario on its own (uncoded = yes needs nc_fec = no)
+    # make a consistent scenario on its own (feedback_interval_s + 1 no
+    # longer divides channel_step_s)
     monkeypatch.setattr(SimConfig, "validate", lambda self: None)
     name = _field_of(section, key)
     default = getattr(SimConfig(), name)

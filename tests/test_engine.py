@@ -126,11 +126,27 @@ def test_infinite_los_sojourn_never_leaves_los():
     assert check_conservation(rep) is None
 
 
-def test_uncoded_transport_runs():
-    cfg = dataclasses.replace(LOSSLESS, uncoded=True, nc_fec=False)
+def test_transport_without_fec_runs():
+    # exactly k emissions per generation and no top-up: a lossless link
+    # still completes every generation on its first burst
+    cfg = dataclasses.replace(LOSSLESS, nc_fec=False)
     rep = run(cfg, seed=1)
     assert rep.nalu_loss_ratio == 0.0
     assert rep.frames_played == rep.frames_total
+    assert rep.fec_rounds_hist[0] == sum(rep.fec_rounds_hist)
+
+
+def test_reports_over_a_dead_feedback_link_are_lost():
+    # with multi connectivity the reports ride LTE; below its -5 dB outage
+    # threshold it carries none of them, whatever its loss setting says
+    cfg = dataclasses.replace(LOSSLESS, lte_snr_db=-10.0)
+    rep = run(cfg, seed=1)
+    for ue in rep.per_ue:
+        assert ue.feedback_sent > 0
+        assert ue.feedback_lost == ue.feedback_sent
+    # a live link at the same settings loses none
+    for ue in run(LOSSLESS, seed=1).per_ue:
+        assert ue.feedback_lost == 0
 
 
 def test_single_spatial_layer_halves_nalu_count():
@@ -167,6 +183,16 @@ def test_trace_file_is_loaded_once_across_fps(tmp_path, monkeypatch):
     assert [r.frames_total for r in reports] == [2 * 25, 2 * 12]
 
 
+def test_run_input_caches_stay_bounded():
+    # every trace seed is a new trace and a new plan list; the caches keep
+    # the newest few instead of one per setting ever seen
+    cfg = dataclasses.replace(LOSSLESS, duration_s=0.1)
+    for trace_seed in range(3 * engine.RUN_INPUT_CACHE_SIZE):
+        run(dataclasses.replace(cfg, trace_seed=trace_seed), seed=1)
+    for cache in (engine._synthetic_trace, engine._frame_plans):
+        assert cache.cache_info().currsize == engine.RUN_INPUT_CACHE_SIZE
+
+
 def test_broken_packet_count_fails_the_run(monkeypatch):
     def count_sent_twice(self, path, delivered):
         real_count(self, path, delivered)
@@ -192,6 +218,24 @@ def test_event_log_is_chronological():
     run(BASE, seed=11, events_log=log)
     times = [float(line.split()[0]) for line in log]
     assert times == sorted(times)
+
+
+def test_static_event_wins_a_tie_with_a_dynamic_one():
+    # a no-op give-up (stale epoch) lands exactly on the first frame
+    # arrival; events at one time run in kind order, so the frame goes first
+    cfg = dataclasses.replace(BASE, duration_s=0.1)
+    n_frames = cfg.frame_count()
+    plans = engine._frame_plans(engine._obtain_trace(cfg), n_frames,
+                                cfg.packet_bytes, cfg.generation_size)
+    log = []
+    eng = engine._Engine(cfg, 1, plans, n_frames, log)
+    first_frame = eng._static[-1]
+    assert first_frame[1] == engine._FRAME
+    stale = engine._GenState(-1, 1, 0, 0, True)
+    eng._push(first_frame[0], engine._GIVEUP, 0, (stale, stale.giveup_epoch - 1))
+    eng.run()
+    assert [line.split()[1] for line in log[:2]] == ["frame", "giveup"]
+    assert log[0].split()[0] == log[1].split()[0]
 
 
 @pytest.fixture
