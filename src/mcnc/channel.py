@@ -125,6 +125,7 @@ class LinkModel:
         max_attempts: int = 3,
         retx_delay_s: float = 0.004,
         efficiency: float = 0.6,
+        outage_threshold_db: float = -5.0,
         rng: random.Random | None = None,
     ) -> "LinkModel":
         """Always-on cellular fallback; the degenerate LOS-like state."""
@@ -137,6 +138,7 @@ class LinkModel:
             snr_mean_db=(snr_db, snr_db),
             snr_sigma_db=0.0,
             loss_prob=(loss_prob, loss_prob),
+            outage_threshold_db=outage_threshold_db,
             ran_retx=ran_retx,
             max_attempts=max_attempts,
             retx_delay_s=retx_delay_s,

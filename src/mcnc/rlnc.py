@@ -3,10 +3,13 @@
 A generation holds k equal-size packet payloads. Coded packets carry a
 coefficient vector drawn uniformly over the field plus the matching linear
 combination of the payloads; any k packets with linearly independent
-coefficients reconstruct the generation. Decoding is incremental Gaussian
-elimination: each arrival is reduced against the pivot rows already held
-(one pass, at most rank+1 row operations) and either yields a new pivot or
-is discarded as redundant.
+coefficients reconstruct the generation. Decoding is incremental
+Gauss-Jordan elimination, the fully reduced form Kodo's decoders keep
+(Pedersen, Heide and Fitzek, "Kodo: An Open and Research Oriented Network
+Coding Library", 2011): with the pivot rows reduced against each other, an
+arrival is reduced against all of them by one batched table gather, and
+either yields a new pivot or is discarded as redundant. Payloads are kept as
+received and solved for once, at extraction.
 
 Payload arithmetic uses bit planes. Multiplying by a symbol c is
 GF(2)-linear, so ``c * x`` is the XOR of ``2^b * x`` over the set bits b of
@@ -14,8 +17,9 @@ c. An encoder given payloads keeps the m planes ``2^b * payload_i`` of
 every source row, each padded to whole 64-bit words: m * k * symbol_size
 bytes (0.8 MB for k=100 GF(2^8) rows of 1000 symbols, 0.32 MB for k=40
 GF(2^4) rows of 2000). A coded payload is then one XOR-reduce of the planes
-its coefficient bits select, and :meth:`DecoderState.extract` clears each
-column of the back-substitution with at most m batched XORs.
+its coefficient bits select. :meth:`DecoderState.extract` builds the same
+planes of the received payloads and recovers each source payload by one
+such XOR-reduce.
 
 Coefficient draw modes
     guarded       redraw until the vector is innovative versus everything
@@ -44,7 +48,6 @@ from .gf import (
     LengthMismatchError,
     SymbolVector,
     _PER_BYTE,
-    gf_inv,
     packed_size,
 )
 from .seeding import derive_seed
@@ -229,9 +232,8 @@ class Encoder:
         payload = None
         if self._planes is not None:
             # one XOR-reduce of the planes the coefficient bits select
-            c = np.array(coeffs, dtype=np.uint8)[:, None]
-            bits = np.unpackbits(c, axis=1, bitorder="little")[:, : self.gen.field.m]
-            words = np.bitwise_xor.reduce(self._planes[bits.view(bool)], axis=0)
+            bits = _coeff_bits(self.gen.field, np.array(coeffs, dtype=np.uint8))
+            words = np.bitwise_xor.reduce(self._planes[bits], axis=0)
             payload = SymbolVector(self.gen.field, words.view(np.uint8)[: self.gen.symbol_size])
         return CodedPacket(self.gen.gen_id, coeffs, payload, seq, attempt)
 
@@ -240,21 +242,45 @@ class Encoder:
 
 
 class DecoderState:
-    """Incremental Gaussian elimination for one generation.
+    """Incremental Gauss-Jordan elimination for one generation.
 
-    Pivot rows are kept normalized (leading coefficient 1). Payload symbols,
-    when tracked, are fused onto the coefficient rows so each elimination is
-    a single table-lookup-and-xor pass. ``row_ops`` counts row operations
-    for the cost assertion: each consume performs at most rank+1 of them.
+    Pivot rows are kept fully reduced: 1 in their own pivot column, 0 in
+    every other one. The multipliers that reduce an arrival are then its own
+    entries at the pivot columns, so one batched gather over all pivot rows
+    reduces it, and one more clears a new pivot's column from the older
+    rows. Each row sits in the slot of the packet that made it and holds
+    three blocks:
 
-    :meth:`extract` back-substitutes on a copy of the k pivot payloads padded
-    to 64-bit words (k * symbol_size bytes). Per column it builds the m bit
-    planes of that pivot's payload (m * symbol_size bytes, freed at once) and
-    XORs plane b into every row above whose entry has bit b set.
+    R  its coefficients (k wide).
+    T  its echelon coordinates (k wide): its combination, indexed by pivot
+       column, of the rows that forward elimination into echelon form would
+       hold. The gather that reduces an arrival then also yields its echelon
+       multipliers, so ``row_ops`` and ``last_consume_row_ops`` count the row
+       operations echelon elimination performs: one per nonzero multiplier
+       left of the arrival's new pivot (all of them if it is redundant) and
+       one to normalize, at most rank+1 per consume.
+    S  its raw-packet coordinates (k wide, payload decoders only): its
+       combination of the innovative packets as they arrived.
+
+    Besides its own 1, R is nonzero only in free (non-pivot) columns and T
+    only in pivot columns, so R + T is stored in one set of k columns, where
+    the row's own pivot reads 0.
+
+    Payloads are not reduced on arrival: each innovative one is kept as
+    received. At full rank R is a permutation of the identity, so
+    :meth:`extract` recovers source packet i as the combination of the raw
+    payloads that S gives the row with pivot i. Nothing is back-substituted,
+    and a second call returns the same bytes.
+
+    Memory: k rows of 2k coefficient bytes (k without payloads) plus the k
+    raw payloads, padded to 64-bit words: 20 kB and 100 kB for k=100
+    GF(2^8) rows of 1000 symbols. ``extract`` adds the m bit planes of the
+    raw payloads, m * k * symbol_size bytes (0.8 MB there), for the length
+    of the call.
     """
 
     __slots__ = ("gen", "k", "field", "rank", "row_ops", "last_consume_row_ops",
-                 "_rows", "_payloads")
+                 "_rows", "_leads", "_free", "_raw")
 
     def __init__(self, gen: Generation, track_payloads: Optional[bool] = None):
         if track_payloads is None:
@@ -267,8 +293,11 @@ class DecoderState:
         self.rank = 0
         self.row_ops = 0
         self.last_consume_row_ops = 0
-        self._rows = {}
-        self._payloads = track_payloads
+        # R + T in the first k columns, then S
+        self._rows = np.zeros((gen.k, (2 if track_payloads else 1) * gen.k), dtype=np.uint8)
+        self._leads = np.zeros(gen.k, dtype=np.intp)  # pivot column of each slot
+        self._free = np.ones(gen.k, dtype=bool)  # False at pivot columns
+        self._raw = _word_rows(gen.k, gen.symbol_size) if track_payloads else None
 
     @property
     def delivered(self) -> bool:
@@ -283,87 +312,109 @@ class DecoderState:
             raise LengthMismatchError(
                 f"{len(packet.coeffs)} coefficients for k={self.k}"
             )
-        if self._payloads:
-            if packet.payload is None:
-                raise LengthMismatchError("decoder tracks payloads, packet has none")
-            if packet.payload.field != self.field:
-                raise GenerationMismatchError("payload field mismatch")
-            if len(packet.payload) != self.gen.symbol_size:
-                raise LengthMismatchError(
-                    f"payload of {len(packet.payload)} symbols, expected {self.gen.symbol_size}"
-                )
-            row = np.empty(self.k + self.gen.symbol_size, dtype=np.uint8)
-            row[: self.k] = packet.coeffs
-            row[self.k :] = packet.payload.symbols
-            return self._eliminate(row)
-        return self.consume_coeffs(packet.coeffs)
+        if self._raw is None:
+            return self.consume_coeffs(packet.coeffs)
+        if packet.payload is None:
+            raise LengthMismatchError("decoder tracks payloads, packet has none")
+        if packet.payload.field != self.field:
+            raise GenerationMismatchError("payload field mismatch")
+        size = self.gen.symbol_size
+        if len(packet.payload) != size:
+            raise LengthMismatchError(
+                f"payload of {len(packet.payload)} symbols, expected {size}"
+            )
+        slot = self.rank
+        if self._eliminate(np.array(packet.coeffs, dtype=np.uint8)):
+            self._raw[slot, :size] = packet.payload.symbols
+            return 1
+        return 0
 
     def consume_coeffs(self, coeffs: Sequence[int]) -> int:
         """Consume a bare coefficient vector (decoders tracking no payloads)."""
         if len(coeffs) != self.k:
             raise LengthMismatchError(f"{len(coeffs)} coefficients for k={self.k}")
-        if self._payloads:
+        if self._raw is not None:
             raise ValueError("decoder tracks payloads; feed full packets")
         return self._eliminate(np.array(coeffs, dtype=np.uint8))
 
-    def _eliminate(self, row: np.ndarray) -> int:
-        """Reduce ``row`` (coefficients, then any payload symbols) in place
-        against the pivots; keep it as a new pivot if innovative."""
-        ops = 0
-        mul = self.field.mul_table
-        rows = self._rows
-        k = self.k
-        for col in range(k):
-            c = int(row[col])
-            if not c:
-                continue
-            pivot = rows.get(col)
-            if pivot is None:
-                if c != 1:
-                    np.take(mul[gf_inv(self.field, c)], row, out=row)
-                    ops += 1
-                rows[col] = row
-                self.rank += 1
-                self.row_ops += ops
-                self.last_consume_row_ops = ops
-                return 1
-            np.bitwise_xor(row, mul[c].take(pivot), out=row)
-            ops += 1
+    def _eliminate(self, v: np.ndarray) -> int:
+        """Reduce coefficient vector ``v`` against the pivot rows; keep it in
+        the next slot if innovative."""
+        k, rank, mul = self.k, self.rank, self.field.mul_table
+        rows = self._rows[:, : k + rank + 1]  # S is still zero past this rank
+        u = v[self._leads[:rank]]
+        if np.count_nonzero(u):
+            red = np.bitwise_xor.reduce(_gather(mul, u, rows[:rank]), axis=0)
+            red[:k] ^= v
+        else:
+            red = np.zeros(rows.shape[1], dtype=np.uint8)
+            red[:k] = v
+        # red[:k] holds the residual in the free columns and the echelon
+        # multipliers in the pivot columns; red[k:] the raw-packet form of
+        # v's part in the span
+        nz = red[:k].nonzero()[0]
+        residual = self._free[nz].nonzero()[0]  # where in nz the free columns are
+        if not residual.size:
+            ops = len(nz)
+            self.row_ops += ops
+            self.last_consume_row_ops = ops
+            return 0
+        # Echelon elimination would stop at the residual's lead column after
+        # one row operation per nonzero multiplier left of it (the entries
+        # of nz before the lead), plus one to normalize. Right of the lead, red is c times the new row: the
+        # residual in R, the multipliers right of the lead in T (its own
+        # pivot reads 0 in R + T), and in S once v itself joins as a packet.
+        first = int(residual[0])
+        lead = int(nz[first])
+        c = int(red[lead])
+        ops = first + (c != 1)
+        red[: lead + 1] = 0
+        if self._raw is not None:
+            red[k + rank] = 1
+        new = rows[rank]
+        mul[self.field.inv_table[c]].take(red, out=new)
+        # clear the new pivot column from the older rows; their entry there
+        # turns from an R entry into the same T entry
+        f = rows[:rank, lead]
+        if np.count_nonzero(f):
+            rows[:rank] ^= _gather(mul, f, new)
+        self._free[lead] = False
+        self._leads[rank] = lead
+        self.rank = rank + 1
         self.row_ops += ops
         self.last_consume_row_ops = ops
-        return 0
+        return 1
 
     def extract(self) -> List[bytes]:
-        """Back-substitute and return the k source payloads, padding removed."""
+        """Solve for the k source payloads and return them, padding removed."""
         if self.rank < self.k:
             raise RankDeficientError(self.rank, self.k)
-        if not self._payloads:
+        if self._raw is None:
             raise ValueError("decoder holds no payload symbols")
         field, k, size = self.field, self.k, self.gen.symbol_size
-        pivots = [self._rows[col] for col in range(k)]
-        coeffs = np.stack([row[:k] for row in pivots])
-        payloads = _word_rows(k, size)
-        for dst, row in zip(payloads, pivots):
-            dst[:size] = row[k:]
-        words = payloads.view(np.uint64)
-        # The pivot rows form a unit upper-triangular system. Clear column
-        # col from every row above it, last column first: row col is final
-        # by then, and each bit b of its multipliers is one batched XOR of
-        # plane b into the rows whose entry has that bit set.
-        for col in range(k - 1, 0, -1):
-            c = coeffs[:col, col]
-            if not c.any():
-                continue
-            planes = _planes(field, payloads[col]).view(np.uint64)
-            for b, plane in enumerate(planes):
-                targets = np.flatnonzero(c & (1 << b))
-                if targets.size:
-                    words[targets] ^= plane
+        planes = _planes(field, self._raw).view(np.uint64)
+        bits = _coeff_bits(field, self._rows[:, k : 2 * k])
+        out = [b""] * k
+        for slot, lead in enumerate(self._leads.tolist()):
+            words = np.bitwise_xor.reduce(planes[bits[slot]], axis=0)
+            out[lead] = SymbolVector(field, words.view(np.uint8)[:size]).pack()
         full = packed_size(field, size)
-        out = [SymbolVector(field, row[:size]).pack() for row in payloads]
         tail = self.gen.payload_bytes - (k - 1) * full
         out[-1] = out[-1][:tail]
         return out
+
+
+def _gather(mul: np.ndarray, c: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``c[i] * rows[i]`` for every i: one lookup in the flattened product
+    table, whose entry ``a << m | b`` is a * b."""
+    m = len(mul).bit_length() - 1
+    return mul.take((c.astype(np.uint16) << m)[:, None] | rows)
+
+
+def _coeff_bits(field: FieldSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Bit b of every symbol, on a new last axis of length m (as bool)."""
+    bits = np.unpackbits(coeffs[..., None], axis=-1, bitorder="little")
+    return bits[..., : field.m].view(bool)
 
 
 def _word_rows(n: int, size: int) -> np.ndarray:

@@ -291,6 +291,7 @@ class _Engine:
             max_attempts=cfg.ran_max_attempts,
             retx_delay_s=cfg.ran_retx_delay_s,
             efficiency=cfg.efficiency,
+            outage_threshold_db=cfg.outage_threshold_db,
             rng=random.Random(derive_seed(self.seed, "lteloss", u)),
         )
         ue.selector = PathSelector(

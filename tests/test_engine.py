@@ -149,6 +149,21 @@ def test_reports_over_a_dead_feedback_link_are_lost():
         assert ue.feedback_lost == 0
 
 
+@pytest.mark.parametrize("threshold_db,dead", [(0.0, True), (-5.0, False)])
+def test_lte_link_follows_the_outage_threshold(threshold_db, dead):
+    # a lossless LTE link at -3 dB carries all data (mmWave is dead) and
+    # every report; above its SNR the shared threshold puts it in outage
+    cfg = dataclasses.replace(OUTAGE, lte_loss=0.0, lte_snr_db=-3.0,
+                              outage_threshold_db=threshold_db)
+    rep = run(cfg, seed=1)
+    totals = rep.packet_totals()
+    assert totals["sent"]["lte"] > 0
+    assert totals["dropped"].get("lte", 0) == (totals["sent"]["lte"] if dead else 0)
+    for ue in rep.per_ue:
+        assert ue.feedback_sent > 0
+        assert ue.feedback_lost == (ue.feedback_sent if dead else 0)
+
+
 def test_single_spatial_layer_halves_nalu_count():
     two = run(LOSSLESS, seed=1)
     one = run(dataclasses.replace(LOSSLESS, spatial_layers=1), seed=1)

@@ -82,7 +82,8 @@ def configs(draw):
         ues_los=draw(st.integers(0, n_ues)),
         lte_bandwidth_hz=draw(_floats(1e6, 1e8)),
         lte_base_delay_s=draw(_floats(0.0, 0.005)),
-        # the LTE link is in outage below -5 dB: every report it carries is lost
+        # the LTE link is in outage below outage_threshold_db: every report it
+        # carries is lost
         lte_snr_db=draw(_floats(-20.0, 30.0)),
         lte_loss=draw(_floats(0.0, 1.0)),
     )

@@ -297,6 +297,98 @@ def test_coeff_only_decoder_refuses_payload_work():
         DecoderState(gen, track_payloads=True)  # no payloads to track
 
 
+class _EchelonDecoder:
+    """Reference: forward elimination into normalized echelon rows, payload
+    symbols fused onto the coefficients, back-substitution at extract. Its
+    row operations define ``row_ops`` and ``last_consume_row_ops``."""
+
+    def __init__(self, gen):
+        self.gen, self.k = gen, gen.k
+        self.rank = self.row_ops = self.last_consume_row_ops = 0
+        self.rows = {}
+
+    def consume(self, coeffs, payload):
+        field, mul = self.gen.field, self.gen.field.mul_table
+        row = np.concatenate([np.array(coeffs, dtype=np.uint8), payload.symbols])
+        ops = innovative = 0
+        for col in range(self.k):
+            c = int(row[col])
+            if not c:
+                continue
+            pivot = self.rows.get(col)
+            if pivot is None:
+                if c != 1:
+                    row = mul[gf_inv(field, c)].take(row)
+                    ops += 1
+                self.rows[col] = row
+                self.rank += 1
+                innovative = 1
+                break
+            row ^= mul[c].take(pivot)
+            ops += 1
+        self.row_ops += ops
+        self.last_consume_row_ops = ops
+        return innovative
+
+    def extract(self):
+        field, k = self.gen.field, self.k
+        rows = [self.rows[col].copy() for col in range(k)]
+        for col in range(k - 1, 0, -1):
+            for row in rows[:col]:
+                vec_axpy(field, row, int(row[col]), rows[col])
+        out = [SymbolVector(field, row[k:]).pack() for row in rows]
+        tail = self.gen.payload_bytes - (k - 1) * len(out[0])
+        return out[:-1] + [out[-1][:tail]]
+
+
+def _mixed_stream(rng, field, enc, extra):
+    """Encoder packets with zero vectors, duplicates and scaled copies mixed
+    in; runs until ``extra`` packets past the point where the encoder's
+    stream alone reaches full rank."""
+    mul, size, k = field.mul_table, enc.gen.symbol_size, enc.gen.k
+    seen = _EchelonDecoder(enc.gen)
+    packets = []
+    while extra:
+        pkt = enc.next_packet()
+        packets.append(pkt)
+        extra -= seen.rank == k
+        seen.consume(pkt.coeffs, pkt.payload)
+        roll = rng.random()
+        if roll < 0.1:
+            packets.append(CodedPacket(0, (0,) * k, SymbolVector(field, [0] * size), 0))
+        elif roll < 0.2:
+            packets.append(rng.choice(packets))
+        elif roll < 0.3:
+            old, c = rng.choice(packets), rng.randrange(1, field.order)
+            packets.append(CodedPacket(0, tuple(int(mul[c, x]) for x in old.coeffs),
+                                       SymbolVector(field, mul[c].take(old.payload.symbols)),
+                                       0))
+    return packets
+
+
+@pytest.mark.parametrize("mode", ["guarded", "unrestricted"])
+@pytest.mark.parametrize("m", [1, 4, 8])
+@pytest.mark.parametrize("k", [1, 2, 7, 40, 100])
+def test_decoder_matches_echelon_reference(mode, m, k):
+    field = FieldSpec(m)
+    rng = random.Random(1000 * m + k + (mode == "guarded"))
+    gen, data = _random_generation(rng, field, k, packet_bytes=5)
+    enc = Encoder(gen, seed=rng.randrange(2**32), mode=mode)
+    ref, full = _EchelonDecoder(gen), DecoderState(gen)
+    bare = DecoderState(gen, track_payloads=False)
+    for pkt in _mixed_stream(rng, field, enc, extra=5):
+        got = ref.consume(pkt.coeffs, pkt.payload)
+        assert full.consume(pkt) == bare.consume_coeffs(pkt.coeffs) == got
+        for dec in (full, bare):
+            assert dec.last_consume_row_ops == ref.last_consume_row_ops
+            assert (dec.rank, dec.row_ops) == (ref.rank, ref.row_ops)
+    assert full.delivered
+    expected = ref.extract()
+    assert full.extract() == expected
+    assert full.extract() == expected  # extract leaves the decoder unchanged
+    assert b"".join(expected) == data
+
+
 # -- dependence statistics ---------------------------------------------
 
 
