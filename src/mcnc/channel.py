@@ -64,7 +64,7 @@ class LinkModel:
     __slots__ = (
         "kind", "bandwidth_hz", "efficiency", "base_delay_s",
         "sojourn_s", "snr_mean_db", "snr_sigma_db", "shadow_corr_s",
-        "loss_prob", "outage_threshold_db", "ran_retx", "max_attempts",
+        "loss_prob", "outage_threshold_db", "attempts_allowed",
         "retx_delay_s", "modes", "snrs_db", "inv_step", "busy_until", "rng",
     )
 
@@ -100,8 +100,8 @@ class LinkModel:
         self.shadow_corr_s = shadow_corr_s
         self.loss_prob = tuple(loss_prob)
         self.outage_threshold_db = outage_threshold_db
-        self.ran_retx = ran_retx
-        self.max_attempts = max_attempts
+        # the retry ladder: max_attempts tries with RAN retransmissions, else one
+        self.attempts_allowed = max_attempts if ran_retx else 1
         self.retx_delay_s = retx_delay_s
         self.rng = rng if rng is not None else random.Random()
         # drawn even where presample replaces it: later loss draws follow it on rng
@@ -206,8 +206,8 @@ class LinkModel:
         draws = rng.random(len(send_times))
         snrs = np.asarray(self.snrs_db)
         idx = np.minimum((send_times * self.inv_step).astype(np.int64), len(snrs) - 1)
-        attempts = self.max_attempts if self.ran_retx else 1
-        ok = draws >= np.asarray(self.loss_prob)[np.asarray(self.modes)[idx]] ** attempts
+        loss = np.asarray(self.loss_prob)[np.asarray(self.modes)[idx]]
+        ok = draws >= loss ** self.attempts_allowed
         ok[snrs[idx] < self.outage_threshold_db] = False
         return ok
 
@@ -234,11 +234,10 @@ class LinkModel:
         rate = self.efficiency * self.bandwidth_hz * math.log2(1.0 + 10.0 ** (snr / 10.0))
         serialization = size_bytes * 8.0 / rate
         self.busy_until = send_start + serialization
-        attempts_allowed = self.max_attempts if self.ran_retx else 1
         p = self.loss_prob[self.modes[i]]
         attempts = 0
         rng = self.rng
-        while attempts < attempts_allowed:
+        while attempts < self.attempts_allowed:
             attempts += 1
             if p == 0.0 or rng.random() >= p:
                 deliver_at = (

@@ -5,21 +5,20 @@ link feedback: mmWave whenever it is confirmed usable, LTE as fallback.
 Switching up to mmWave requires the reported SNR to clear the outage
 threshold by a hysteresis margin; switching down happens at the threshold
 itself, and feedback older than the staleness bound means the mmWave state
-is unknown, which is treated as unavailable. With multi-connectivity
-disabled everything rides mmWave.
+is unknown, which is treated as unavailable.
 
 When network-coded FEC is enabled the initial burst carries fixed
 redundancy (20% on mmWave, 10% on LTE, rounded up) and rank reports from
 the receiver trigger top-up bursts sized to the missing degrees of freedom,
 at most MAX_FEC_ATTEMPTS rounds per generation. Without FEC the burst is
-exactly k packets and a shortfall is final.
+exactly k packets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Tuple
 
 from .channel import LTE, MMWAVE
 from .rlnc import Encoder, Generation
@@ -30,16 +29,6 @@ REDUNDANCY = {MMWAVE: (6, 5), LTE: (11, 10)}
 
 #: Feedback-triggered repair rounds allowed per generation.
 MAX_FEC_ATTEMPTS = 5
-
-
-@dataclass(frozen=True)
-class PathFeedback:
-    """One receiver report: the mmWave link as the receiver last saw it."""
-
-    ue_id: int
-    sent_at: float
-    mmwave_available: bool
-    mmwave_snr_db: float
 
 
 @dataclass
@@ -60,48 +49,38 @@ class RetxAction(NamedTuple):
 
 
 class PathSelector:
-    """Hysteresis path chooser fed by receiver reports."""
+    """Hysteresis path chooser that judges the raw mmWave SNR of receiver
+    reports: below the outage threshold the link is unusable."""
 
-    __slots__ = ("multi_connectivity", "outage_threshold_db", "hysteresis_db",
-                 "staleness_s", "_current", "_feedback")
+    __slots__ = ("outage_threshold_db", "hysteresis_db", "staleness_s",
+                 "_current", "_sent_at", "_snr_db")
 
     def __init__(
         self,
-        multi_connectivity: bool = True,
         outage_threshold_db: float = -5.0,
         hysteresis_db: float = 3.0,
         staleness_s: float = 0.020,
     ):
-        self.multi_connectivity = multi_connectivity
         self.outage_threshold_db = outage_threshold_db
         self.hysteresis_db = hysteresis_db
         self.staleness_s = staleness_s
         self._current = MMWAVE
-        self._feedback: Optional[PathFeedback] = None
+        # no report yet: infinitely stale
+        self._sent_at = -math.inf
+        self._snr_db = -math.inf
 
-    def update(self, fb: PathFeedback) -> None:
-        if self._feedback is None or fb.sent_at >= self._feedback.sent_at:
-            self._feedback = fb
-
-    @property
-    def last_feedback(self) -> Optional[PathFeedback]:
-        return self._feedback
+    def update(self, sent_at: float, snr_db: float) -> None:
+        """Take the report sent at ``sent_at``; the newest one wins."""
+        if sent_at >= self._sent_at:
+            self._sent_at = sent_at
+            self._snr_db = snr_db
 
     def select_path(self, now: float) -> str:
-        if not self.multi_connectivity:
-            return MMWAVE
-        fb = self._feedback
-        stale = fb is None or now - fb.sent_at > self.staleness_s
-        if stale or not fb.mmwave_available:
+        snr = self._snr_db
+        if now - self._sent_at > self.staleness_s or snr < self.outage_threshold_db:
             self._current = LTE
-            return LTE
-        snr = fb.mmwave_snr_db
-        if self._current == MMWAVE:
-            if snr < self.outage_threshold_db:
-                self._current = LTE
-        else:
-            if snr >= self.outage_threshold_db + self.hysteresis_db:
-                self._current = MMWAVE
+        elif snr >= self.outage_threshold_db + self.hysteresis_db:
+            self._current = MMWAVE
         return self._current
 
 
@@ -135,7 +114,6 @@ def handle_feedback(
     plan: GenerationPlan,
     report_rank: int,
     now: float,
-    nc_fec: bool = True,
     overshoot: float = 1.0,
 ) -> RetxAction:
     """Advance a plan given the freshest known decoder rank.
@@ -149,7 +127,7 @@ def handle_feedback(
     if report_rank >= plan.k:
         plan.delivered = True
         return RetxAction("delivered")
-    if not nc_fec or plan.attempts_used >= MAX_FEC_ATTEMPTS or now >= plan.deadline:
+    if plan.attempts_used >= MAX_FEC_ATTEMPTS or now >= plan.deadline:
         plan.failed = True
         return RetxAction("failed")
     count = math.ceil(max(plan.k - report_rank, 1) * overshoot)

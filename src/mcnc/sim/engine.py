@@ -5,8 +5,11 @@ generations at the sender (one NALU never shares a generation with
 another), coded bursts ride the per-receiver radio links, feedback steers
 path choice and top-up rounds, and an in-order consumer hands complete
 frames to the playout buffer, which plays or skips them on a hard display
-clock. Everything is deterministic given (config, seed): every random
-stream is split off the master seed with a distinct label.
+clock. With multi-connectivity disabled everything rides mmWave. Without
+FEC a generation gets its k packets once and a shortfall is final: the
+receiver's give-up timer or the display clock resolves it. Everything is
+deterministic given (config, seed): every random stream is split off the
+master seed with a distinct label.
 
 Scale choices, made so a 60 s five-receiver session stays under a second
 of wall clock without changing observable behavior:
@@ -25,7 +28,9 @@ of wall clock without changing observable behavior:
   and ride one feedback link: LTE with multi connectivity, else the mmWave
   uplink. That link presamples per-report survival
   (``LinkModel.control_survival``), and "what did the sender know at t"
-  resolves to the newest surviving report that had arrived by t.
+  resolves to the newest surviving report that had arrived by t. Path
+  choice hands that report's send time and mmWave SNR to the
+  ``PathSelector``, which alone judges outage, hysteresis and staleness.
 - Decoding is rank-sampled. Payloads are never materialized here, and the
   transmit side uses guarded draws: a generation's first k emissions are
   linearly independent by construction, so each of them that arrives adds
@@ -62,7 +67,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..channel import LOS, MMWAVE, NLOS, LinkModel
-from ..distribution import PathFeedback, PathSelector, handle_feedback, plan_generation
+from ..distribution import PathSelector, handle_feedback, plan_generation
 from ..gf import FieldSpec
 from ..rlnc import split_counts, wire_size
 from ..seeding import derive_seed
@@ -295,7 +300,6 @@ class _Engine:
             rng=random.Random(derive_seed(self.seed, "lteloss", u)),
         )
         ue.selector = PathSelector(
-            multi_connectivity=cfg.multi_connectivity,
             outage_threshold_db=ue.mm.outage_threshold_db,
             hysteresis_db=cfg.hysteresis_db,
             staleness_s=cfg.feedback_staleness_s,
@@ -364,8 +368,6 @@ class _Engine:
         finally:
             if gc_was_on:
                 gc.enable()
-        for ue in ues:
-            ue.metrics.max_buffer_occupancy = ue.buffer.max_occupancy
         return MetricsReport(self.seed, self.cfg.duration_s, [u.metrics for u in ues])
 
     @staticmethod
@@ -403,13 +405,7 @@ class _Engine:
         rep = self._latest_report(ue, now)
         if rep >= 0:
             sent_at = rep * self.fb_int
-            snr = ue.mm.snr_at(sent_at)
-            ue.selector.update(PathFeedback(
-                ue_id=ue.idx,
-                sent_at=sent_at,
-                mmwave_available=snr >= ue.mm.outage_threshold_db,
-                mmwave_snr_db=snr,
-            ))
+            ue.selector.update(sent_at, ue.mm.snr_at(sent_at))
         return ue.selector.select_path(now)
 
     # -------------------------------------------------------- transmission

@@ -83,7 +83,6 @@ class UEMetrics:
     generations_delivered: int = 0
     feedback_sent: int = 0
     feedback_lost: int = 0
-    max_buffer_occupancy: int = 0
 
     @property
     def nalu_loss_ratio(self) -> float:

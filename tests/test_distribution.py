@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -10,7 +11,6 @@ from mcnc.channel import LTE, MMWAVE
 from mcnc.distribution import (
     MAX_FEC_ATTEMPTS,
     GenerationPlan,
-    PathFeedback,
     PathSelector,
     RetxAction,
     dispatch_generation,
@@ -21,17 +21,12 @@ from mcnc.gf import FieldSpec
 from mcnc.rlnc import Encoder, Generation
 
 
-def _fb(t, available=True, snr=10.0):
-    return PathFeedback(ue_id=0, sent_at=t, mmwave_available=available,
-                        mmwave_snr_db=snr)
-
-
 # -- path selection ------------------------------------------------------
 
 
 def test_selector_stays_on_mmwave_while_healthy():
     sel = PathSelector()
-    sel.update(_fb(0.0, snr=15.0))
+    sel.update(0.0, 15.0)
     assert sel.select_path(0.001) == MMWAVE
 
 
@@ -41,47 +36,43 @@ def test_selector_falls_back_without_any_feedback():
 
 def test_selector_treats_stale_feedback_as_unknown():
     sel = PathSelector(staleness_s=0.020)
-    sel.update(_fb(0.0, snr=15.0))
+    sel.update(0.0, 15.0)
     assert sel.select_path(0.019) == MMWAVE
     assert sel.select_path(0.021) == LTE
 
 
 def test_selector_hysteresis_band():
     sel = PathSelector(outage_threshold_db=-5.0, hysteresis_db=3.0)
-    sel.update(_fb(0.0, snr=-6.0))
+    sel.update(0.0, -6.0)
     assert sel.select_path(0.0) == LTE  # below threshold: switch down
     # recovering into the hysteresis band is not enough to switch back
-    sel.update(_fb(0.001, snr=-4.0))
+    sel.update(0.001, -4.0)
     assert sel.select_path(0.001) == LTE
-    sel.update(_fb(0.002, snr=-2.1))
+    sel.update(0.002, -2.1)
     assert sel.select_path(0.002) == LTE
     # clearing threshold + hysteresis switches up
-    sel.update(_fb(0.003, snr=-2.0))
+    sel.update(0.003, -2.0)
     assert sel.select_path(0.003) == MMWAVE
     # and the band does not knock it back down
-    sel.update(_fb(0.004, snr=-4.0))
+    sel.update(0.004, -4.0)
     assert sel.select_path(0.004) == MMWAVE
 
 
-def test_selector_reported_outage_forces_lte():
-    sel = PathSelector()
-    sel.update(_fb(0.0, available=False, snr=20.0))
-    assert sel.select_path(0.0) == LTE
+def test_selector_threshold_itself_keeps_mmwave():
+    sel = PathSelector(outage_threshold_db=-5.0)
+    sel.update(0.0, 15.0)
+    assert sel.select_path(0.0) == MMWAVE
+    sel.update(0.001, -5.0)
+    assert sel.select_path(0.001) == MMWAVE
+    sel.update(0.002, math.nextafter(-5.0, -math.inf))
+    assert sel.select_path(0.002) == LTE
 
 
 def test_selector_ignores_out_of_order_reports():
     sel = PathSelector()
-    sel.update(_fb(0.010, snr=15.0))
-    sel.update(_fb(0.005, snr=-20.0))  # older report must not win
-    assert sel.last_feedback.sent_at == 0.010
+    sel.update(0.010, 15.0)
+    sel.update(0.005, -20.0)  # older report must not win
     assert sel.select_path(0.012) == MMWAVE
-
-
-def test_selector_single_connectivity_pins_mmwave():
-    sel = PathSelector(multi_connectivity=False)
-    assert sel.select_path(0.0) == MMWAVE
-    sel.update(_fb(0.0, available=False, snr=-30.0))
-    assert sel.select_path(0.001) == MMWAVE
 
 
 # -- burst sizing --------------------------------------------------------
@@ -163,13 +154,6 @@ def test_deadline_passes_fail_immediately():
     plan = _plan(k=4, deadline=1.0)
     action = handle_feedback(plan, report_rank=2, now=1.0)
     assert action.kind == "failed"
-
-
-def test_without_fec_any_shortfall_is_final():
-    plan = _plan(k=4)
-    action = handle_feedback(plan, report_rank=3, now=0.1, nc_fec=False)
-    assert action.kind == "failed"
-    assert plan.attempts_used == 0
 
 
 def test_attempts_never_exceed_budget_under_random_reports():
