@@ -31,7 +31,7 @@ REDUNDANCY = {MMWAVE: (6, 5), LTE: (11, 10)}
 MAX_FEC_ATTEMPTS = 5
 
 
-@dataclass
+@dataclass(slots=True)
 class GenerationPlan:
     gen_id: int
     k: int
@@ -92,12 +92,6 @@ def initial_burst_size(k: int, path: str, nc_fec: bool) -> int:
     return -(-k * num // den)
 
 
-def plan_generation(gen_id: int, k: int, path: str, deadline: float,
-                    nc_fec: bool) -> GenerationPlan:
-    """A fresh plan whose initial burst is sized for ``path``."""
-    return GenerationPlan(gen_id, k, path, initial_burst_size(k, path, nc_fec), deadline)
-
-
 def dispatch_generation(
     gen: Generation,
     path: str,
@@ -106,7 +100,8 @@ def dispatch_generation(
     nc_fec: bool = True,
 ) -> Tuple[GenerationPlan, list]:
     """Plan a generation and emit its initial burst (attempt 0)."""
-    plan = plan_generation(gen.gen_id, gen.k, path, deadline, nc_fec)
+    plan = GenerationPlan(gen.gen_id, gen.k, path,
+                          initial_burst_size(gen.k, path, nc_fec), deadline)
     return plan, encoder.burst(plan.n_initial, attempt=0)
 
 

@@ -150,6 +150,8 @@ class SimConfig:
             raise ConfigError("fps must be positive")
         if self.packet_bytes < 1:
             raise ConfigError("packet_bytes must be at least 1")
+        if self.base_nalu_bytes < 1 or self.enh_nalu_bytes < 1:
+            raise ConfigError("base_nalu_bytes and enh_nalu_bytes must be at least 1")
         if self.coding_profile not in PROFILES:
             raise ConfigError(
                 "coding_profile must be one of %s, got %r"
@@ -186,6 +188,7 @@ class SimConfig:
             "stagger_step_s",
             "mmwave_base_delay_s",
             "lte_base_delay_s",
+            "ran_retx_delay_s",
             "receiver_giveup_s",
             "receiver_giveup_empty_s",
             "plan_check_guard_s",
@@ -195,6 +198,11 @@ class SimConfig:
         ):
             if getattr(self, name) < 0:
                 raise ConfigError("%s must be non-negative" % name)
+        # each of these ends up as an integer index on the feedback grid
+        for name in ("ran_retx_delay_s", "mmwave_base_delay_s", "lte_base_delay_s",
+                     "plan_check_guard_s", "feedback_staleness_s"):
+            if math.isinf(getattr(self, name)):
+                raise ConfigError("%s must be finite" % name)
         for name in ("mmwave_loss_los", "mmwave_loss_nlos", "lte_loss"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:

@@ -9,7 +9,8 @@ clock. With multi-connectivity disabled everything rides mmWave. Without
 FEC a generation gets its k packets once and a shortfall is final: the
 receiver's give-up timer or the display clock resolves it. Everything is
 deterministic given (config, seed): every random stream is split off the
-master seed with a distinct label.
+master seed with a distinct label. Each generation is one record: the
+sender's ``GenerationPlan`` extended with the receiver's rank timeline.
 
 Scale choices, made so a 60 s five-receiver session stays under a second
 of wall clock without changing observable behavior:
@@ -67,7 +68,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..channel import LOS, MMWAVE, NLOS, LinkModel
-from ..distribution import PathSelector, handle_feedback, plan_generation
+from ..distribution import (GenerationPlan, PathSelector, handle_feedback,
+                            initial_burst_size)
 from ..gf import FieldSpec
 from ..rlnc import split_counts, wire_size
 from ..seeding import derive_seed
@@ -118,38 +120,31 @@ class _FramePlan:
         self.base_count = sum(1 for _, is_base, _ in gens if is_base)
 
 
-class _GenState:
-    __slots__ = ("gen_id", "k", "frame", "nalu_slot", "is_base", "plan",
-                 "rank", "rank_ts", "complete_at",
-                 "last_arrival", "est_settle", "giveup_epoch", "seq")
+class _GenState(GenerationPlan):
+    __slots__ = ("frame", "nalu_slot", "is_base", "rank_ts", "complete_at",
+                 "last_arrival", "seq")
 
-    def __init__(self, gen_id, k, frame, nalu_slot, is_base):
-        self.gen_id = gen_id
-        self.k = k
+    def __init__(self, gen_id, k, path, n_initial, deadline, frame, nalu_slot, is_base):
+        super().__init__(gen_id, k, path, n_initial, deadline)
         self.frame = frame  # frame index, not the _FrameState: no cycle
         self.nalu_slot = nalu_slot
         self.is_base = is_base
-        self.plan = None
-        self.rank = 0
         self.rank_ts: List[float] = []  # rank_ts[i]: when the rank reached i + 1
         self.complete_at: Optional[float] = None
         self.last_arrival = -1.0
-        self.est_settle = 0.0
-        self.giveup_epoch = 0
-        self.seq = 0
+        self.seq = 0  # emissions so far; the first k are guarded
 
 
 def _in_time(g: _GenState) -> bool:
     """Whether the generation completed by its frame's display deadline."""
-    return g.complete_at is not None and g.complete_at <= g.plan.deadline
+    return g.complete_at is not None and g.complete_at <= g.deadline
 
 
 class _FrameState:
-    __slots__ = ("idx", "gen_time", "deadline", "plan", "gens", "base_left",
+    __slots__ = ("gen_time", "deadline", "plan", "gens", "base_left",
                  "consumed_at", "lost")
 
-    def __init__(self, idx, gen_time, deadline, plan):
-        self.idx = idx
+    def __init__(self, gen_time, deadline, plan):
         self.gen_time = gen_time
         self.deadline = deadline
         self.plan = plan
@@ -344,7 +339,7 @@ class _Engine:
             _CHECK: self._on_check,
             _DONE: self._on_done,
             _ABANDON: self._resolve_failure,
-            _GIVEUP: self._on_giveup,
+            _GIVEUP: self._resolve_failure,
             _DEADLINE: self._on_deadline,
         }
         # the run's object graph is acyclic, so reference counting frees
@@ -372,11 +367,7 @@ class _Engine:
 
     @staticmethod
     def _log_arg(arg):
-        if isinstance(arg, _GenState):
-            return f"gen{arg.gen_id}"
-        if isinstance(arg, tuple):
-            return f"gen{arg[0].gen_id}/e{arg[1]}"
-        return arg
+        return f"gen{arg.gen_id}" if isinstance(arg, _GenState) else arg
 
     # ----------------------------------------------------------- feedback
 
@@ -427,7 +418,9 @@ class _Engine:
             self._dep[k] = probs
         return probs
 
-    def _send_burst(self, ue: _UEState, g: _GenState, n: int, path: str, now: float):
+    def _send_burst(self, ue: _UEState, g: _GenState, n: int, path: str,
+                    now: float) -> float:
+        """Send n packets of g on path; returns when the burst has settled."""
         cfg = self.cfg
         first = g.seq
         g.seq += n
@@ -448,27 +441,27 @@ class _Engine:
         tail = link.busy_until + link.base_delay_s + backhaul
         if tail > est:
             est = tail
-        g.est_settle = est
         if survivors:
             survivors.sort()
             for arr, emission in survivors:
                 self._feed(ue, g, arr, emission)
+        return est
 
     def _feed(self, ue: _UEState, g: _GenState, arrival: float, emission: int):
         k = g.k
-        if g.rank < k:
+        ts = g.rank_ts
+        rank = len(ts)
+        if rank < k:
             if emission < k:
                 advanced = True  # guarded draw: independent by construction
             else:
-                p = self._dep_probs(k)[g.rank]
+                p = self._dep_probs(k)[rank]
                 advanced = p == 0.0 or self._rank_rng.random() >= p
             if advanced:
-                g.rank += 1
-                ts = g.rank_ts
                 if ts and arrival < ts[-1]:
                     arrival = ts[-1]
                 ts.append(arrival)
-                if g.rank == k:
+                if rank + 1 == k:
                     g.complete_at = arrival
                     ue.metrics.generations_delivered += 1
                     self._push(arrival, _DONE, ue.idx, g)
@@ -483,28 +476,25 @@ class _Engine:
         # the shorter patience. Only base generations can release a frame.
         if not g.is_base or g.complete_at is not None:
             return
-        g.giveup_epoch += 1
         if g.last_arrival >= 0.0:
             t = max(g.last_arrival, now) + self.cfg.receiver_giveup_s
         else:
             t = now + self.cfg.receiver_giveup_empty_s
-        self._push(t, _GIVEUP, ue.idx, (g, g.giveup_epoch))
+        self._push(t, _GIVEUP, ue.idx, g)
 
     def _finish_plan(self, ue: _UEState, g: _GenState):
-        h = ue.metrics.fec_rounds_hist
-        a = g.plan.attempts_used
-        h[a if a < len(h) else len(h) - 1] += 1
+        ue.metrics.fec_rounds_hist[g.attempts_used] += 1
 
-    def _schedule_check(self, ue: _UEState, g: _GenState, now: float):
+    def _schedule_check(self, ue: _UEState, g: _GenState, settle: float, now: float):
         # look again once the burst just sent has settled and the report
         # showing it can have arrived, unless the rank the sender will know
         # by then already completes the plan
         guard = self.cfg.plan_check_guard_s
-        t_check = g.est_settle + ue.ul_delay + guard
+        t_check = settle + ue.ul_delay + guard
         if t_check <= now:
             t_check = now + guard
         if self._known_rank(ue, g, t_check) >= g.k:
-            g.plan.delivered = True
+            g.delivered = True
             self._finish_plan(ue, g)
         else:
             self._push(t_check, _CHECK, ue.idx, g)
@@ -512,7 +502,7 @@ class _Engine:
     def _fail_plan(self, ue: _UEState, g: _GenState, now: float):
         # the sender gives up; the receiver hears of it one uplink delay
         # later and drops the frame unless this base generation made it
-        g.plan.failed = True
+        g.failed = True
         self._finish_plan(ue, g)
         if g.is_base and not _in_time(g):
             self._push(now + ue.ul_delay, _ABANDON, ue.idx, g)
@@ -522,49 +512,47 @@ class _Engine:
     def _on_frame(self, ue: _UEState, f: int, now: float):
         cfg = self.cfg
         plan = self.plans[f]
-        fr = _FrameState(f, now, ue.buffer.deadline(f), plan)
+        fr = _FrameState(now, ue.buffer.deadline(f), plan)
         ue.frames[f] = fr
         path = self._current_path(ue, now)
         nc = cfg.nc_fec
         m = ue.metrics
         for nalu_slot, is_base, k in plan.gens:
-            gen_id = self._next_gen_id
+            g = _GenState(self._next_gen_id, k, path, initial_burst_size(k, path, nc),
+                          fr.deadline, f, nalu_slot, is_base)
             self._next_gen_id += 1
-            g = _GenState(gen_id, k, f, nalu_slot, is_base)
-            g.plan = plan_generation(gen_id, k, path, fr.deadline, nc)
             fr.gens.append(g)
             m.generations_total += 1
-            self._send_burst(ue, g, g.plan.n_initial, path, now)
+            settle = self._send_burst(ue, g, g.n_initial, path, now)
             if not nc:
                 # no sender-side plan without reactive coding: losses
                 # resolve through the receiver timer or the display clock
                 m.fec_rounds_hist[0] += 1
                 self._arm_giveup(ue, g, now)
                 continue
-            self._schedule_check(ue, g, now)
+            self._schedule_check(ue, g, settle, now)
 
     def _on_check(self, ue: _UEState, g: _GenState, now: float):
         cfg = self.cfg
-        plan = g.plan
         rep = self._latest_report(ue, now)
         if rep < 0 or now - rep * self.fb_int - ue.ul_delay > cfg.feedback_staleness_s:
             # feedback blackout (mmWave-only uplink in outage): hold the
             # plan instead of burning top-up rounds blind; the display
             # deadline still bounds how long the receiver waits
-            if now + self.fb_int > plan.deadline:
+            if now + self.fb_int > g.deadline:
                 self._fail_plan(ue, g, now)
             else:
                 self._push(now + self.fb_int, _CHECK, ue.idx, g)
             return
         rank = self._known_rank(ue, g, now)
-        act = handle_feedback(plan, rank, now, overshoot=cfg.retx_overshoot)
+        act = handle_feedback(g, rank, now, overshoot=cfg.retx_overshoot)
         if act.kind == "delivered":
             self._finish_plan(ue, g)
         elif act.kind == "failed":
             self._fail_plan(ue, g, now)
         else:
-            self._send_burst(ue, g, act.count, self._current_path(ue, now), now)
-            self._schedule_check(ue, g, now)
+            settle = self._send_burst(ue, g, act.count, self._current_path(ue, now), now)
+            self._schedule_check(ue, g, settle, now)
 
     def _on_done(self, ue: _UEState, g: _GenState, now: float):
         fr = ue.frames[g.frame]
@@ -581,11 +569,6 @@ class _Engine:
             return
         fr.lost = True
         self._try_advance(ue, now)
-
-    def _on_giveup(self, ue: _UEState, arg, now: float):
-        g, epoch = arg
-        if epoch == g.giveup_epoch:
-            self._resolve_failure(ue, g, now)
 
     def _try_advance(self, ue: _UEState, now: float):
         frames = ue.frames

@@ -8,6 +8,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..distribution import MAX_FEC_ATTEMPTS
+
 #: Cap used in place of infinity when two frames are identical.
 PSNR_CAP_DB = 99.99
 
@@ -75,7 +77,7 @@ class UEMetrics:
     psnr_sum_db: float = 0.0
     latency_samples: List[float] = field(default_factory=list)
     # index = extra FEC rounds spent on a generation (0 = initial burst only)
-    fec_rounds_hist: List[int] = field(default_factory=lambda: [0] * 6)
+    fec_rounds_hist: List[int] = field(default_factory=lambda: [0] * (MAX_FEC_ATTEMPTS + 1))
     packets_sent: Dict[str, int] = field(default_factory=dict)
     packets_delivered: Dict[str, int] = field(default_factory=dict)
     packets_dropped: Dict[str, int] = field(default_factory=dict)

@@ -93,7 +93,8 @@ def run_grid(
 
     Returns a dict keyed by (error control, profile, connectivity); each value
     is (summary, per-run reports) with runs ordered by run index.  The flat
-    task list interleaves cells so workers stay busy across the whole sweep.
+    task list is cell-major (every run of one cell, then the next cell), and
+    one pool serves the whole sweep, so workers stay busy across cells.
     """
     base.validate()
     cells = grid_cells(base)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 class PlayoutBuffer:
     __slots__ = ("start_time", "fps", "capacity", "_pending", "_next_display",
-                 "_last_admitted", "played", "skipped", "max_occupancy")
+                 "_last_admitted", "played", "skipped")
 
     def __init__(self, start_time: float, fps: float = 50.0, capacity: int = 25):
         self.start_time = start_time
@@ -26,7 +26,6 @@ class PlayoutBuffer:
         self._last_admitted = -1
         self.played = 0
         self.skipped = 0
-        self.max_occupancy = 0
 
     def deadline(self, frame_idx: int) -> float:
         return self.start_time + frame_idx / self.fps
@@ -45,8 +44,6 @@ class PlayoutBuffer:
             raise OverflowError(f"playout buffer full ({self.capacity} frames)")
         self._pending[frame_idx] = t
         self._last_admitted = frame_idx
-        if len(self._pending) > self.max_occupancy:
-            self.max_occupancy = len(self._pending)
 
     def step(self, now: float) -> None:
         """Advance the display clock, counting each due frame played or skipped."""

@@ -58,6 +58,10 @@ def test_labels():
         ("ues_los", 9),
         ("fps", -1.0),
         ("packet_bytes", 0),
+        ("base_nalu_bytes", 0),
+        ("base_nalu_bytes", -5),
+        ("enh_nalu_bytes", 0),
+        ("enh_nalu_bytes", -5),
         ("coding_profile", "XL"),
         ("size_jitter", 1.0),
         ("spatial_layers", 3),
@@ -69,6 +73,12 @@ def test_labels():
         ("backhaul_delay_s", -0.001),
         ("receiver_giveup_s", -1.0),
         ("receiver_giveup_empty_s", -1.0),
+        ("ran_retx_delay_s", -1.0),
+        ("ran_retx_delay_s", math.inf),
+        ("mmwave_base_delay_s", math.inf),
+        ("lte_base_delay_s", math.inf),
+        ("plan_check_guard_s", math.inf),
+        ("feedback_staleness_s", math.inf),
         ("mmwave_shadow_corr_s", -0.1),
         ("mmwave_loss_los", 1.5),
         ("lte_loss", -0.1),

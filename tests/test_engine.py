@@ -8,8 +8,9 @@ import math
 
 import pytest
 
+from mcnc.channel import MMWAVE
 from mcnc.sim import engine
-from mcnc.sim.config import SimConfig
+from mcnc.sim.config import SimConfig, grid_cells
 from mcnc.sim.engine import TraceError, run
 from mcnc.sim.metrics import UEMetrics, check_conservation
 from mcnc.video.tracegen import synthesize_trace
@@ -236,8 +237,9 @@ def test_event_log_is_chronological():
 
 
 def test_static_event_wins_a_tie_with_a_dynamic_one():
-    # a no-op give-up (stale epoch) lands exactly on the first frame
-    # arrival; events at one time run in kind order, so the frame goes first
+    # a no-op give-up (its generation already complete in time) lands exactly
+    # on the first frame arrival; events at one time run in kind order, so
+    # the frame goes first
     cfg = dataclasses.replace(BASE, duration_s=0.1)
     n_frames = cfg.frame_count()
     plans = engine._frame_plans(engine._obtain_trace(cfg), n_frames,
@@ -246,11 +248,31 @@ def test_static_event_wins_a_tie_with_a_dynamic_one():
     eng = engine._Engine(cfg, 1, plans, n_frames, log)
     first_frame = eng._static[-1]
     assert first_frame[1] == engine._FRAME
-    stale = engine._GenState(-1, 1, 0, 0, True)
-    eng._push(first_frame[0], engine._GIVEUP, 0, (stale, stale.giveup_epoch - 1))
+    done = engine._GenState(-1, 1, MMWAVE, 1, math.inf, 0, 0, True)
+    done.complete_at = 0.0
+    eng._push(first_frame[0], engine._GIVEUP, 0, done)
     eng.run()
     assert [line.split()[1] for line in log[:2]] == ["frame", "giveup"]
     assert log[0].split()[0] == log[1].split()[0]
+
+
+def test_each_generation_gives_up_at_most_once():
+    # without FEC a base generation arms its receiver timer once, at its
+    # frame's arrival, so no (receiver, generation) meets a second give-up
+    giveups = 0
+    for cell in grid_cells(SimConfig(duration_s=3.0, seed=7)):
+        if cell.nc_fec:
+            continue
+        log = []
+        run(cell, events_log=log)
+        seen = set()
+        for line in log:
+            _, kind, ue, arg = line.split()
+            if kind == "giveup":
+                assert (ue, arg) not in seen
+                seen.add((ue, arg))
+        giveups += len(seen)
+    assert giveups  # give-ups happen, so the check above is not vacuous
 
 
 @pytest.fixture

@@ -30,7 +30,7 @@ from mcnc.sim.results import emit_results
 
 RESULTS_CSV_SHA256 = "bd1d0883708f5ef4bf4e2b9cad3079f183984ae9fb9c451596f6ccaa1090f4c4"
 REPORTS_SHA256 = "639d7bffbe6f927c4101723bda64eb281a2edecc6c5a9e1b4e024f19452fe4e3"
-EVENTS_LOG_SHA256 = "7da32004990fbf9a2aaabb234bbd85c697d82cc4a9728b58fee82b4a740efa1d"
+EVENTS_LOG_SHA256 = "cff0197ba57a5bfa7362a003cfb47015f563ae9fd83897c9a40f1e86adad3fa0"
 CODEC_SHA256 = "b2b7200eda086ff425cf662c7848693938f5c1aff1e3a906fa72f1187dc3aae2"
 
 

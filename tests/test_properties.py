@@ -122,6 +122,8 @@ _BREAKS = st.one_of(
     _set("ues_los", st.integers(-3, -1) | st.integers(4, 9)),  # n_ues <= 3
     _set("fps", _floats(-60.0, 0.0)),
     _set("packet_bytes", st.integers(-3, 0)),
+    st.sampled_from(("base_nalu_bytes", "enh_nalu_bytes")).flatmap(
+        lambda name: _set(name, st.integers(-3, 0))),
     _set("coding_profile", st.sampled_from(("", "lc", "MC", "XL"))),
     _set("size_jitter", _negative() | _floats(1.0, 5.0)),
     _set("spatial_layers", st.sampled_from((-1, 0, 3))),
@@ -135,9 +137,13 @@ _BREAKS = st.one_of(
     _set("efficiency", _floats(-1.0, 0.0) | _floats(1.001, 10.0)),
     st.sampled_from((
         "backhaul_delay_s", "stagger_step_s", "mmwave_base_delay_s",
-        "lte_base_delay_s", "receiver_giveup_s", "receiver_giveup_empty_s",
-        "plan_check_guard_s", "mmwave_shadow_corr_s", "feedback_staleness_s",
-        "hysteresis_db")).flatmap(lambda name: _set(name, _negative())),
+        "lte_base_delay_s", "ran_retx_delay_s", "receiver_giveup_s",
+        "receiver_giveup_empty_s", "plan_check_guard_s", "mmwave_shadow_corr_s",
+        "feedback_staleness_s", "hysteresis_db")).flatmap(
+        lambda name: _set(name, _negative())),
+    st.sampled_from(("ran_retx_delay_s", "mmwave_base_delay_s", "lte_base_delay_s",
+                     "plan_check_guard_s", "feedback_staleness_s")).map(
+        lambda name: {name: math.inf}),
     st.sampled_from(("mmwave_loss_los", "mmwave_loss_nlos", "lte_loss")).flatmap(
         lambda name: _set(name, _negative() | _floats(1.001, 10.0))),
     st.sampled_from(("mmwave_bandwidth_hz", "lte_bandwidth_hz", "mmwave_sojourn_los_s",

@@ -278,7 +278,7 @@ def test_playout_capacity_enforced():
         buf.admit(i, 0.0)
     with pytest.raises(OverflowError):
         buf.admit(3, 0.0)
-    assert buf.max_occupancy == 3
+    assert buf.occupancy == 3
     buf.step(10.0)  # frees frame 0
     buf.admit(3, 10.0)
     assert buf.occupancy == 3
