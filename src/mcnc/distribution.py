@@ -35,7 +35,6 @@ MAX_FEC_ATTEMPTS = 5
 class GenerationPlan:
     gen_id: int
     k: int
-    path: str
     n_initial: int
     deadline: float
     attempts_used: int = 0
@@ -100,8 +99,7 @@ def dispatch_generation(
     nc_fec: bool = True,
 ) -> Tuple[GenerationPlan, list]:
     """Plan a generation and emit its initial burst (attempt 0)."""
-    plan = GenerationPlan(gen.gen_id, gen.k, path,
-                          initial_burst_size(gen.k, path, nc_fec), deadline)
+    plan = GenerationPlan(gen.gen_id, gen.k, initial_burst_size(gen.k, path, nc_fec), deadline)
     return plan, encoder.burst(plan.n_initial, attempt=0)
 
 

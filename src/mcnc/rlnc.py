@@ -22,13 +22,11 @@ planes of the received payloads and recovers each source payload by one
 such XOR-reduce.
 
 Coefficient draw modes
-    guarded       redraw until the vector is innovative versus everything
-                  this encoder already emitted, while rank allows; the
-                  first k emissions are then linearly independent, so a
-                  loss-free delivery of a redundancy-free burst always
-                  decodes. Emissions past rank k fall back to nonzero
-                  draws (all-zero vectors redrawn). This is the
-                  transmit-side default.
+    guarded       systematic: emission i < k is source packet i as it is,
+                  with coefficient vector e_i, so a loss-free delivery of a
+                  redundancy-free burst always decodes. Later emissions
+                  are uniform nonzero draws. This is the transmit-side
+                  default.
     unrestricted  raw uniform draws, zero vector included. Matches the
                   closed form in :func:`full_rank_probability`; used by the
                   statistical tests.
@@ -188,6 +186,11 @@ class CodedPacket:
 class Encoder:
     """Rateless packet source for one generation.
 
+    In ``"guarded"`` mode emission i < k is source packet i, undrawn and
+    uncombined, as in the systematic phase of Kodo's encoders. Later
+    emissions, and all in ``"unrestricted"`` mode, are drawn from a
+    per-generation stream.
+
     Deterministic: the emission sequence is a pure function of
     (seed, gen_id, mode), so two encoders built alike emit identical
     packets regardless of when or in what bursts they are asked.
@@ -200,8 +203,8 @@ class Encoder:
         self.seed = seed
         self.mode = mode
         self.seq = 0
+        self._systematic = gen.k if mode == "guarded" else 0  # uncoded emissions
         self._rng = random.Random(derive_seed(seed, "enc", gen.gen_id))
-        self._emitted = DecoderState(gen, track_payloads=False) if mode == "guarded" else None
         if gen.payloads is not None:
             matrix = _word_rows(gen.k, gen.symbol_size)
             for row, p in zip(matrix, gen.payloads):
@@ -212,15 +215,15 @@ class Encoder:
 
     def next_coeffs(self) -> Tuple[int, ...]:
         """Coefficient vector of the next emission; advances the sequence."""
-        k, m, rng, emitted = self.gen.k, self.gen.field.m, self._rng, self._emitted
+        k, seq = self.gen.k, self.seq
+        self.seq = seq + 1
+        if seq < self._systematic:
+            return tuple(int(i == seq) for i in range(k))
+        m, rng = self.gen.field.m, self._rng
         while True:
             coeffs = tuple(rng.getrandbits(m) for _ in range(k))
-            if emitted is None:
-                break
-            if any(coeffs) and (emitted.rank >= k or emitted.consume_coeffs(coeffs)):
-                break
-        self.seq += 1
-        return coeffs
+            if self.mode == "unrestricted" or any(coeffs):
+                return coeffs
 
     def coeff_burst(self, n: int) -> List[Tuple[int, ...]]:
         """n coefficient vectors without packet objects (bookkeeping path)."""
@@ -229,8 +232,11 @@ class Encoder:
     def next_packet(self, attempt: int = 0) -> CodedPacket:
         seq = self.seq
         coeffs = self.next_coeffs()
-        payload = None
-        if self._planes is not None:
+        if self._planes is None:
+            payload = None
+        elif seq < self._systematic:
+            payload = self.gen.payloads[seq]
+        else:
             # one XOR-reduce of the planes the coefficient bits select
             bits = _coeff_bits(self.gen.field, np.array(coeffs, dtype=np.uint8))
             words = np.bitwise_xor.reduce(self._planes[bits], axis=0)

@@ -33,14 +33,14 @@ of wall clock without changing observable behavior:
   choice hands that report's send time and mmWave SNR to the
   ``PathSelector``, which alone judges outage, hysteresis and staleness.
 - Decoding is rank-sampled. Payloads are never materialized here, and the
-  transmit side uses guarded draws: a generation's first k emissions are
-  linearly independent by construction, so each of them that arrives adds
-  one rank. Later emissions are uniform nonzero vectors, and by uniformity
-  against any fixed span such an arrival is dependent with probability
-  (q^rank - 1)/(q^k - 1); the engine samples that Bernoulli from a
-  run-level stream instead of eliminating coefficient vectors. (A guarded
-  arrival landing after tail packets already raised the rank could in
-  truth be dependent, at odds ~q^(rank-k); the shortcut ignores that.)
+  transmit side is systematic: a generation's first k emissions are its
+  source packets, with unit coefficient vectors, so each of them that
+  arrives adds one rank. Later emissions are uniform nonzero vectors, and
+  by uniformity against any fixed span such an arrival is dependent with
+  probability (q^rank - 1)/(q^k - 1); the engine samples that Bernoulli
+  from a run-level stream instead of eliminating coefficient vectors. (A
+  source packet landing after tail packets already raised the rank could
+  in truth be dependent, at odds ~q^(rank-k); the shortcut ignores that.)
   Byte counts use the padded wire size, and the codec's real elimination
   path has its own tests.
 - Static events skip the heap. Frame arrivals and display deadlines are
@@ -124,15 +124,15 @@ class _GenState(GenerationPlan):
     __slots__ = ("frame", "nalu_slot", "is_base", "rank_ts", "complete_at",
                  "last_arrival", "seq")
 
-    def __init__(self, gen_id, k, path, n_initial, deadline, frame, nalu_slot, is_base):
-        super().__init__(gen_id, k, path, n_initial, deadline)
+    def __init__(self, gen_id, k, n_initial, deadline, frame, nalu_slot, is_base):
+        super().__init__(gen_id, k, n_initial, deadline)
         self.frame = frame  # frame index, not the _FrameState: no cycle
         self.nalu_slot = nalu_slot
         self.is_base = is_base
         self.rank_ts: List[float] = []  # rank_ts[i]: when the rank reached i + 1
         self.complete_at: Optional[float] = None
         self.last_arrival = -1.0
-        self.seq = 0  # emissions so far; the first k are guarded
+        self.seq = 0  # emissions so far; the first k are source packets
 
 
 def _in_time(g: _GenState) -> bool:
@@ -453,7 +453,7 @@ class _Engine:
         rank = len(ts)
         if rank < k:
             if emission < k:
-                advanced = True  # guarded draw: independent by construction
+                advanced = True  # source packet: independent by construction
             else:
                 p = self._dep_probs(k)[rank]
                 advanced = p == 0.0 or self._rank_rng.random() >= p
@@ -518,7 +518,7 @@ class _Engine:
         nc = cfg.nc_fec
         m = ue.metrics
         for nalu_slot, is_base, k in plan.gens:
-            g = _GenState(self._next_gen_id, k, path, initial_burst_size(k, path, nc),
+            g = _GenState(self._next_gen_id, k, initial_burst_size(k, path, nc),
                           fr.deadline, f, nalu_slot, is_base)
             self._next_gen_id += 1
             fr.gens.append(g)

@@ -15,17 +15,15 @@ from __future__ import annotations
 
 class PlayoutBuffer:
     __slots__ = ("start_time", "fps", "capacity", "_pending", "_next_display",
-                 "_last_admitted", "played", "skipped")
+                 "_last_admitted")
 
     def __init__(self, start_time: float, fps: float = 50.0, capacity: int = 25):
         self.start_time = start_time
         self.fps = fps
         self.capacity = capacity
-        self._pending = {}
+        self._pending = set()  # admitted, not yet displayed
         self._next_display = 0
         self._last_admitted = -1
-        self.played = 0
-        self.skipped = 0
 
     def deadline(self, frame_idx: int) -> float:
         return self.start_time + frame_idx / self.fps
@@ -42,14 +40,11 @@ class PlayoutBuffer:
             raise ValueError(f"frame {frame_idx} admitted past its deadline")
         if len(self._pending) >= self.capacity:
             raise OverflowError(f"playout buffer full ({self.capacity} frames)")
-        self._pending[frame_idx] = t
+        self._pending.add(frame_idx)
         self._last_admitted = frame_idx
 
     def step(self, now: float) -> None:
-        """Advance the display clock, counting each due frame played or skipped."""
+        """Advance the display clock past every due frame, freeing its slot."""
         while self.deadline(self._next_display) <= now:
-            if self._pending.pop(self._next_display, None) is None:
-                self.skipped += 1
-            else:
-                self.played += 1
+            self._pending.discard(self._next_display)
             self._next_display += 1

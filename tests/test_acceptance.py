@@ -172,7 +172,7 @@ def test_criterion_4_redundancy_constants():
     worst = 0
     for i in range(1_000_000):
         k = rng.randrange(1, 101)
-        plan = GenerationPlan(gen_id=i, k=k, path=MMWAVE,
+        plan = GenerationPlan(gen_id=i, k=k,
                               n_initial=initial_burst_size(k, MMWAVE, True),
                               deadline=1e9)
         while not (plan.delivered or plan.failed):

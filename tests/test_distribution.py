@@ -93,7 +93,7 @@ def test_dispatch_emits_initial_burst():
     gen = Generation(5, FieldSpec(4), 40, 8)
     enc = Encoder(gen, seed=9)
     plan, packets = dispatch_generation(gen, MMWAVE, deadline=1.0, encoder=enc)
-    assert plan.gen_id == 5 and plan.k == 40 and plan.path == MMWAVE
+    assert plan.gen_id == 5 and plan.k == 40
     assert plan.n_initial == 48 and len(packets) == 48
     assert all(p.attempt == 0 for p in packets)
     assert plan.attempts_used == 0 and not plan.delivered and not plan.failed
@@ -160,7 +160,7 @@ def test_attempts_never_exceed_budget_under_random_reports():
     rng = random.Random(67)
     for _ in range(5000):
         k = rng.randrange(1, 101)
-        plan = GenerationPlan(gen_id=0, k=k, path=MMWAVE,
+        plan = GenerationPlan(gen_id=0, k=k,
                               n_initial=initial_burst_size(k, MMWAVE, True),
                               deadline=10.0)
         now = 0.0

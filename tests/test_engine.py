@@ -8,7 +8,6 @@ import math
 
 import pytest
 
-from mcnc.channel import MMWAVE
 from mcnc.sim import engine
 from mcnc.sim.config import SimConfig, grid_cells
 from mcnc.sim.engine import TraceError, run
@@ -248,7 +247,7 @@ def test_static_event_wins_a_tie_with_a_dynamic_one():
     eng = engine._Engine(cfg, 1, plans, n_frames, log)
     first_frame = eng._static[-1]
     assert first_frame[1] == engine._FRAME
-    done = engine._GenState(-1, 1, MMWAVE, 1, math.inf, 0, 0, True)
+    done = engine._GenState(-1, 1, 1, math.inf, 0, 0, True)
     done.complete_at = 0.0
     eng._push(first_frame[0], engine._GIVEUP, 0, done)
     eng.run()

@@ -8,10 +8,10 @@ changes behaviour would still pass it. This test pins the sha256 of the
 p95 latency), so any drift in the channel, coding, distribution or video
 layers shows up here. The events-log digest pins the engine's dispatch
 order itself: every event of the 16 cells at one seed, with its time, kind
-and argument. The codec digest pins the real payload codec the
-simulator never runs: guarded emissions, their wire bytes, every decoder
-step and the recovered payloads. An intentional behaviour change re-pins
-the affected value and says why in CHANGES.md.
+and argument. The codec digest pins the real payload codec the simulator
+never runs: systematic ("guarded") emissions, their wire bytes, every
+decoder step and the recovered payloads. An intentional behaviour change
+re-pins the affected value and says why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from mcnc.sim.results import emit_results
 RESULTS_CSV_SHA256 = "bd1d0883708f5ef4bf4e2b9cad3079f183984ae9fb9c451596f6ccaa1090f4c4"
 REPORTS_SHA256 = "639d7bffbe6f927c4101723bda64eb281a2edecc6c5a9e1b4e024f19452fe4e3"
 EVENTS_LOG_SHA256 = "cff0197ba57a5bfa7362a003cfb47015f563ae9fd83897c9a40f1e86adad3fa0"
-CODEC_SHA256 = "b2b7200eda086ff425cf662c7848693938f5c1aff1e3a906fa72f1187dc3aae2"
+CODEC_SHA256 = "0e2eb0d45d73e7611a6e2fe8ea94c48c7784db908f0b39fff30dd75285f8cbd8"
 
 
 def test_golden_digest(tmp_path):

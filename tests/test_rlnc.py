@@ -114,6 +114,23 @@ def test_guarded_tail_never_emits_zero_vector():
         assert any(coeffs)
 
 
+def test_guarded_prefix_is_the_source_packets():
+    # emission i < k carries e_i and source payload i, so a loss-free
+    # delivery of the first k decodes with no row operation
+    rng = random.Random(5)
+    for m, k in ((4, 1), (4, 40), (8, 100), (1, 16)):
+        gen, data = _random_generation(rng, FieldSpec(m), k)
+        enc = Encoder(gen, seed=rng.randrange(2**32), mode="guarded")
+        dec = DecoderState(gen)
+        unit = np.eye(k, dtype=np.uint8).tolist()
+        for i, pkt in enumerate(enc.burst(k)):
+            assert pkt.coeffs == tuple(unit[i])
+            assert pkt.payload == gen.payloads[i]
+            assert dec.consume(pkt) == 1
+        assert dec.delivered and dec.row_ops == 0
+        assert b"".join(dec.extract()) == data
+
+
 def test_unknown_mode_rejected():
     rng = random.Random(1)
     gen, _ = _random_generation(rng, GF16, 2)
