@@ -58,6 +58,10 @@ class TxOutcome(NamedTuple):
     send_start: float
 
 
+# builds a TxOutcome from a tuple without the generated __new__, as _make does
+_new = tuple.__new__
+
+
 class LinkModel:
     """One directed radio link with its own fading trajectory and FIFO."""
 
@@ -66,6 +70,7 @@ class LinkModel:
         "sojourn_s", "snr_mean_db", "snr_sigma_db", "shadow_corr_s",
         "loss_prob", "outage_threshold_db", "attempts_allowed",
         "retx_delay_s", "modes", "snrs_db", "inv_step", "busy_until", "rng",
+        "_rate_step", "_rate",
     )
 
     def __init__(
@@ -113,6 +118,9 @@ class LinkModel:
         self.snrs_db = [snr]
         self.inv_step = 0.0
         self.busy_until = 0.0
+        # the Shannon rate of the step last transmitted on, and that step
+        self._rate_step = -1
+        self._rate = 0.0
 
     @classmethod
     def lte(
@@ -185,6 +193,7 @@ class LinkModel:
         self.modes = mode.tolist()
         self.snrs_db = (means + self.snr_sigma_db * x).tolist()
         self.inv_step = 1.0 / step_s
+        self._rate_step = -1
 
     # -- state lookup --------------------------------------------------
 
@@ -223,28 +232,33 @@ class LinkModel:
         abstracted, not re-serialized). In outage the packet is dropped
         without consuming airtime.
         """
-        send_start = now if now > self.busy_until else self.busy_until
-        snrs = self.snrs_db
+        busy = self.busy_until
+        send_start = now if now > busy else busy
         i = int(send_start * self.inv_step)
-        if i >= len(snrs):
-            i = len(snrs) - 1
-        snr = snrs[i]
-        if snr < self.outage_threshold_db:
-            return TxOutcome(False, 0.0, 0, now)
-        rate = self.efficiency * self.bandwidth_hz * math.log2(1.0 + 10.0 ** (snr / 10.0))
-        serialization = size_bytes * 8.0 / rate
-        self.busy_until = send_start + serialization
+        # a state holds for a whole step, and so does its rate: the cached
+        # step is one a packet last went out on, so it is not in outage
+        if i == self._rate_step:
+            rate = self._rate
+        else:
+            snrs = self.snrs_db
+            if i >= len(snrs):
+                i = len(snrs) - 1
+            snr = snrs[i]
+            if snr < self.outage_threshold_db:
+                return _new(TxOutcome, (False, 0.0, 0, now))
+            rate = self.efficiency * self.bandwidth_hz * math.log2(1.0 + 10.0 ** (snr / 10.0))
+            self._rate_step = i
+            self._rate = rate
+        busy = send_start + size_bytes * 8.0 / rate
+        self.busy_until = busy
         p = self.loss_prob[self.modes[i]]
-        attempts = 0
-        rng = self.rng
-        while attempts < self.attempts_allowed:
-            attempts += 1
-            if p == 0.0 or rng.random() >= p:
-                deliver_at = (
-                    send_start
-                    + serialization
-                    + self.base_delay_s
-                    + (attempts - 1) * self.retx_delay_s
-                )
-                return TxOutcome(True, deliver_at, attempts, send_start)
-        return TxOutcome(False, 0.0, attempts, send_start)
+        attempts = 1
+        if p != 0.0:
+            draw = self.rng.random
+            allowed = self.attempts_allowed
+            while draw() < p:
+                if attempts == allowed:
+                    return _new(TxOutcome, (False, 0.0, attempts, send_start))
+                attempts += 1
+        deliver_at = busy + self.base_delay_s + (attempts - 1) * self.retx_delay_s
+        return _new(TxOutcome, (True, deliver_at, attempts, send_start))

@@ -30,6 +30,16 @@ PROFILES: Dict[str, Tuple[int, int]] = {
 #: most frames, channel states or feedback states the engine may build per receiver
 MAX_GRID_STATES = 10**7
 
+#: widest SNR mean or outage threshold, and widest shadowing spread, in dB.
+#: The link rate takes log2(1 + 10**(snr/10)): that overflows float64 above
+#: about 3083 dB and rounds to zero below about -156 dB, where no packet
+#: could be serialized. A link computes a rate only at or above the outage
+#: threshold, and a shadowing draw would have to lie 58 spreads off its
+#: mean to reach the overflow, so within these bounds every rate is
+#: positive and finite.
+SNR_LIMIT_DB = 150.0
+SNR_SIGMA_LIMIT_DB = 50.0
+
 ERROR_CONTROL_LABELS = ("none", "ran_retx", "nc_fec", "ran_retx+nc_fec")
 CONNECTIVITY_LABELS = ("mmwave_only", "multi")
 
@@ -183,6 +193,14 @@ class SimConfig:
             raise ConfigError("retx_overshoot must be at least 1.0")
         if not 0.0 < self.efficiency <= 1.0:
             raise ConfigError("efficiency must lie in (0, 1]")
+        for name in ("mmwave_snr_los_db", "mmwave_snr_nlos_db", "lte_snr_db",
+                     "outage_threshold_db"):
+            if not abs(getattr(self, name)) <= SNR_LIMIT_DB:
+                raise ConfigError("%s must lie in [-%g, %g] dB"
+                                  % (name, SNR_LIMIT_DB, SNR_LIMIT_DB))
+        if not 0.0 <= self.mmwave_snr_sigma_db <= SNR_SIGMA_LIMIT_DB:
+            raise ConfigError("mmwave_snr_sigma_db must lie in [0, %g] dB"
+                              % SNR_SIGMA_LIMIT_DB)
         for name in (
             "backhaul_delay_s",
             "stagger_step_s",

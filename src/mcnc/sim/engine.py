@@ -25,6 +25,11 @@ of wall clock without changing observable behavior:
   completion event read that timeline instead of per-packet events. A
   retried packet can overlap a later burst by a few milliseconds; the
   timeline clamps such arrivals to keep rank monotone in time.
+- The send path stays per packet, with the counting and the rate done
+  in bulk. Each packet of a burst still goes through
+  ``LinkModel.transmit`` on its own, but the burst is counted once
+  (``UEMetrics.count_burst``), its survivors feed the rank timeline in
+  one pass, and each link computes its rate once per channel step.
 - Feedback is pulled, not evented. Receiver reports live on a fixed grid
   and ride one feedback link: LTE with multi connectivity, else the mmWave
   uplink. That link presamples per-report survival
@@ -420,53 +425,61 @@ class _Engine:
 
     def _send_burst(self, ue: _UEState, g: _GenState, n: int, path: str,
                     now: float) -> float:
-        """Send n packets of g on path; returns when the burst has settled."""
-        cfg = self.cfg
+        """Send n packets of g on path; returns when the burst has settled.
+
+        Each surviving packet feeds the receiver's rank timeline in arrival
+        order. A source packet (emission < k) adds one rank; a tail packet
+        adds one unless the Bernoulli draw says it is dependent. An arrival
+        that lands before the rank last rose is clamped to that time, so
+        the timeline stays monotone.
+        """
         first = g.seq
         g.seq += n
         nbytes = self._wire(g.k)
-        metrics = ue.metrics
-        backhaul = cfg.backhaul_delay_s
-        survivors = []
-        est = now
+        backhaul = self.cfg.backhaul_delay_s
         link = ue.mm if path == MMWAVE else ue.lte
+        transmit = link.transmit
+        survivors = []
         for emission in range(first, first + n):
-            out = link.transmit(nbytes, now)
-            metrics.count_packet(path, out.delivered)
+            out = transmit(nbytes, now)
             if out.delivered:
-                arr = out.deliver_at + backhaul
-                survivors.append((arr, emission))
-                if arr > est:
-                    est = arr
-        tail = link.busy_until + link.base_delay_s + backhaul
-        if tail > est:
-            est = tail
-        if survivors:
-            survivors.sort()
-            for arr, emission in survivors:
-                self._feed(ue, g, arr, emission)
-        return est
-
-    def _feed(self, ue: _UEState, g: _GenState, arrival: float, emission: int):
+                survivors.append((out.deliver_at + backhaul, emission))
+        ue.metrics.count_burst(path, n, len(survivors))
+        est = link.busy_until + link.base_delay_s + backhaul
+        if now > est:
+            est = now
+        if not survivors:
+            return est
+        survivors.sort()
+        if survivors[-1][0] > est:
+            est = survivors[-1][0]
         k = g.k
         ts = g.rank_ts
         rank = len(ts)
-        if rank < k:
-            if emission < k:
-                advanced = True  # source packet: independent by construction
-            else:
-                p = self._dep_probs(k)[rank]
-                advanced = p == 0.0 or self._rank_rng.random() >= p
-            if advanced:
-                if ts and arrival < ts[-1]:
-                    arrival = ts[-1]
-                ts.append(arrival)
-                if rank + 1 == k:
-                    g.complete_at = arrival
-                    ue.metrics.generations_delivered += 1
-                    self._push(arrival, _DONE, ue.idx, g)
-        if arrival > g.last_arrival:
-            g.last_arrival = arrival
+        probs = None
+        last = g.last_arrival
+        for arrival, emission in survivors:
+            if rank < k:
+                if emission < k:
+                    advanced = True  # source packet: independent by construction
+                else:
+                    if probs is None:
+                        probs = self._dep_probs(k)
+                    p = probs[rank]
+                    advanced = p == 0.0 or self._rank_rng.random() >= p
+                if advanced:
+                    if rank and arrival < ts[-1]:
+                        arrival = ts[-1]
+                    ts.append(arrival)
+                    rank += 1
+                    if rank == k:
+                        g.complete_at = arrival
+                        ue.metrics.generations_delivered += 1
+                        self._push(arrival, _DONE, ue.idx, g)
+            if arrival > last:
+                last = arrival
+        g.last_arrival = last
+        return est
 
     def _arm_giveup(self, ue: _UEState, g: _GenState, now: float):
         # receiver-side skip timer for planless operation; with reactive

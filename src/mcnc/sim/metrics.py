@@ -99,10 +99,17 @@ class UEMetrics:
         # accumulation noise must not push the mean past the sentinel cap
         return min(self.psnr_sum_db / self.frames_total, PSNR_CAP_DB)
 
-    def count_packet(self, path: str, delivered: bool) -> None:
-        self.packets_sent[path] = self.packets_sent.get(path, 0) + 1
-        bucket = self.packets_delivered if delivered else self.packets_dropped
-        bucket[path] = bucket.get(path, 0) + 1
+    def count_burst(self, path: str, sent: int, delivered: int) -> None:
+        """Count ``sent`` packets on ``path``, ``delivered`` of them through.
+
+        A path enters a counter only with a nonzero count: the counters
+        reach ``to_dict``, so a zero entry would change the report.
+        """
+        for bucket, n in ((self.packets_sent, sent),
+                          (self.packets_delivered, delivered),
+                          (self.packets_dropped, sent - delivered)):
+            if n:
+                bucket[path] = bucket.get(path, 0) + n
 
 
 @dataclass

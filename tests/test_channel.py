@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from mcnc.channel import LOS, LTE, MMWAVE, NLOS, LinkModel
+from mcnc.channel import LOS, LTE, MMWAVE, NLOS, LinkModel, TxOutcome
 
 
 def _los_link(**kw):
@@ -206,6 +206,80 @@ def test_loss_probability_tracks_mode():
     for i in range(0, 2000, 7):
         out = link.transmit(100, now=(i + 0.5) * 0.01)
         assert out.delivered == (modes[i] == LOS)
+
+
+def _reference_transmit(link, size_bytes, now):
+    """``LinkModel.transmit`` as it was before the per-step rate cache."""
+    send_start = now if now > link.busy_until else link.busy_until
+    snrs = link.snrs_db
+    i = int(send_start * link.inv_step)
+    if i >= len(snrs):
+        i = len(snrs) - 1
+    snr = snrs[i]
+    if snr < link.outage_threshold_db:
+        return TxOutcome(False, 0.0, 0, now)
+    rate = link.efficiency * link.bandwidth_hz * math.log2(1.0 + 10.0 ** (snr / 10.0))
+    serialization = size_bytes * 8.0 / rate
+    link.busy_until = send_start + serialization
+    p = link.loss_prob[link.modes[i]]
+    attempts = 0
+    rng = link.rng
+    while attempts < link.attempts_allowed:
+        attempts += 1
+        if p == 0.0 or rng.random() >= p:
+            deliver_at = (
+                send_start
+                + serialization
+                + link.base_delay_s
+                + (attempts - 1) * link.retx_delay_s
+            )
+            return TxOutcome(True, deliver_at, attempts, send_start)
+    return TxOutcome(False, 0.0, attempts, send_start)
+
+
+def _bursts(seed, start, end):
+    """(size, now) calls: bursts of a few packets, enough for a 2 MHz link
+    that most of them queue across a step boundary."""
+    rng = random.Random(seed)
+    calls = []
+    t = start
+    while t < end:
+        calls += [(rng.choice((200, 1000, 3000)), t) for _ in range(rng.randint(1, 6))]
+        t += rng.uniform(0.002, 0.015)
+    return calls
+
+
+_SHADOWED = dict(bandwidth_hz=2e6, sojourn_s=(0.3, 0.2), snr_mean_db=(20.0, -2.0),
+                 snr_sigma_db=4.0, shadow_corr_s=0.05, loss_prob=(0.1, 0.5))
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: LinkModel(rng=rng, **_SHADOWED),
+    lambda rng: LinkModel.lte(bandwidth_hz=2e6, snr_db=10.0, loss_prob=0.2, rng=rng),
+    lambda rng: LinkModel(rng=rng, **{**_SHADOWED, "loss_prob": (0.0, 0.0)}),
+    lambda rng: LinkModel(rng=rng, ran_retx=False, **_SHADOWED),
+], ids=["mmwave", "lte", "lossless", "no_retx"])
+def test_transmit_matches_the_reference(make):
+    link = make(random.Random(41))
+    ref = make(random.Random(41))
+    # round one on a 3 s trajectory, ending with a lone packet at 2.9 s;
+    # round two re-presamples a 6 s trajectory and starts in that same
+    # step, then runs a packet past the trajectory's end
+    rounds = [(300, 5, _bursts(43, 0.0, 2.5) + [(1000, 2.9)]),
+              (600, 6, [(1000, 2.9)] + _bursts(47, 2.9, 5.4) + [(1000, 8.0)])]
+    outage = 0
+    for n_steps, seed, calls in rounds:
+        for each in (link, ref):
+            each.presample(n_steps, 0.01, np.random.default_rng(seed))
+        for size, now in calls:
+            got = link.transmit(size, now)
+            want = _reference_transmit(ref, size, now)
+            assert tuple(got) == tuple(want), (size, now)
+            assert link.busy_until == ref.busy_until
+            assert link.rng.getstate() == ref.rng.getstate()
+            outage += want.attempts == 0
+    if link.kind == MMWAVE:
+        assert outage > 0, "the mmWave rounds must meet outage"
 
 
 def test_lte_factory_is_static():

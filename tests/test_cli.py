@@ -95,6 +95,11 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "v")]) == 2
     bad.write_text("[DEFAULT]\nn_ues = 3\n", encoding="utf-8")
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "u")]) == 2
+    # values the run would otherwise overflow on, in the link rate
+    bad.write_text("[channel.lte]\nsnr_db = 4000\n", encoding="utf-8")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "t")]) == 2
+    bad.write_text("[channel.mmwave]\nsnr_sigma_db = 1e300\n", encoding="utf-8")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "s")]) == 2
     assert main(["run", "--out", str(tmp_path / "z"), "--workers", "0"]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err

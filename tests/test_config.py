@@ -104,6 +104,14 @@ def test_labels():
         ("duration_s", math.inf),
         ("stagger_step_s", math.inf),
         ("fps", 1e9),
+        # the link rate log2(1 + 10**(snr/10)) overflows, or rounds to zero
+        ("mmwave_snr_los_db", 4000.0),
+        ("mmwave_snr_nlos_db", -math.inf),
+        ("lte_snr_db", 4000.0),
+        ("lte_snr_db", -400.0),
+        ("outage_threshold_db", -1000.0),
+        ("mmwave_snr_sigma_db", 1e300),
+        ("mmwave_snr_sigma_db", -1.0),
     ],
 )
 def test_validation_rejects(field, value):

@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from mcnc.channel import LTE, MMWAVE, LinkModel
 from mcnc.sim import engine
 from mcnc.sim.config import SimConfig, grid_cells
 from mcnc.sim.engine import TraceError, run
@@ -209,14 +210,41 @@ def test_run_input_caches_stay_bounded():
 
 
 def test_broken_packet_count_fails_the_run(monkeypatch):
-    def count_sent_twice(self, path, delivered):
-        real_count(self, path, delivered)
+    def count_sent_twice(self, path, sent, delivered):
+        real_count(self, path, sent, delivered)
         self.packets_sent[path] += 1
 
-    real_count = UEMetrics.count_packet
-    monkeypatch.setattr(UEMetrics, "count_packet", count_sent_twice)
+    real_count = UEMetrics.count_burst
+    monkeypatch.setattr(UEMetrics, "count_burst", count_sent_twice)
     with pytest.raises(RuntimeError, match="conservation violated: path"):
         run(dataclasses.replace(BASE, duration_s=0.5), seed=1)
+
+
+def test_every_packet_is_one_transmit_call(monkeypatch):
+    # the benchmark counts transmit calls and outcomes per link through a
+    # wrapper like this one, so the engine must push each packet through
+    # LinkModel.transmit on its own; the report's per-path counts must match
+    calls = {MMWAVE: 0, LTE: 0}
+    delivered = {MMWAVE: 0, LTE: 0}
+    real_transmit = LinkModel.transmit
+
+    def counting_transmit(self, size_bytes, now):
+        out = real_transmit(self, size_bytes, now)
+        calls[self.kind] += 1
+        delivered[self.kind] += out.delivered
+        return out
+
+    monkeypatch.setattr(LinkModel, "transmit", counting_transmit)
+    cfg = dataclasses.replace(BASE, multi_connectivity=True, nc_fec=True)
+    totals = run(cfg, seed=3).packet_totals()
+    assert calls[MMWAVE] > 0 and calls[LTE] > 0, "the cell must use both links"
+    for kind in (MMWAVE, LTE):
+        sent = totals["sent"].get(kind, 0)
+        got = totals["delivered"].get(kind, 0)
+        assert sent == calls[kind], (
+            "%s: %d packets sent but %d transmit calls" % (kind, sent, calls[kind]))
+        assert got == delivered[kind], (
+            "%s: %d packets delivered but %d delivered outcomes" % (kind, got, delivered[kind]))
 
 
 def test_short_trace_rejected(tmp_path):

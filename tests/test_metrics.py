@@ -103,16 +103,26 @@ def test_report_pools_ues():
 
 def test_packet_counting_and_conservation():
     u = _ue()
-    for _ in range(5):
-        u.count_packet("mmwave", delivered=True)
-    u.count_packet("mmwave", delivered=False)
-    u.count_packet("lte", delivered=True)
+    u.count_burst("mmwave", sent=4, delivered=4)
+    u.count_burst("mmwave", sent=2, delivered=1)
+    u.count_burst("lte", sent=1, delivered=1)
     report = MetricsReport(seed=0, duration_s=1.0, per_ue=[u])
     totals = report.packet_totals()
     assert totals["sent"] == {"mmwave": 6, "lte": 1}
     assert totals["delivered"] == {"mmwave": 5, "lte": 1}
     assert totals["dropped"] == {"mmwave": 1}
     assert check_conservation(report) is None
+
+
+def test_burst_counts_make_no_zero_entries():
+    # the counters reach to_dict: a path with nothing to count stays out
+    u = _ue()
+    u.count_burst("lte", sent=3, delivered=3)
+    u.count_burst("mmwave", sent=2, delivered=0)
+    u.count_burst("mmwave", sent=0, delivered=0)
+    assert u.packets_sent == {"lte": 3, "mmwave": 2}
+    assert u.packets_delivered == {"lte": 3}
+    assert u.packets_dropped == {"mmwave": 2}
 
 
 def test_conservation_flags_violations():

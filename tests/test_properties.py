@@ -149,6 +149,11 @@ _BREAKS = st.one_of(
     st.sampled_from(("mmwave_bandwidth_hz", "lte_bandwidth_hz", "mmwave_sojourn_los_s",
                      "mmwave_sojourn_nlos_s")).flatmap(
         lambda name: _set(name, _floats(-1e9, 0.0))),
+    # SNRs whose link rate would overflow, or round to zero above the threshold
+    st.sampled_from(("mmwave_snr_los_db", "mmwave_snr_nlos_db", "lte_snr_db",
+                     "outage_threshold_db")).flatmap(
+        lambda name: _set(name, _floats(-1e300, -150.001) | _floats(150.001, 1e300))),
+    _set("mmwave_snr_sigma_db", _negative() | _floats(50.001, 1e300)),
     st.just({"trace_file": "/no/such.trace"}),
     st.sampled_from(_FLOAT_FIELDS).map(lambda name: {name: math.nan}),
     # more frames, or more presampled states, than a receiver may hold
