@@ -27,7 +27,8 @@ PROFILES: Dict[str, Tuple[int, int]] = {
     "HC": (100, 8),
 }
 
-#: most frames, channel states or feedback states the engine may build per receiver
+#: most frames, channel states and feedback states the engine may build,
+#: summed over every receiver of a run
 MAX_GRID_STATES = 10**7
 
 #: widest SNR mean or outage threshold, and widest shadowing spread, in dB.
@@ -39,6 +40,19 @@ MAX_GRID_STATES = 10**7
 #: positive and finite.
 SNR_LIMIT_DB = 150.0
 SNR_SIGMA_LIMIT_DB = 50.0
+
+#: slowest link rate a run may meet, in bit/s: efficiency x bandwidth x
+#: log2(1 + 10**(outage_threshold_db/10)), the LTE bandwidth being split
+#: among receivers. A link's busy time sums every serialization it makes.
+#: At a bit per second or more that sum, in seconds, stays below the bits
+#: a run sends; a subnormal rate makes even one packet's time infinite.
+MIN_LINK_RATE_BPS = 1.0
+
+#: most top-up packets per missing degree of freedom, and most link-layer
+#: attempts per packet: they scale the packets a top-up round sends and the
+#: loss draws a packet may take, so an unbounded value never finishes
+MAX_RETX_OVERSHOOT = 10.0
+MAX_RAN_ATTEMPTS = 16
 
 ERROR_CONTROL_LABELS = ("none", "ran_retx", "nc_fec", "ran_retx+nc_fec")
 CONNECTIVITY_LABELS = ("mmwave_only", "multi")
@@ -187,10 +201,10 @@ class SimConfig:
                 raise ConfigError(
                     "channel_step_s must be an integer multiple of feedback_interval_s"
                 )
-        if self.ran_max_attempts < 1:
-            raise ConfigError("ran_max_attempts must be at least 1")
-        if self.retx_overshoot < 1.0:
-            raise ConfigError("retx_overshoot must be at least 1.0")
+        if not 1 <= self.ran_max_attempts <= MAX_RAN_ATTEMPTS:
+            raise ConfigError("ran_max_attempts must lie in [1, %d]" % MAX_RAN_ATTEMPTS)
+        if not 1.0 <= self.retx_overshoot <= MAX_RETX_OVERSHOOT:
+            raise ConfigError("retx_overshoot must lie in [1, %g]" % MAX_RETX_OVERSHOOT)
         if not 0.0 < self.efficiency <= 1.0:
             raise ConfigError("efficiency must lie in (0, 1]")
         for name in ("mmwave_snr_los_db", "mmwave_snr_nlos_db", "lte_snr_db",
@@ -227,26 +241,29 @@ class SimConfig:
                 raise ConfigError("%s must be a probability" % name)
         if self.mmwave_bandwidth_hz <= 0 or self.lte_bandwidth_hz <= 0:
             raise ConfigError("bandwidths must be positive")
+        slowest = (self.efficiency * min(self.mmwave_bandwidth_hz,
+                                         self.lte_bandwidth_hz / self.n_ues)
+                   * math.log2(1.0 + 10.0 ** (self.outage_threshold_db / 10.0)))
+        if not slowest >= MIN_LINK_RATE_BPS:
+            raise ConfigError(
+                "slowest link rate efficiency x bandwidth x log2(1 + 10^(outage_"
+                "threshold_db/10)) is %.3g bit/s, below %g bit/s"
+                % (slowest, MIN_LINK_RATE_BPS))
         if self.mmwave_sojourn_los_s <= 0 or self.mmwave_sojourn_nlos_s <= 0:
             raise ConfigError("sojourn times must be positive")
         if self.trace_file and not os.path.isfile(self.trace_file):
             raise ConfigError("trace_file does not exist: %r" % self.trace_file)
         if not math.isfinite(self.duration_s * self.fps):
             raise ConfigError("duration_s * fps must be finite")
-        if self.frame_count() > MAX_GRID_STATES:
-            raise ConfigError(
-                "duration_s * fps = %d frames per receiver, more than %d"
-                % (self.frame_count(), MAX_GRID_STATES)
-            )
         end_s = self.session_end_s()
-        for name in ("channel_step_s", "feedback_interval_s"):
-            states = end_s / getattr(self, name) + 2
-            if not states <= MAX_GRID_STATES:
-                raise ConfigError(
-                    "%s=%g over a %g s session needs %.3g presampled states per "
-                    "receiver, more than %d" % (name, getattr(self, name), end_s,
-                                                 states, MAX_GRID_STATES)
-                )
+        # the engine builds end_s / step + 2 states on each grid, per receiver
+        per_ue = (end_s / self.channel_step_s + end_s / self.feedback_interval_s + 4
+                  + self.frame_count())
+        if not self.n_ues * per_ue <= MAX_GRID_STATES:
+            raise ConfigError(
+                "%d receivers x (channel steps + feedback reports + frames) over a "
+                "%g s session need %.3g presampled states, more than %d"
+                % (self.n_ues, end_s, self.n_ues * per_ue, MAX_GRID_STATES))
 
 
 #: INI section -> the SimConfig fields it holds. A field's key is its name,

@@ -3,14 +3,18 @@
 One run couples the layers end to end. Trace frames are cut into
 generations at the sender (one NALU never shares a generation with
 another), coded bursts ride the per-receiver radio links, feedback steers
-path choice and top-up rounds, and an in-order consumer hands complete
-frames to the playout buffer, which plays or skips them on a hard display
-clock. With multi-connectivity disabled everything rides mmWave. Without
-FEC a generation gets its k packets once and a shortfall is final: the
-receiver's give-up timer or the display clock resolves it. Everything is
-deterministic given (config, seed): every random stream is split off the
-master seed with a distinct label. Each generation is one record: the
-sender's ``GenerationPlan`` extended with the receiver's rank timeline.
+path choice and top-up rounds, and an in-order consumer, the only model
+of admission, takes complete frames on a hard display clock: a frame
+unresolved at its deadline is lost for good. No more than
+``playout_buffer_frames`` frames are ever admitted but undisplayed, with
+no check needed: admission cannot precede arrival, and no frame arrives
+earlier than one buffer depth before its deadline. With multi-connectivity
+disabled everything rides mmWave. Without FEC a generation gets its k
+packets once and a shortfall is final: the receiver's give-up timer or the
+display clock resolves it. Everything is deterministic given (config,
+seed): every random stream is split off the master seed with a distinct
+label. Each generation is one record: the sender's ``GenerationPlan``
+extended with the receiver's rank timeline.
 
 Scale choices, made so a 60 s five-receiver session stays under a second
 of wall clock without changing observable behavior:
@@ -318,11 +322,8 @@ class _Engine:
         ue.frames = [None] * self.n_frames
         ue.decode_memo = set()  # frames found decodable; they stay so
         ue.ptr = 0
-        ue.buffer = PlayoutBuffer(
-            ue.stream_start + cfg.backhaul_delay_s + buffer_depth,
-            fps=cfg.fps,
-            capacity=cfg.playout_buffer_frames,
-        )
+        ue.buffer = PlayoutBuffer(ue.stream_start + cfg.backhaul_delay_s + buffer_depth,
+                                  fps=cfg.fps)
         ue.metrics.feedback_sent = self.n_reports
         ue.metrics.feedback_lost = int(np.count_nonzero(~ue.fb_ok))
         return ue
@@ -596,7 +597,6 @@ class _Engine:
                 continue
             if fr.base_left == 0:
                 if now <= fr.deadline:
-                    ue.buffer.admit(ptr, now)
                     fr.consumed_at = now
                 else:
                     fr.lost = True
@@ -620,12 +620,11 @@ class _Engine:
     def _on_deadline(self, ue: _UEState, f: int, now: float):
         fr = ue.frames[f]
         if ue.ptr == f:
-            # still unresolved at display time: a hard loss
-            if fr.consumed_at is None and not fr.lost:
-                fr.lost = True
+            # the pointer only rests on a frame that exists, is not lost and
+            # still waits for a base generation: at display time, a hard loss
+            fr.lost = True
             ue.ptr = f + 1
             self._try_advance(ue, now)
-        ue.buffer.step(now)
 
         m = ue.metrics
         m.frames_total += 1

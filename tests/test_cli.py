@@ -100,6 +100,21 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "t")]) == 2
     bad.write_text("[channel.mmwave]\nsnr_sigma_db = 1e300\n", encoding="utf-8")
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "s")]) == 2
+    # a link rate too slow to serialize a packet in finite time
+    bad.write_text("[channel.mmwave]\nbandwidth_hz = 1e-320\n", encoding="utf-8")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "r")]) == 2
+    bad.write_text("[channel]\nefficiency = 1e-320\n", encoding="utf-8")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "q")]) == 2
+    # retry multipliers that overflow or never finish
+    bad.write_text("[distribution]\nretx_overshoot = inf\n", encoding="utf-8")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "p")]) == 2
+    bad.write_text("[distribution]\nretx_overshoot = 1e300\n", encoding="utf-8")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    bad.write_text("[channel]\nran_max_attempts = 1000000000\n", encoding="utf-8")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "n")]) == 2
+    # too much presampled state across receivers
+    bad.write_text("[sim]\nn_ues = 1000\n", encoding="utf-8")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "m")]) == 2
     assert main(["run", "--out", str(tmp_path / "z"), "--workers", "0"]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err

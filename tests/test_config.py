@@ -112,6 +112,19 @@ def test_labels():
         ("outage_threshold_db", -1000.0),
         ("mmwave_snr_sigma_db", 1e300),
         ("mmwave_snr_sigma_db", -1.0),
+        # a subnormal link rate serializes a packet for an infinite time
+        ("mmwave_bandwidth_hz", 1e-320),
+        ("lte_bandwidth_hz", 1e-320),
+        ("efficiency", 1e-320),
+        ("efficiency", 1e-9),
+        # retry multipliers that never finish
+        ("retx_overshoot", math.inf),
+        ("retx_overshoot", 1e300),
+        ("retx_overshoot", 10.5),
+        ("ran_max_attempts", 10**9),
+        ("ran_max_attempts", 17),
+        # presampled state for the whole run, not one receiver
+        ("n_ues", 1000),
     ],
 )
 def test_validation_rejects(field, value):
@@ -121,21 +134,27 @@ def test_validation_rejects(field, value):
 
 
 def test_step_grid_is_capped_per_receiver():
-    # 1 ns steps over a 60 s session would presample ~6e10 states per receiver
-    with pytest.raises(ConfigError, match="states per receiver"):
+    # the cap is on the whole run: every receiver's channel steps, feedback
+    # reports and frames together. 1 ns steps over a 60 s session would
+    # presample ~6e10 states for one receiver alone
+    with pytest.raises(ConfigError, match="presampled states"):
         SimConfig(channel_step_s=1e-9, feedback_interval_s=1e-9).validate()
     # an endless session over an endless channel step is inf / inf states
-    with pytest.raises(ConfigError, match="states per receiver"):
+    with pytest.raises(ConfigError, match="presampled states"):
         SimConfig(stagger_step_s=math.inf, channel_step_s=math.inf).validate()
-    end_s = SimConfig().session_end_s()
-    for states, ok in ((MAX_GRID_STATES - 1, True), (MAX_GRID_STATES + 1, False)):
-        step = end_s / (states - 2)
-        cfg = SimConfig(channel_step_s=step, feedback_interval_s=step)
+    base = SimConfig(n_ues=1, ues_los=1)
+    end_s = base.session_end_s()
+    for states, ok in ((MAX_GRID_STATES - 10, True), (MAX_GRID_STATES + 10, False)):
+        # channel steps and feedback reports on one grid: two states a step
+        step = end_s / ((states - base.frame_count()) / 2 - 2)
+        cfg = dataclasses.replace(base, channel_step_s=step, feedback_interval_s=step)
         if ok:
             cfg.validate()
         else:
-            with pytest.raises(ConfigError, match="states per receiver"):
+            with pytest.raises(ConfigError, match="presampled states"):
                 cfg.validate()
+    # at the defaults 100 receivers fit; 1000 are in test_validation_rejects
+    SimConfig(n_ues=100).validate()
 
 
 def test_channel_step_must_align_with_feedback_interval():

@@ -3,14 +3,16 @@
 Hypothesis draws whole scenarios from bounded ranges (at most 1 s, 3
 receivers, packets of at least 250 bytes), so no example asks for a large
 allocation or a long run. Each one that passes ``validate()`` must run to
-completion in this process, keep the report's bookkeeping identities and
-give the cyclic collector back in the state it found it. Each scenario
+completion in this process, keep the report's bookkeeping identities,
+admit frames the way a bounded playout buffer would, and give the cyclic
+collector back in the state it found it. Each scenario
 broken on purpose, written out as an INI file, must make ``mcnc-sim run``
 exit 2 with a config error and no traceback.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import dataclasses
 import gc
@@ -18,11 +20,13 @@ import io
 import math
 import os
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from mcnc.sim import engine
 from mcnc.sim.cli import main
 from mcnc.sim.config import _SECTIONS, PROFILES, ConfigError, SimConfig
 from mcnc.sim.engine import run
@@ -89,6 +93,40 @@ def configs(draw):
     )
 
 
+def _run_keeping_receivers(cfg):
+    """Run cfg through ``run`` and return its report and the engine's receivers."""
+    engines = []
+    engine_run = engine._Engine.run
+
+    def keep(self):
+        engines.append(self)
+        return engine_run(self)
+
+    with mock.patch.object(engine._Engine, "run", keep):
+        report = run(cfg)
+    return report, engines[0].ues
+
+
+def _peak_occupancy(ues) -> int:
+    """Most frames admitted but not yet displayed at any admission instant.
+
+    Asserts on the way that each receiver admits frames in display order
+    and none past its deadline. A frame is buffered from its admission
+    until its display deadline, when it leaves.
+    """
+    peak = 0
+    for ue in ues:
+        admitted = [fr for fr in ue.frames if fr.consumed_at is not None]
+        consumed = [fr.consumed_at for fr in admitted]
+        deadlines = [fr.deadline for fr in admitted]
+        assert consumed == sorted(consumed), "admission out of display order"
+        assert all(c <= d for c, d in zip(consumed, deadlines)), "admitted past deadline"
+        for t in consumed:
+            held = bisect.bisect_right(consumed, t) - bisect.bisect_right(deadlines, t)
+            peak = max(peak, held)
+    return peak
+
+
 @settings(max_examples=500, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(configs())
@@ -98,10 +136,18 @@ def test_every_valid_config_runs_to_completion(cfg):
     except ConfigError:
         assume(False)
     was_on = gc.isenabled()
-    report = run(cfg)
+    report, ues = _run_keeping_receivers(cfg)
     assert gc.isenabled() == was_on
     assert check_conservation(report) is None
     assert report.frames_total == cfg.n_ues * cfg.frame_count()
+    assert _peak_occupancy(ues) <= cfg.playout_buffer_frames
+
+
+def test_default_cell_fills_the_playout_buffer_exactly():
+    # the bound is tight: a cell with good links keeps the buffer full
+    cfg = SimConfig(duration_s=3.0)
+    _, ues = _run_keeping_receivers(cfg)
+    assert _peak_occupancy(ues) == cfg.playout_buffer_frames
 
 
 def _negative():
@@ -132,8 +178,9 @@ _BREAKS = st.one_of(
     _set("feedback_interval_s", _floats(-1.0, 0.0) | st.just(math.inf)),
     _set("channel_step_s", _floats(-1.0, 0.0)),
     st.just({"feedback_interval_s": 0.004, "channel_step_s": 0.010}),
-    _set("ran_max_attempts", st.integers(-3, 0)),
-    _set("retx_overshoot", _floats(-1.0, 0.999)),
+    _set("ran_max_attempts", st.integers(-3, 0) | st.integers(17, 10**9)),
+    _set("retx_overshoot", _floats(-1.0, 0.999) | _floats(10.001, 1e300)
+         | st.just(math.inf)),
     _set("efficiency", _floats(-1.0, 0.0) | _floats(1.001, 10.0)),
     st.sampled_from((
         "backhaul_delay_s", "stagger_step_s", "mmwave_base_delay_s",
@@ -154,11 +201,16 @@ _BREAKS = st.one_of(
                      "outage_threshold_db")).flatmap(
         lambda name: _set(name, _floats(-1e300, -150.001) | _floats(150.001, 1e300))),
     _set("mmwave_snr_sigma_db", _negative() | _floats(50.001, 1e300)),
+    # a link rate under a bit per second, subnormal ones among them
+    st.sampled_from((("mmwave_bandwidth_hz", 1e-2), ("lte_bandwidth_hz", 1e-1),
+                     ("efficiency", 1e-10))).flatmap(
+        lambda nv: _set(nv[0], st.floats(0.0, nv[1], exclude_min=True))),
     st.just({"trace_file": "/no/such.trace"}),
     st.sampled_from(_FLOAT_FIELDS).map(lambda name: {name: math.nan}),
-    # more frames, or more presampled states, than a receiver may hold
+    # more frames, or more presampled states, than a run may hold
     _set("duration_s", _floats(2e5, 1e300)).map(lambda d: {**d, "fps": 60.0}),
     st.just({"feedback_interval_s": 1e-9, "channel_step_s": 1e-9}),
+    _set("n_ues", st.integers(10**5, 10**6)).map(lambda d: {**d, "stagger_step_s": 0.0}),
 )
 
 

@@ -1,4 +1,4 @@
-"""Video layer: GOP structure, trace format, playout pacing, synthesis."""
+"""Video layer: GOP structure, trace format, display clock, synthesis."""
 
 from __future__ import annotations
 
@@ -238,53 +238,7 @@ def test_tracegen_cli_rejects_other_gop_lengths(tmp_path):
         tracegen_main(["--frames", "16", "--gop", "8", "--out", str(tmp_path / "x")])
 
 
-# -- playout -------------------------------------------------------------
-
-
-def test_playout_plays_in_order():
-    buf = PlayoutBuffer(start_time=1.0, fps=50.0, capacity=4)
-    buf.admit(0, 0.9)
-    buf.admit(1, 0.95)
-    buf.step(1.0)  # displays frame 0
-    assert buf.occupancy == 1
-    buf.step(1.02)  # displays frame 1
-    assert buf.occupancy == 0
-
-
-def test_playout_skips_missing_frames_for_good():
-    buf = PlayoutBuffer(start_time=0.0, fps=50.0)
-    buf.admit(0, 0.0)
-    buf.step(0.05)  # displays frames 0, 1, 2
-    assert buf.occupancy == 0
-    # frames 1 and 2 can no longer be admitted
-    for late in (1, 2):
-        with pytest.raises(ValueError):
-            buf.admit(late, 0.05)
-    buf.admit(3, 0.05)
-    assert buf.occupancy == 1
-
-
-def test_playout_rejects_late_and_out_of_order_admissions():
-    buf = PlayoutBuffer(start_time=0.0, fps=50.0)
-    buf.admit(2, 0.01)
-    with pytest.raises(ValueError):
-        buf.admit(2, 0.01)  # duplicate
-    with pytest.raises(ValueError):
-        buf.admit(1, 0.01)  # behind the admission clock
-    with pytest.raises(ValueError):
-        buf.admit(4, 0.09)  # past its display deadline
-
-
-def test_playout_capacity_enforced():
-    buf = PlayoutBuffer(start_time=10.0, fps=50.0, capacity=3)
-    for i in range(3):
-        buf.admit(i, 0.0)
-    with pytest.raises(OverflowError):
-        buf.admit(3, 0.0)
-    assert buf.occupancy == 3
-    buf.step(10.0)  # frees frame 0
-    buf.admit(3, 10.0)
-    assert buf.occupancy == 3
+# -- display clock -------------------------------------------------------
 
 
 def test_playout_deadline_arithmetic():
