@@ -1,9 +1,11 @@
 """Random linear coding over generations of packets.
 
-A generation holds k equal-size packet payloads. Coded packets carry a
-coefficient vector drawn uniformly over the field plus the matching linear
-combination of the payloads; any k packets with linearly independent
-coefficients reconstruct the generation. Decoding is incremental
+A generation holds k equal-size packet payloads. Every coded packet carries
+a coefficient vector plus the matching linear combination of the payloads;
+any k packets with linearly independent coefficients reconstruct the
+generation. A coefficient vector is a ``bytes`` object of k unpacked
+symbols, one per byte, from the encoder to the decoder; only the wire form
+packs it at the field's native width. Decoding is incremental
 Gauss-Jordan elimination, the fully reduced form Kodo's decoders keep
 (Pedersen, Heide and Fitzek, "Kodo: An Open and Research Oriented Network
 Coding Library", 2011): with the pivot rows reduced against each other, an
@@ -37,7 +39,8 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -176,8 +179,10 @@ def split_block(
 
 @dataclass(frozen=True)
 class CodedPacket:
+    """One emission: ``coeffs`` holds its k coefficient symbols, one per byte."""
+
     gen_id: int
-    coeffs: Tuple[int, ...]
+    coeffs: bytes
     payload: Optional[SymbolVector]
     seq: int
     attempt: int = 0
@@ -213,20 +218,22 @@ class Encoder:
         else:
             self._planes = None
 
-    def next_coeffs(self) -> Tuple[int, ...]:
-        """Coefficient vector of the next emission; advances the sequence."""
+    def next_coeffs(self) -> bytes:
+        """Coefficient vector of the next emission, k symbols one per byte;
+        advances the sequence."""
         k, seq = self.gen.k, self.seq
         self.seq = seq + 1
         if seq < self._systematic:
-            return tuple(int(i == seq) for i in range(k))
-        m, rng = self.gen.field.m, self._rng
+            return bytes(seq) + b"\x01" + bytes(k - seq - 1)
+        m, draw = self.gen.field.m, self._rng.getrandbits
         while True:
-            coeffs = tuple(rng.getrandbits(m) for _ in range(k))
+            coeffs = bytes(map(draw, repeat(m, k)))
             if self.mode == "unrestricted" or any(coeffs):
                 return coeffs
 
-    def coeff_burst(self, n: int) -> List[Tuple[int, ...]]:
-        """n coefficient vectors without packet objects (bookkeeping path)."""
+    def coeff_burst(self, n: int) -> List[bytes]:
+        """n coefficient vectors (as :meth:`next_coeffs`) without packet
+        objects (bookkeeping path)."""
         return [self.next_coeffs() for _ in range(n)]
 
     def next_packet(self, attempt: int = 0) -> CodedPacket:
@@ -238,7 +245,7 @@ class Encoder:
             payload = self.gen.payloads[seq]
         else:
             # one XOR-reduce of the planes the coefficient bits select
-            bits = _coeff_bits(self.gen.field, np.array(coeffs, dtype=np.uint8))
+            bits = _coeff_bits(self.gen.field, np.frombuffer(coeffs, np.uint8))
             words = np.bitwise_xor.reduce(self._planes[bits], axis=0)
             payload = SymbolVector(self.gen.field, words.view(np.uint8)[: self.gen.symbol_size])
         return CodedPacket(self.gen.gen_id, coeffs, payload, seq, attempt)
@@ -314,12 +321,9 @@ class DecoderState:
             raise GenerationMismatchError(
                 f"packet for generation {packet.gen_id}, decoder holds {self.gen.gen_id}"
             )
-        if len(packet.coeffs) != self.k:
-            raise LengthMismatchError(
-                f"{len(packet.coeffs)} coefficients for k={self.k}"
-            )
+        v = self._coeff_row(packet.coeffs)
         if self._raw is None:
-            return self.consume_coeffs(packet.coeffs)
+            return self._eliminate(v)
         if packet.payload is None:
             raise LengthMismatchError("decoder tracks payloads, packet has none")
         if packet.payload.field != self.field:
@@ -330,22 +334,40 @@ class DecoderState:
                 f"payload of {len(packet.payload)} symbols, expected {size}"
             )
         slot = self.rank
-        if self._eliminate(np.array(packet.coeffs, dtype=np.uint8)):
+        if self._eliminate(v):
             self._raw[slot, :size] = packet.payload.symbols
             return 1
         return 0
 
     def consume_coeffs(self, coeffs: Sequence[int]) -> int:
-        """Consume a bare coefficient vector (decoders tracking no payloads)."""
-        if len(coeffs) != self.k:
-            raise LengthMismatchError(f"{len(coeffs)} coefficients for k={self.k}")
+        """Consume a bare coefficient vector (decoders tracking no payloads).
+
+        ``coeffs`` is ``bytes`` as the encoder emits it, or any sequence of
+        k symbols that ``bytes()`` accepts.
+        """
+        v = self._coeff_row(coeffs)
         if self._raw is not None:
             raise ValueError("decoder tracks payloads; feed full packets")
-        return self._eliminate(np.array(coeffs, dtype=np.uint8))
+        return self._eliminate(v)
+
+    def _coeff_row(self, coeffs: Sequence[int]) -> np.ndarray:
+        """``coeffs`` as a read-only uint8 view of ``bytes(coeffs)``, checked
+        to hold k symbols of the field."""
+        m = self.field.m
+        try:
+            raw = bytes(coeffs)  # no copy when coeffs is already bytes
+        except ValueError:  # a value outside 0..255
+            raise ValueError(f"coefficient outside GF(2^{m})") from None
+        if len(raw) != self.k:
+            raise LengthMismatchError(f"{len(raw)} coefficients for k={self.k}")
+        if max(raw) >= self.field.order:
+            raise ValueError(f"coefficient={max(raw)} outside GF(2^{m})")
+        return np.frombuffer(raw, np.uint8)
 
     def _eliminate(self, v: np.ndarray) -> int:
         """Reduce coefficient vector ``v`` against the pivot rows; keep it in
-        the next slot if innovative."""
+        the next slot if innovative. ``v`` may be read-only: it is never
+        written."""
         k, rank, mul = self.k, self.rank, self.field.mul_table
         rows = self._rows[:, : k + rank + 1]  # S is still zero past this rank
         u = v[self._leads[:rank]]
@@ -445,13 +467,11 @@ def serialize(packet: CodedPacket, field: FieldSpec) -> bytes:
     """
     if packet.payload is None:
         raise ValueError("cannot serialize a packet without payload symbols")
-    coeffs = SymbolVector(field, packet.coeffs)
+    coeffs = bytes(packet.coeffs)  # the header's k counts the symbols sent
     return b"".join(
         (
-            WIRE_HEADER.pack(
-                packet.gen_id, len(packet.coeffs), packet.seq & 0xFFFF, packet.attempt
-            ),
-            coeffs.pack(),
+            WIRE_HEADER.pack(packet.gen_id, len(coeffs), packet.seq & 0xFFFF, packet.attempt),
+            SymbolVector(field, np.frombuffer(coeffs, np.uint8)).pack(),
             packet.payload.pack(),
         )
     )
@@ -478,7 +498,7 @@ def deserialize(
     if symbol_size is None:
         symbol_size = len(payload_raw) * _PER_BYTE[field.m]
     payload = SymbolVector.unpack(field, payload_raw, symbol_size)
-    return CodedPacket(gen_id, tuple(int(c) for c in coeffs.symbols), payload, seq, attempt)
+    return CodedPacket(gen_id, coeffs.symbols.tobytes(), payload, seq, attempt)
 
 
 def wire_size(field: FieldSpec, k: int, payload_bytes: int) -> int:

@@ -124,7 +124,7 @@ def test_guarded_prefix_is_the_source_packets():
         dec = DecoderState(gen)
         unit = np.eye(k, dtype=np.uint8).tolist()
         for i, pkt in enumerate(enc.burst(k)):
-            assert pkt.coeffs == tuple(unit[i])
+            assert pkt.coeffs == bytes(unit[i])
             assert pkt.payload == gen.payloads[i]
             assert dec.consume(pkt) == 1
         assert dec.delivered and dec.row_ops == 0
@@ -161,7 +161,7 @@ def _reference_combination(gen, coeffs):
 def _reference_solve(field, packets):
     """Gauss-Jordan on (coefficients | payload) rows with vec_axpy only."""
     k = len(packets[0].coeffs)
-    rows = [np.concatenate([np.array(p.coeffs, dtype=np.uint8), p.payload.symbols])
+    rows = [np.concatenate([np.frombuffer(p.coeffs, np.uint8), p.payload.symbols])
             for p in packets]
     for col in range(k):
         piv = next(i for i in range(col, len(rows)) if rows[i][col])
@@ -302,6 +302,27 @@ def test_payload_and_coeff_only_decoders_agree():
         assert bare.delivered
 
 
+def test_out_of_range_coefficients_rejected():
+    # a symbol outside the field, or a vector that is not k bytes once
+    # normalized, is refused before the decoder state changes
+    gen = _symbol_generation(random.Random(7), GF16, 3, 10)
+    bare, full = DecoderState(gen, track_payloads=False), DecoderState(gen)
+    bad = [((17, 0, 0), r"outside GF\(2\^4\)"), ((0, 0, 16), r"outside GF\(2\^4\)"),
+           ((300, 0, 0), r"outside GF\(2\^4\)"), ((-1, 0, 0), r"outside GF\(2\^4\)"),
+           (np.array([1, 0, 0], dtype=np.int64), "24 coefficients for k=3")]
+    for coeffs, why in bad:
+        with pytest.raises(ValueError, match=why):
+            bare.consume_coeffs(coeffs)
+        with pytest.raises(ValueError, match=why):
+            full.consume(CodedPacket(0, coeffs, gen.payloads[0], 0))
+    for dec in (bare, full):
+        assert (dec.rank, dec.row_ops) == (0, 0)
+    assert bare.consume_coeffs(b"\x01\x00\x00") == 1
+    assert full.consume(CodedPacket(0, b"\x01\x00\x00", gen.payloads[0], 0)) == 1
+    with pytest.raises(ValueError, match=r"outside GF\(2\^1\)"):
+        DecoderState(Generation(0, FieldSpec(1), 2, 8)).consume_coeffs((2, 1))
+
+
 def test_coeff_only_decoder_refuses_payload_work():
     gen = Generation(0, GF16, 2, 4)
     dec = DecoderState(gen, track_payloads=False)
@@ -326,7 +347,7 @@ class _EchelonDecoder:
 
     def consume(self, coeffs, payload):
         field, mul = self.gen.field, self.gen.field.mul_table
-        row = np.concatenate([np.array(coeffs, dtype=np.uint8), payload.symbols])
+        row = np.concatenate([np.frombuffer(coeffs, np.uint8), payload.symbols])
         ops = innovative = 0
         for col in range(self.k):
             c = int(row[col])
@@ -372,12 +393,13 @@ def _mixed_stream(rng, field, enc, extra):
         seen.consume(pkt.coeffs, pkt.payload)
         roll = rng.random()
         if roll < 0.1:
-            packets.append(CodedPacket(0, (0,) * k, SymbolVector(field, [0] * size), 0))
+            packets.append(CodedPacket(0, bytes(k), SymbolVector(field, [0] * size), 0))
         elif roll < 0.2:
             packets.append(rng.choice(packets))
         elif roll < 0.3:
             old, c = rng.choice(packets), rng.randrange(1, field.order)
-            packets.append(CodedPacket(0, tuple(int(mul[c, x]) for x in old.coeffs),
+            coeffs = mul[c].take(np.frombuffer(old.coeffs, np.uint8)).tobytes()
+            packets.append(CodedPacket(0, coeffs,
                                        SymbolVector(field, mul[c].take(old.payload.symbols)),
                                        0))
     return packets
@@ -434,17 +456,43 @@ def test_tail_dependence_matches_span_ratio():
 
 
 def test_serialize_round_trip():
+    # the last source packet and the first coded one, at odd k too
     rng = random.Random(61)
-    for m, k, packet_bytes in ((8, 5, 40), (4, 5, 40), (4, 8, 33), (1, 8, 16)):
+    for m, k, packet_bytes in ((8, 5, 40), (4, 5, 40), (4, 8, 33), (1, 8, 16), (1, 13, 16)):
         field = FieldSpec(m)
         gen, _ = _random_generation(rng, field, k, packet_bytes, gen_id=77)
-        pkt = Encoder(gen, seed=3).next_packet(attempt=2)
-        raw = serialize(pkt, field)
-        assert len(raw) == wire_size(field, k, packet_bytes)
-        back = deserialize(raw, field, symbol_size=gen.symbol_size)
-        assert back.gen_id == 77 and back.seq == pkt.seq and back.attempt == 2
-        assert back.coeffs == pkt.coeffs
-        assert back.payload == pkt.payload
+        enc = Encoder(gen, seed=3)
+        assert type(enc.next_coeffs()) is bytes
+        enc.coeff_burst(k - 2)
+        for pkt in enc.burst(2, attempt=2):
+            raw = serialize(pkt, field)
+            assert len(raw) == wire_size(field, k, packet_bytes)
+            back = deserialize(raw, field, symbol_size=gen.symbol_size)
+            assert back.gen_id == 77 and back.seq == pkt.seq and back.attempt == 2
+            assert type(back.coeffs) is bytes
+            assert back.coeffs == pkt.coeffs
+            assert back.payload == pkt.payload
+
+
+def test_coefficient_forms_are_interchangeable():
+    # a vector given as a tuple, a list or bytes takes the same decoder
+    # path and the same wire form
+    rng = random.Random(67)
+    for m, k in ((4, 6), (8, 4), (1, 13)):
+        field = FieldSpec(m)
+        gen, _ = _random_generation(rng, field, k)
+        enc = Encoder(gen, seed=rng.randrange(2**32), mode="unrestricted")
+        forms = (tuple, list, bytes)
+        decoders = [DecoderState(gen, track_payloads=False) for _ in forms]
+        for _ in range(2 * k):
+            pkt = enc.next_packet()
+            got = [dec.consume_coeffs(form(pkt.coeffs)) for form, dec in zip(forms, decoders)]
+            assert len(set(got)) == 1
+            assert len({(d.rank, d.row_ops, d.last_consume_row_ops) for d in decoders}) == 1
+            wires = {serialize(CodedPacket(pkt.gen_id, form(pkt.coeffs), pkt.payload, pkt.seq),
+                               field) for form in forms}
+            assert wires == {serialize(pkt, field)}
+        assert decoders[0].delivered
 
 
 def test_wire_header_layout():
