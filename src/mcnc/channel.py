@@ -70,7 +70,7 @@ class LinkModel:
         "sojourn_s", "snr_mean_db", "snr_sigma_db", "shadow_corr_s",
         "loss_prob", "outage_threshold_db", "attempts_allowed",
         "retx_delay_s", "modes", "snrs_db", "inv_step", "busy_until", "rng",
-        "_rate_step", "_rate",
+        "_rate_step", "_rate", "_loss",
     )
 
     def __init__(
@@ -118,9 +118,11 @@ class LinkModel:
         self.snrs_db = [snr]
         self.inv_step = 0.0
         self.busy_until = 0.0
-        # the Shannon rate of the step last transmitted on, and that step
+        # the Shannon rate and the loss probability of the step last
+        # transmitted on, and that step
         self._rate_step = -1
         self._rate = 0.0
+        self._loss = 0.0
 
     @classmethod
     def lte(
@@ -235,10 +237,11 @@ class LinkModel:
         busy = self.busy_until
         send_start = now if now > busy else busy
         i = int(send_start * self.inv_step)
-        # a state holds for a whole step, and so does its rate: the cached
-        # step is one a packet last went out on, so it is not in outage
+        # a state holds for a whole step, and so do its rate and loss: the
+        # cached step is one a packet last went out on, so it is not in outage
         if i == self._rate_step:
             rate = self._rate
+            p = self._loss
         else:
             snrs = self.snrs_db
             if i >= len(snrs):
@@ -247,11 +250,12 @@ class LinkModel:
             if snr < self.outage_threshold_db:
                 return _new(TxOutcome, (False, 0.0, 0, now))
             rate = self.efficiency * self.bandwidth_hz * math.log2(1.0 + 10.0 ** (snr / 10.0))
+            p = self.loss_prob[self.modes[i]]
             self._rate_step = i
             self._rate = rate
+            self._loss = p
         busy = send_start + size_bytes * 8.0 / rate
         self.busy_until = busy
-        p = self.loss_prob[self.modes[i]]
         attempts = 1
         if p != 0.0:
             draw = self.rng.random

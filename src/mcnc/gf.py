@@ -170,11 +170,16 @@ class SymbolVector:
     __slots__ = ("field", "symbols")
 
     def __init__(self, field: FieldSpec, symbols):
-        arr = np.asarray(symbols, dtype=np.uint8)
+        arr = np.asarray(symbols)  # a uint8 array is kept as is, not copied
         if arr.ndim != 1:
             raise ValueError("symbol vectors are one-dimensional")
-        if arr.size and int(arr.max()) >= field.order:
+        # range-check before the cast to uint8, which would wrap 256 to 0
+        # and -1 to 255
+        if arr.size and (int(arr.max()) >= field.order
+                         or (arr.dtype != np.uint8 and int(arr.min()) < 0)):
             raise ValueError(f"symbol out of range for GF(2^{field.m})")
+        if arr.dtype != np.uint8:
+            arr = arr.astype(np.uint8)
         self.field = field
         self.symbols = arr
 

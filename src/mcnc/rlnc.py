@@ -214,7 +214,10 @@ class Encoder:
             matrix = _word_rows(gen.k, gen.symbol_size)
             for row, p in zip(matrix, gen.payloads):
                 row[: gen.symbol_size] = p.symbols
-            self._planes = _planes(gen.field, matrix).view(np.uint64)
+            # one row per (source packet, bit): the planes a coefficient
+            # bit selects, in the order _coeff_bits flattens them
+            planes = _planes(gen.field, matrix).view(np.uint64)
+            self._planes = planes.reshape(-1, planes.shape[-1])
         else:
             self._planes = None
 
@@ -246,7 +249,8 @@ class Encoder:
         else:
             # one XOR-reduce of the planes the coefficient bits select
             bits = _coeff_bits(self.gen.field, np.frombuffer(coeffs, np.uint8))
-            words = np.bitwise_xor.reduce(self._planes[bits], axis=0)
+            words = np.bitwise_xor.reduce(
+                self._planes.take(np.flatnonzero(bits), axis=0), axis=0)
             payload = SymbolVector(self.gen.field, words.view(np.uint8)[: self.gen.symbol_size])
         return CodedPacket(self.gen.gen_id, coeffs, payload, seq, attempt)
 
@@ -421,10 +425,12 @@ class DecoderState:
             raise ValueError("decoder holds no payload symbols")
         field, k, size = self.field, self.k, self.gen.symbol_size
         planes = _planes(field, self._raw).view(np.uint64)
+        planes = planes.reshape(-1, planes.shape[-1])  # one row per (slot, bit)
         bits = _coeff_bits(field, self._rows[:, k : 2 * k])
         out = [b""] * k
         for slot, lead in enumerate(self._leads.tolist()):
-            words = np.bitwise_xor.reduce(planes[bits[slot]], axis=0)
+            words = np.bitwise_xor.reduce(
+                planes.take(np.flatnonzero(bits[slot]), axis=0), axis=0)
             out[lead] = SymbolVector(field, words.view(np.uint8)[:size]).pack()
         full = packed_size(field, size)
         tail = self.gen.payload_bytes - (k - 1) * full

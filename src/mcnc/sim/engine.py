@@ -38,7 +38,9 @@ of wall clock without changing observable behavior:
   and ride one feedback link: LTE with multi connectivity, else the mmWave
   uplink. That link presamples per-report survival
   (``LinkModel.control_survival``), and "what did the sender know at t"
-  resolves to the newest surviving report that had arrived by t. Path
+  resolves to the newest surviving report that had arrived by t: one
+  index into a per-receiver ``newest`` table, built at init, that holds
+  for each report slot the newest survivor within the scan window. Path
   choice hands that report's send time and mmWave SNR to the
   ``PathSelector``, which alone judges outage, hysteresis and staleness.
 - Decoding is rank-sampled. Payloads are never materialized here, and the
@@ -52,11 +54,12 @@ of wall clock without changing observable behavior:
   in truth be dependent, at odds ~q^(rank-k); the shortcut ignores that.)
   Byte counts use the padded wire size, and the codec's real elimination
   path has its own tests.
-- Static events skip the heap. Frame arrivals and display deadlines are
-  fixed at init, so they are built once as a reverse-sorted list and
-  popped from its end; the loop takes the list's head whenever it sorts
-  before the heap's. Each carries the seq number a heap push would have
-  given it, so the (time, kind, seq) dispatch order is unchanged.
+- One heap, with the fixed events pushed lazily. Frame arrivals and
+  display deadlines are known at init, but each receiver keeps only its
+  next frame arrival and its next deadline in the heap: handling one
+  pushes the next. Their seq numbers are precomputed, as if every
+  (frame, deadline) pair had been pushed up front, so the (time, kind,
+  seq) dispatch order does not depend on when they enter the heap.
 - The per-run object graph is acyclic: a generation names its frame by
   index, not by reference, and nothing a receiver holds points back at the
   engine. Reference counting frees a run as it ends, so the cyclic
@@ -76,7 +79,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..channel import LOS, MMWAVE, NLOS, LinkModel
+from ..channel import LOS, LTE, MMWAVE, NLOS, LinkModel
 from ..distribution import (GenerationPlan, PathSelector, handle_feedback,
                             initial_burst_size)
 from ..gf import FieldSpec
@@ -134,7 +137,15 @@ class _GenState(GenerationPlan):
                  "last_arrival", "seq")
 
     def __init__(self, gen_id, k, n_initial, deadline, frame, nalu_slot, is_base):
-        super().__init__(gen_id, k, n_initial, deadline)
+        # the GenerationPlan fields, set directly: this runs once per
+        # generation, and a super().__init__ call would add a frame to each
+        self.gen_id = gen_id
+        self.k = k
+        self.n_initial = n_initial
+        self.deadline = deadline
+        self.attempts_used = 0
+        self.delivered = False
+        self.failed = False
         self.frame = frame  # frame index, not the _FrameState: no cycle
         self.nalu_slot = nalu_slot
         self.is_base = is_base
@@ -165,7 +176,8 @@ class _FrameState:
 
 class _UEState:
     __slots__ = ("idx", "stream_start", "mm", "lte", "selector", "metrics",
-                 "fb_ok", "frames", "decode_memo", "ptr", "buffer", "ul_delay")
+                 "newest", "frames", "decode_memo", "ptr", "buffer", "ul_delay",
+                 "seq0")
 
 
 #: run inputs kept per process: enough for a grid's one trace and its two
@@ -219,6 +231,14 @@ def _frame_plans(trace: VideoTrace, n_frames: int,
     return plans
 
 
+def _newest_reports(fb_ok, scan: int) -> List[int]:
+    """``newest[g]``: the newest index j in (g - scan, g] with ``fb_ok[j]``,
+    or -1 if there is none."""
+    idx = np.arange(len(fb_ok))
+    last_ok = np.maximum.accumulate(np.where(fb_ok, idx, -1))
+    return np.where(last_ok > idx - scan, last_ok, -1).tolist()
+
+
 class _Engine:
     def __init__(self, cfg: SimConfig, seed: int, plans: List[_FramePlan],
                  n_frames: int, log: Optional[List[str]]):
@@ -229,7 +249,11 @@ class _Engine:
         self.log = log
 
         self.field = FieldSpec(cfg.field_exponent)
-        self._wire_bytes: Dict[int, int] = {}
+        # per-k tables, indexed by generation size k in [0, generation_size]
+        ks = range(cfg.generation_size + 1)
+        self._wire = [wire_size(self.field, k, cfg.packet_bytes) for k in ks]
+        self._n_initial = {path: [initial_burst_size(k, path, cfg.nc_fec) for k in ks]
+                           for path in (MMWAVE, LTE)}
         self._dep: Dict[int, List[float]] = {}
         self._rank_rng = random.Random(derive_seed(seed, "rank"))
         self._next_gen_id = 0
@@ -248,22 +272,16 @@ class _Engine:
 
         self.ues = [self._build_ue(u, buffer_depth) for u in range(cfg.n_ues)]
 
-        # frame arrivals and display deadlines are fixed up front; they form
-        # a presorted stream beside the heap, with the seq numbers a push of
-        # each (frame, deadline) pair per receiver would have given them.
-        # It is popped from its end, so each event is freed once run.
-        static = []
+        # frame f of receiver u arrives at stream_start + f / fps with seq
+        # 2*u*n_frames + 2*f + 1, and its deadline takes the next seq: the
+        # numbers a push of every (frame, deadline) pair up front would have
+        # given. Dynamic events number on from there. Only frame 0 and its
+        # deadline enter now; each handler pushes its successor.
+        heap = self._heap
         for ue in self.ues:
-            u = ue.idx
-            seq0 = 2 * u * n_frames
-            start = ue.stream_start
-            deadline = ue.buffer.deadline
-            static += [(start + f / fps, _FRAME, seq0 + 2 * f + 1, u, f)
-                       for f in range(n_frames)]
-            static += [(deadline(f), _DEADLINE, seq0 + 2 * f + 2, u, f)
-                       for f in range(n_frames)]
-        static.sort(reverse=True)
-        self._static = static
+            heap.append((ue.stream_start + 0 / fps, _FRAME, ue.seq0 + 1, ue.idx, 0))
+            heap.append((ue.buffer.deadline(0), _DEADLINE, ue.seq0 + 2, ue.idx, 0))
+        heapq.heapify(heap)
         self._seq = 2 * len(self.ues) * n_frames
 
     # ------------------------------------------------------------- setup
@@ -272,6 +290,7 @@ class _Engine:
         cfg = self.cfg
         ue = _UEState()
         ue.idx = u
+        ue.seq0 = 2 * u * self.n_frames
         ue.stream_start = u * cfg.stagger_step_s
         ue.mm = LinkModel(
             kind=MMWAVE,
@@ -315,9 +334,10 @@ class _Engine:
         # mmWave uplink: its state decides which reports survive, and every
         # control packet (reports, abandon notices) takes its delay
         fb_link = ue.lte if cfg.multi_connectivity else ue.mm
-        ue.fb_ok = fb_link.control_survival(
+        fb_ok = fb_link.control_survival(
             np.arange(self.n_reports) * self.fb_int,
             np.random.default_rng(derive_seed(self.seed, "fb", u)))
+        ue.newest = _newest_reports(fb_ok, self._fb_scan)
         ue.ul_delay = cfg.backhaul_delay_s + fb_link.base_delay_s + _CTRL_PROC_S
         ue.frames = [None] * self.n_frames
         ue.decode_memo = set()  # frames found decodable; they stay so
@@ -325,7 +345,7 @@ class _Engine:
         ue.buffer = PlayoutBuffer(ue.stream_start + cfg.backhaul_delay_s + buffer_depth,
                                   fps=cfg.fps)
         ue.metrics.feedback_sent = self.n_reports
-        ue.metrics.feedback_lost = int(np.count_nonzero(~ue.fb_ok))
+        ue.metrics.feedback_lost = int(np.count_nonzero(~fb_ok))
         return ue
 
     # --------------------------------------------------------- event loop
@@ -336,32 +356,21 @@ class _Engine:
 
     def run(self) -> MetricsReport:
         heap = self._heap
-        static = self._static
         heappop = heapq.heappop
         ues = self.ues
         log = self.log
-        handlers = {
-            _FRAME: self._on_frame,
-            _CHECK: self._on_check,
-            _DONE: self._on_done,
-            _ABANDON: self._resolve_failure,
-            _GIVEUP: self._resolve_failure,
-            _DEADLINE: self._on_deadline,
-        }
+        # indexed by event kind
+        handlers = [self._on_deadline, self._on_frame, self._on_check,
+                    self._on_done, self._resolve_failure, self._resolve_failure]
         # the run's object graph is acyclic, so reference counting frees
         # everything the loop drops and the cyclic collector has nothing
         # to find; hold it off instead of letting it rescan the live graph
         gc_was_on = gc.isenabled()
         gc.disable()
         try:
-            while True:
+            while heap:
                 # seq numbers are unique, so the tuples order on (t, kind, seq)
-                if static and (not heap or static[-1] < heap[0]):
-                    t, kind, _, ue_idx, arg = static.pop()
-                elif heap:
-                    t, kind, _, ue_idx, arg = heappop(heap)
-                else:
-                    break
+                t, kind, _, ue_idx, arg = heappop(heap)
                 self.now = t
                 if log is not None:
                     log.append(f"{t:.9f} {_KIND_NAMES[kind]} ue={ue_idx} arg={self._log_arg(arg)}")
@@ -380,21 +389,10 @@ class _Engine:
     def _latest_report(self, ue: _UEState, now: float) -> int:
         """Newest surviving report index whose arrival is <= now, or -1."""
         g = math.floor((now - ue.ul_delay) / self.fb_int)
-        if g >= self.n_reports:
-            g = self.n_reports - 1
-        lim = g - self._fb_scan
-        fb_ok = ue.fb_ok
-        while g >= 0 and g > lim:
-            if fb_ok[g]:
-                return g
-            g -= 1
-        return -1
-
-    def _known_rank(self, ue: _UEState, g: _GenState, now: float) -> int:
-        rep = self._latest_report(ue, now)
-        if rep < 0:
-            return 0
-        return bisect_right(g.rank_ts, rep * self.fb_int)
+        if g < 0:
+            return -1
+        newest = ue.newest
+        return newest[g] if g < self.n_reports else newest[-1]
 
     def _current_path(self, ue: _UEState, now: float) -> str:
         if not self.cfg.multi_connectivity:
@@ -406,13 +404,6 @@ class _Engine:
         return ue.selector.select_path(now)
 
     # -------------------------------------------------------- transmission
-
-    def _wire(self, k: int) -> int:
-        b = self._wire_bytes.get(k)
-        if b is None:
-            b = wire_size(self.field, k, self.cfg.packet_bytes)
-            self._wire_bytes[k] = b
-        return b
 
     def _dep_probs(self, k: int) -> List[float]:
         """P(arrival is linearly dependent | receiver rank r), r in [0, k)."""
@@ -436,15 +427,15 @@ class _Engine:
         """
         first = g.seq
         g.seq += n
-        nbytes = self._wire(g.k)
+        nbytes = self._wire[g.k]
         backhaul = self.cfg.backhaul_delay_s
         link = ue.mm if path == MMWAVE else ue.lte
         transmit = link.transmit
         survivors = []
         for emission in range(first, first + n):
-            out = transmit(nbytes, now)
-            if out.delivered:
-                survivors.append((out.deliver_at + backhaul, emission))
+            delivered, deliver_at, _, _ = transmit(nbytes, now)
+            if delivered:
+                survivors.append((deliver_at + backhaul, emission))
         ue.metrics.count_burst(path, n, len(survivors))
         est = link.busy_until + link.base_delay_s + backhaul
         if now > est:
@@ -476,7 +467,8 @@ class _Engine:
                     if rank == k:
                         g.complete_at = arrival
                         ue.metrics.generations_delivered += 1
-                        self._push(arrival, _DONE, ue.idx, g)
+                        self._seq += 1
+                        heapq.heappush(self._heap, (arrival, _DONE, self._seq, ue.idx, g))
             if arrival > last:
                 last = arrival
         g.last_arrival = last
@@ -507,11 +499,14 @@ class _Engine:
         t_check = settle + ue.ul_delay + guard
         if t_check <= now:
             t_check = now + guard
-        if self._known_rank(ue, g, t_check) >= g.k:
+        # the rank the newest report by t_check shows
+        rep = self._latest_report(ue, t_check)
+        if rep >= 0 and bisect_right(g.rank_ts, rep * self.fb_int) >= g.k:
             g.delivered = True
             self._finish_plan(ue, g)
         else:
-            self._push(t_check, _CHECK, ue.idx, g)
+            self._seq += 1
+            heapq.heappush(self._heap, (t_check, _CHECK, self._seq, ue.idx, g))
 
     def _fail_plan(self, ue: _UEState, g: _GenState, now: float):
         # the sender gives up; the receiver hears of it one uplink delay
@@ -525,19 +520,27 @@ class _Engine:
 
     def _on_frame(self, ue: _UEState, f: int, now: float):
         cfg = self.cfg
+        if f + 1 < self.n_frames:
+            heapq.heappush(self._heap, (ue.stream_start + (f + 1) / cfg.fps, _FRAME,
+                                        ue.seq0 + 2 * f + 3, ue.idx, f + 1))
         plan = self.plans[f]
         fr = _FrameState(now, ue.buffer.deadline(f), plan)
         ue.frames[f] = fr
         path = self._current_path(ue, now)
         nc = cfg.nc_fec
+        n_initial = self._n_initial[path]
         m = ue.metrics
+        m.generations_total += len(plan.gens)
+        send_burst = self._send_burst
+        gens = fr.gens
+        deadline = fr.deadline
+        gen_id = self._next_gen_id
+        self._next_gen_id += len(plan.gens)
         for nalu_slot, is_base, k in plan.gens:
-            g = _GenState(self._next_gen_id, k, initial_burst_size(k, path, nc),
-                          fr.deadline, f, nalu_slot, is_base)
-            self._next_gen_id += 1
-            fr.gens.append(g)
-            m.generations_total += 1
-            settle = self._send_burst(ue, g, g.n_initial, path, now)
+            g = _GenState(gen_id, k, n_initial[k], deadline, f, nalu_slot, is_base)
+            gen_id += 1
+            gens.append(g)
+            settle = send_burst(ue, g, g.n_initial, path, now)
             if not nc:
                 # no sender-side plan without reactive coding: losses
                 # resolve through the receiver timer or the display clock
@@ -558,7 +561,7 @@ class _Engine:
             else:
                 self._push(now + self.fb_int, _CHECK, ue.idx, g)
             return
-        rank = self._known_rank(ue, g, now)
+        rank = bisect_right(g.rank_ts, rep * self.fb_int)
         act = handle_feedback(g, rank, now, overshoot=cfg.retx_overshoot)
         if act.kind == "delivered":
             self._finish_plan(ue, g)
@@ -618,6 +621,11 @@ class _Engine:
         return True
 
     def _on_deadline(self, ue: _UEState, f: int, now: float):
+        if f + 1 < self.n_frames:
+            # PlayoutBuffer.deadline(f + 1), inlined
+            buf = ue.buffer
+            heapq.heappush(self._heap, (buf.start_time + (f + 1) / buf.fps, _DEADLINE,
+                                        ue.seq0 + 2 * f + 4, ue.idx, f + 1))
         fr = ue.frames[f]
         if ue.ptr == f:
             # the pointer only rests on a frame that exists, is not lost and
@@ -628,9 +636,9 @@ class _Engine:
 
         m = ue.metrics
         m.frames_total += 1
-        usable = fr.consumed_at is not None and decodable(
-            f, self.n_frames, functools.partial(self._base_complete, ue),
-            ue.decode_memo)
+        memo = ue.decode_memo
+        usable = fr.consumed_at is not None and (f in memo or decodable(
+            f, self.n_frames, functools.partial(self._base_complete, ue), memo))
         if usable:
             m.frames_played += 1
             m.psnr_sum_db += fr.plan.psnr_recv
@@ -638,13 +646,13 @@ class _Engine:
         else:
             m.psnr_sum_db += fr.plan.psnr_lost
 
-        n_nalus = fr.plan.n_nalus
-        ok = [True] * n_nalus
+        # a NALU is lost when any of its generations is incomplete
+        lost = set()
         for g in fr.gens:
             if g.complete_at is None or g.complete_at > now:
-                ok[g.nalu_slot] = False
-        m.nalus_total += n_nalus
-        m.nalus_lost += n_nalus - sum(ok)
+                lost.add(g.nalu_slot)
+        m.nalus_total += fr.plan.n_nalus
+        m.nalus_lost += len(lost)
 
 
 def run(config: SimConfig, seed: Optional[int] = None,

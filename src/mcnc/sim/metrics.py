@@ -105,11 +105,13 @@ class UEMetrics:
         A path enters a counter only with a nonzero count: the counters
         reach ``to_dict``, so a zero entry would change the report.
         """
-        for bucket, n in ((self.packets_sent, sent),
-                          (self.packets_delivered, delivered),
-                          (self.packets_dropped, sent - delivered)):
-            if n:
-                bucket[path] = bucket.get(path, 0) + n
+        if sent:
+            self.packets_sent[path] = self.packets_sent.get(path, 0) + sent
+        if delivered:
+            self.packets_delivered[path] = self.packets_delivered.get(path, 0) + delivered
+        dropped = sent - delivered
+        if dropped:
+            self.packets_dropped[path] = self.packets_dropped.get(path, 0) + dropped
 
 
 @dataclass

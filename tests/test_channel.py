@@ -252,25 +252,38 @@ def _bursts(seed, start, end):
 _SHADOWED = dict(bandwidth_hz=2e6, sojourn_s=(0.3, 0.2), snr_mean_db=(20.0, -2.0),
                  snr_sigma_db=4.0, shadow_corr_s=0.05, loss_prob=(0.1, 0.5))
 
+# never in outage, with short sojourns and far-apart loss probabilities: the
+# mode flips while bursts queue, and a stale per-step loss shows at once
+_FLIPPING = dict(bandwidth_hz=4e6, sojourn_s=(0.04, 0.04), snr_mean_db=(20.0, 6.0),
+                 snr_sigma_db=1.0, shadow_corr_s=0.05, loss_prob=(0.05, 0.6))
+
+
+def _mode_at(link, t):
+    return link.modes[min(int(t * link.inv_step), len(link.modes) - 1)]
+
 
 @pytest.mark.parametrize("make", [
     lambda rng: LinkModel(rng=rng, **_SHADOWED),
     lambda rng: LinkModel.lte(bandwidth_hz=2e6, snr_db=10.0, loss_prob=0.2, rng=rng),
     lambda rng: LinkModel(rng=rng, **{**_SHADOWED, "loss_prob": (0.0, 0.0)}),
     lambda rng: LinkModel(rng=rng, ran_retx=False, **_SHADOWED),
-], ids=["mmwave", "lte", "lossless", "no_retx"])
+    lambda rng: LinkModel(rng=rng, **_FLIPPING),
+], ids=["mmwave", "lte", "lossless", "no_retx", "flipping"])
 def test_transmit_matches_the_reference(make):
     link = make(random.Random(41))
     ref = make(random.Random(41))
     # round one on a 3 s trajectory, ending with a lone packet at 2.9 s;
-    # round two re-presamples a 6 s trajectory and starts in that same
-    # step, then runs a packet past the trajectory's end
+    # round two re-presamples a 6 s trajectory and opens with a burst in
+    # that same step, so a cache the re-presample failed to reset would
+    # serve it, then runs a packet past the trajectory's end
     rounds = [(300, 5, _bursts(43, 0.0, 2.5) + [(1000, 2.9)]),
-              (600, 6, [(1000, 2.9)] + _bursts(47, 2.9, 5.4) + [(1000, 8.0)])]
-    outage = 0
+              (600, 6, [(1000, 2.9)] * 4 + _bursts(47, 2.9, 5.4) + [(1000, 8.0)])]
+    outage = flips = 0
+    reused_mode = []
     for n_steps, seed, calls in rounds:
         for each in (link, ref):
             each.presample(n_steps, 0.01, np.random.default_rng(seed))
+        reused_mode.append(_mode_at(ref, 2.9))
         for size, now in calls:
             got = link.transmit(size, now)
             want = _reference_transmit(ref, size, now)
@@ -278,7 +291,12 @@ def test_transmit_matches_the_reference(make):
             assert link.busy_until == ref.busy_until
             assert link.rng.getstate() == ref.rng.getstate()
             outage += want.attempts == 0
-    if link.kind == MMWAVE:
+            # a packet queued into a step of the other mode
+            flips += bool(want.attempts) and _mode_at(ref, want.send_start) != _mode_at(ref, now)
+    if link.loss_prob == _FLIPPING["loss_prob"]:
+        assert flips > 0, "the mode must flip under queued packets"
+        assert reused_mode[0] != reused_mode[1], "the reused step must change mode"
+    elif link.kind == MMWAVE:
         assert outage > 0, "the mmWave rounds must meet outage"
 
 

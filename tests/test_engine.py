@@ -5,7 +5,9 @@ from __future__ import annotations
 import dataclasses
 import gc
 import math
+import random
 
+import numpy as np
 import pytest
 
 from mcnc.channel import LTE, MMWAVE, LinkModel
@@ -263,17 +265,20 @@ def test_event_log_is_chronological():
     assert times == sorted(times)
 
 
+def _small_engine(cfg, log=None):
+    n_frames = cfg.frame_count()
+    plans = engine._frame_plans(engine._obtain_trace(cfg), n_frames,
+                                cfg.packet_bytes, cfg.generation_size)
+    return engine._Engine(cfg, 1, plans, n_frames, log)
+
+
 def test_static_event_wins_a_tie_with_a_dynamic_one():
     # a no-op give-up (its generation already complete in time) lands exactly
     # on the first frame arrival; events at one time run in kind order, so
     # the frame goes first
-    cfg = dataclasses.replace(BASE, duration_s=0.1)
-    n_frames = cfg.frame_count()
-    plans = engine._frame_plans(engine._obtain_trace(cfg), n_frames,
-                                cfg.packet_bytes, cfg.generation_size)
     log = []
-    eng = engine._Engine(cfg, 1, plans, n_frames, log)
-    first_frame = eng._static[-1]
+    eng = _small_engine(dataclasses.replace(BASE, duration_s=0.1), log)
+    first_frame = eng._heap[0]
     assert first_frame[1] == engine._FRAME
     done = engine._GenState(-1, 1, 1, math.inf, 0, 0, True)
     done.complete_at = 0.0
@@ -281,6 +286,53 @@ def test_static_event_wins_a_tie_with_a_dynamic_one():
     eng.run()
     assert [line.split()[1] for line in log[:2]] == ["frame", "giveup"]
     assert log[0].split()[0] == log[1].split()[0]
+
+
+def test_engine_starts_with_one_frame_and_one_deadline_per_receiver():
+    # frame arrivals and deadlines enter the heap one at a time, each
+    # pushed by its predecessor's handler, not all at once up front
+    cfg = dataclasses.replace(BASE, n_ues=3)
+    eng = _small_engine(cfg)
+    assert len(eng._heap) == 2 * cfg.n_ues
+    for u in range(cfg.n_ues):
+        kinds = sorted(e[1] for e in eng._heap if e[3] == u)
+        assert kinds == [engine._DEADLINE, engine._FRAME]
+        assert all(e[4] == 0 for e in eng._heap if e[3] == u)
+
+
+def _reference_latest_report(eng, ue, fb_ok, now):
+    """The scan the ``newest`` table replaces: walk back from the report
+    slot at now - ul_delay over at most _fb_scan slots."""
+    g = math.floor((now - ue.ul_delay) / eng.fb_int)
+    if g >= eng.n_reports:
+        g = eng.n_reports - 1
+    lim = g - eng._fb_scan
+    while g >= 0 and g > lim:
+        if fb_ok[g]:
+            return g
+        g -= 1
+    return -1
+
+
+@pytest.mark.parametrize("p_ok", [0.0, 0.1, 0.5, 0.9, 1.0])
+def test_latest_report_matches_the_scan(p_ok):
+    eng = _small_engine(dataclasses.replace(BASE, duration_s=0.5))
+    ue = eng.ues[0]
+    n, scan = eng.n_reports, eng._fb_scan
+    rng = random.Random(int(p_ok * 10))
+    fb_ok = [rng.random() < p_ok for _ in range(n)]
+    # all-lost runs longer than the scan window, one at the start
+    for a in (0, n // 3):
+        fb_ok[a:a + 2 * scan + 1] = [False] * (2 * scan + 1)
+    if p_ok:
+        fb_ok[n // 2] = True  # a lone survivor just past a lost run
+    ue.newest = engine._newest_reports(np.array(fb_ok), scan)
+    times = [-eng.fb_int, 0.0, ue.ul_delay - 1e-9, ue.ul_delay]
+    times += [ue.ul_delay + (g + frac) * eng.fb_int
+              for g in range(n + 2 * scan) for frac in (0.0, 0.5)]
+    times += [eng.t_end + 1.0, 1e6]
+    for t in times:
+        assert eng._latest_report(ue, t) == _reference_latest_report(eng, ue, fb_ok, t), t
 
 
 def test_each_generation_gives_up_at_most_once():

@@ -162,6 +162,28 @@ def test_symbol_vector_rejects_out_of_range():
         SymbolVector(FieldSpec(4), [3, 16])
 
 
+@pytest.mark.parametrize("m", [1, 4, 8])
+@pytest.mark.parametrize("form", [list, np.array], ids=["list", "array"])
+def test_symbol_vector_range_checks_before_the_cast(m, form):
+    # a uint8 cast would wrap these into range (256 -> 0, -1 -> 255,
+    # 259 -> 3); each must be refused, from a list or an integer array
+    spec = FieldSpec(m)
+    for bad in (spec.order, spec.order + 3, 256, 259, -1, -256):
+        with pytest.raises(ValueError, match="out of range"):
+            SymbolVector(spec, form([0, 1, bad]))
+    top = spec.order - 1
+    vec = SymbolVector(spec, form([0, 1, top]))
+    assert vec.symbols.dtype == np.uint8
+    assert vec.symbols.tolist() == [0, 1, top]
+
+
+def test_symbol_vector_keeps_a_uint8_view():
+    # the codec hands over views of its working buffers: no copy
+    buf = np.arange(16, dtype=np.uint8)
+    vec = SymbolVector(FieldSpec(8), buf[4:12])
+    assert np.shares_memory(vec.symbols, buf)
+
+
 def test_packed_size_values():
     assert packed_size(FieldSpec(8), 10) == 10
     assert packed_size(FieldSpec(4), 10) == 5
