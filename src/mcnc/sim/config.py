@@ -13,8 +13,11 @@ import configparser
 import dataclasses
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
+
+from ..video.tracegen import LAYER_SIZE_FACTORS
 
 
 class ConfigError(ValueError):
@@ -28,7 +31,8 @@ PROFILES: Dict[str, Tuple[int, int]] = {
 }
 
 #: most frames, channel states and feedback states the engine may build,
-#: summed over every receiver of a run
+#: summed over every receiver of a run; also the most source packets a run
+#: may send
 MAX_GRID_STATES = 10**7
 
 #: widest SNR mean or outage threshold, and widest shadowing spread, in dB.
@@ -157,11 +161,14 @@ class SimConfig:
                 + self.backhaul_delay_s + self.playout_buffer_frames / self.fps + 1.0)
 
     def validate(self) -> None:
-        # every range check below is a comparison, and NaN fails none of them
+        # every range check below is a comparison, and NaN fails none of
+        # them; an integer past float range overflows the first float product
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and math.isnan(value):
                 raise ConfigError("%s must be a number, got nan" % f.name)
+            if isinstance(value, int) and not abs(value) <= sys.float_info.max:
+                raise ConfigError("%s must lie within float range" % f.name)
         if self.duration_s <= 0:
             raise ConfigError("duration_s must be positive")
         if self.runs < 1:
@@ -264,6 +271,15 @@ class SimConfig:
                 "%d receivers x (channel steps + feedback reports + frames) over a "
                 "%g s session need %.3g presampled states, more than %d"
                 % (self.n_ues, end_s, self.n_ues * per_ue, MAX_GRID_STATES))
+        # each receiver gets every packet of every synthetic NALU, none above
+        # key-frame factor x (1 + jitter) x its mean; run() checks trace files
+        largest = round(max((self.base_nalu_bytes, self.enh_nalu_bytes)[:self.spatial_layers])
+                        * max(LAYER_SIZE_FACTORS) * (1.0 + self.size_jitter))
+        packets = (self.n_ues * self.frame_count() * self.spatial_layers
+                   * -(-largest // self.packet_bytes))
+        if not self.trace_file and packets > MAX_GRID_STATES:
+            raise ConfigError("receivers x frames x NALUs of up to %d bytes need %d source "
+                              "packets, more than %d" % (largest, packets, MAX_GRID_STATES))
 
 
 #: INI section -> the SimConfig fields it holds. A field's key is its name,

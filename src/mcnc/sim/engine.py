@@ -4,8 +4,12 @@ One run couples the layers end to end. Trace frames are cut into
 generations at the sender (one NALU never shares a generation with
 another), coded bursts ride the per-receiver radio links, feedback steers
 path choice and top-up rounds, and an in-order consumer, the only model
-of admission, takes complete frames on a hard display clock: a frame
-unresolved at its deadline is lost for good. No more than
+of admission, takes complete frames on a hard display clock. It alone
+decides a frame's fate, with one loss site (``_lose``): a frame unresolved
+at its deadline, or named by a failure notice, is lost for good. A display
+deadline runs before a completion at the same instant, so a base
+generation completing at exactly a display instant counts after that
+display, for its own frame and for the frames that reference it. No more than
 ``playout_buffer_frames`` frames are ever admitted but undisplayed, with
 no check needed: admission cannot precede arrival, and no frame arrives
 earlier than one buffer depth before its deadline. With multi-connectivity
@@ -89,7 +93,7 @@ from ..video.structure import decodable, packetize
 from ..video.playout import PlayoutBuffer
 from ..video.trace import VideoTrace, load_trace
 from ..video.tracegen import synthesize_trace
-from .config import SimConfig
+from .config import MAX_GRID_STATES, SimConfig
 from .metrics import MetricsReport, UEMetrics, check_conservation
 
 
@@ -153,11 +157,6 @@ class _GenState(GenerationPlan):
         self.complete_at: Optional[float] = None
         self.last_arrival = -1.0
         self.seq = 0  # emissions so far; the first k are source packets
-
-
-def _in_time(g: _GenState) -> bool:
-    """Whether the generation completed by its frame's display deadline."""
-    return g.complete_at is not None and g.complete_at <= g.deadline
 
 
 class _FrameState:
@@ -258,7 +257,6 @@ class _Engine:
         self._rank_rng = random.Random(derive_seed(seed, "rank"))
         self._next_gen_id = 0
         self._heap: list = []
-        self.now = 0.0
 
         fps = cfg.fps
         buffer_depth = cfg.playout_buffer_frames / fps
@@ -371,7 +369,6 @@ class _Engine:
             while heap:
                 # seq numbers are unique, so the tuples order on (t, kind, seq)
                 t, kind, _, ue_idx, arg = heappop(heap)
-                self.now = t
                 if log is not None:
                     log.append(f"{t:.9f} {_KIND_NAMES[kind]} ue={ue_idx} arg={self._log_arg(arg)}")
                 handlers[kind](ues[ue_idx], arg, t)
@@ -496,9 +493,8 @@ class _Engine:
         # showing it can have arrived, unless the rank the sender will know
         # by then already completes the plan
         guard = self.cfg.plan_check_guard_s
+        # settle >= now and ul_delay > 0, so the check lands after now
         t_check = settle + ue.ul_delay + guard
-        if t_check <= now:
-            t_check = now + guard
         # the rank the newest report by t_check shows
         rep = self._latest_report(ue, t_check)
         if rep >= 0 and bisect_right(g.rank_ts, rep * self.fb_int) >= g.k:
@@ -513,7 +509,7 @@ class _Engine:
         # later and drops the frame unless this base generation made it
         g.failed = True
         self._finish_plan(ue, g)
-        if g.is_base and not _in_time(g):
+        if g.is_base and (g.complete_at is None or g.complete_at > g.deadline):
             self._push(now + ue.ul_delay, _ABANDON, ue.idx, g)
 
     # ------------------------------------------------------------ handlers
@@ -572,53 +568,35 @@ class _Engine:
             self._schedule_check(ue, g, settle, now)
 
     def _on_done(self, ue: _UEState, g: _GenState, now: float):
-        fr = ue.frames[g.frame]
-        if g.is_base and not fr.lost:
+        # lost frames count too: the display check reads base_left == 0
+        if g.is_base:
+            fr = ue.frames[g.frame]
             fr.base_left -= 1
             if fr.base_left == 0:
                 self._try_advance(ue, now)
 
     def _resolve_failure(self, ue: _UEState, g: _GenState, now: float):
-        # an abandon notice or a receiver give-up: the frame is lost unless
-        # the generation made its deadline or the frame is already resolved
-        fr = ue.frames[g.frame]
-        if _in_time(g) or fr.lost or fr.consumed_at is not None:
-            return
-        fr.lost = True
-        self._try_advance(ue, now)
+        # an abandon notice or a give-up: a base generation missed its deadline
+        self._lose(ue, ue.frames[g.frame], now)
+
+    def _lose(self, ue: _UEState, fr: _FrameState, now: float):
+        if not fr.lost and fr.consumed_at is None:
+            fr.lost = True
+            self._try_advance(ue, now)
 
     def _try_advance(self, ue: _UEState, now: float):
+        # consume complete frames in display order, skipping lost ones; an
+        # unresolved frame at the pointer always has its deadline ahead
         frames = ue.frames
-        n = self.n_frames
         ptr = ue.ptr
-        while ptr < n:
+        while ptr < len(frames):
             fr = frames[ptr]
-            if fr is None:
+            if fr is None or not (fr.lost or fr.base_left == 0):
                 break
-            if fr.lost:
-                ptr += 1
-                continue
-            if fr.base_left == 0:
-                if now <= fr.deadline:
-                    fr.consumed_at = now
-                else:
-                    fr.lost = True
-                ptr += 1
-                continue
-            break
+            if not fr.lost:
+                fr.consumed_at = now
+            ptr += 1
         ue.ptr = ptr
-
-    def _base_complete(self, ue: _UEState, f: int) -> bool:
-        """Whether every base generation of frame f is complete by the
-        current event time."""
-        fr = ue.frames[f]
-        if fr is None:
-            return False
-        now = self.now
-        for g in fr.gens:
-            if g.is_base and (g.complete_at is None or g.complete_at > now):
-                return False
-        return True
 
     def _on_deadline(self, ue: _UEState, f: int, now: float):
         if f + 1 < self.n_frames:
@@ -626,19 +604,19 @@ class _Engine:
             buf = ue.buffer
             heapq.heappush(self._heap, (buf.start_time + (f + 1) / buf.fps, _DEADLINE,
                                         ue.seq0 + 2 * f + 4, ue.idx, f + 1))
-        fr = ue.frames[f]
+        frames = ue.frames
+        fr = frames[f]
         if ue.ptr == f:
             # the pointer only rests on a frame that exists, is not lost and
             # still waits for a base generation: at display time, a hard loss
-            fr.lost = True
-            ue.ptr = f + 1
-            self._try_advance(ue, now)
+            self._lose(ue, fr, now)
 
         m = ue.metrics
         m.frames_total += 1
         memo = ue.decode_memo
         usable = fr.consumed_at is not None and (f in memo or decodable(
-            f, self.n_frames, functools.partial(self._base_complete, ue), memo))
+            f, self.n_frames,
+            lambda j: frames[j] is not None and frames[j].base_left == 0, memo))
         if usable:
             m.frames_played += 1
             m.psnr_sum_db += fr.plan.psnr_recv
@@ -647,12 +625,9 @@ class _Engine:
             m.psnr_sum_db += fr.plan.psnr_lost
 
         # a NALU is lost when any of its generations is incomplete
-        lost = set()
-        for g in fr.gens:
-            if g.complete_at is None or g.complete_at > now:
-                lost.add(g.nalu_slot)
         m.nalus_total += fr.plan.n_nalus
-        m.nalus_lost += len(lost)
+        m.nalus_lost += len({g.nalu_slot for g in fr.gens
+                             if g.complete_at is None or g.complete_at > now})
 
 
 def run(config: SimConfig, seed: Optional[int] = None,
@@ -674,6 +649,11 @@ def run(config: SimConfig, seed: Optional[int] = None,
             f"trace has {trace.n_frames} frames, need {n_frames} "
             f"for {config.duration_s}s at {config.fps}fps"
         )
+    if config.trace_file:  # validate() bounds a synthetic trace's packets
+        packets = config.n_ues * sum(-(-trace.nalus_by_id[i].size_bytes // config.packet_bytes)
+                                     for rec in trace.frames[:n_frames] for i in rec.nalu_ids)
+        if packets > MAX_GRID_STATES:
+            raise TraceError(f"trace needs {packets} source packets, over {MAX_GRID_STATES}")
     plans = _frame_plans(trace, n_frames, config.packet_bytes, config.generation_size)
     report = _Engine(config, seed, plans, n_frames, events_log).run()
     violation = check_conservation(report)

@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..seeding import derive_seed
-from .config import SimConfig, cell_key, grid_cells
+from .config import ConfigError, SimConfig, cell_key, grid_cells
 from .engine import run
 from .metrics import MetricsReport
 
@@ -26,6 +26,8 @@ SUMMARY_METRICS = ("nalu_loss", "latency_ms_mean", "psnr_db")
 def run_seeds(cfg: SimConfig, runs: Optional[int] = None) -> List[int]:
     """Master seed for each run index, derived from the scenario seed."""
     n = cfg.runs if runs is None else runs
+    if n < 1:
+        raise ConfigError("runs must be at least 1")
     return [derive_seed(cfg.seed, "run", i) for i in range(n)]
 
 

@@ -115,6 +115,12 @@ def test_config_errors_exit_2(tmp_path, capsys):
     # too much presampled state across receivers
     bad.write_text("[sim]\nn_ues = 1000\n", encoding="utf-8")
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "m")]) == 2
+    # too many source packets: a byte a packet
+    bad.write_text("[video]\npacket_bytes = 1\n", encoding="utf-8")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "l")]) == 2
+    # an integer literal past float range
+    bad.write_text("[video]\nbase_nalu_bytes = 1%s\n" % ("0" * 400), encoding="utf-8")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "k")]) == 2
     assert main(["run", "--out", str(tmp_path / "z"), "--workers", "0"]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err

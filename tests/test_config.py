@@ -125,6 +125,14 @@ def test_labels():
         ("ran_max_attempts", 17),
         # presampled state for the whole run, not one receiver
         ("n_ues", 1000),
+        # source packets: 10**12-byte NALUs, or one byte a packet
+        ("base_nalu_bytes", 10**12),
+        ("enh_nalu_bytes", 10**12),
+        ("packet_bytes", 1),
+        # integers past float range, which a float product would overflow
+        ("base_nalu_bytes", 10**400),
+        ("n_ues", 10**400),
+        ("playout_buffer_frames", 10**400),
     ],
 )
 def test_validation_rejects(field, value):
@@ -155,6 +163,24 @@ def test_step_grid_is_capped_per_receiver():
                 cfg.validate()
     # at the defaults 100 receivers fit; 1000 are in test_validation_rejects
     SimConfig(n_ues=100).validate()
+
+
+def test_source_packets_are_capped(tmp_path):
+    # every receiver gets every source packet of every frame: at the
+    # defaults a NALU is at most round(2000 x 2.5 x 1.3) = 6500 bytes, 7
+    # packets, so a receiver takes 3000 frames x 2 NALUs x 7 = 42,000
+    with pytest.raises(ConfigError, match="source packets"):
+        SimConfig(base_nalu_bytes=10**12, enh_nalu_bytes=10**12, packet_bytes=1).validate()
+    assert MAX_GRID_STATES // 42_000 == 238
+    SimConfig(n_ues=238).validate()
+    with pytest.raises(ConfigError, match="source packets"):
+        SimConfig(n_ues=239).validate()
+    # only the layers in use count, and a trace file's sizes replace the
+    # synthetic ones
+    SimConfig(spatial_layers=1, enh_nalu_bytes=10**12).validate()
+    trace = tmp_path / "any.trace"
+    trace.write_text("", encoding="utf-8")  # validate() only checks it exists
+    SimConfig(base_nalu_bytes=10**12, trace_file=str(trace)).validate()
 
 
 def test_channel_step_must_align_with_feedback_interval():

@@ -249,6 +249,22 @@ def test_every_packet_is_one_transmit_call(monkeypatch):
             "%s: %d packets delivered but %d delivered outcomes" % (kind, got, delivered[kind]))
 
 
+def test_trace_file_packets_are_capped(tmp_path):
+    # validate() cannot see a file's NALU sizes: one record of 10**12 bytes
+    # would be cut into 10**9 packets, so the run refuses it before the
+    # frame plans are built
+    path = tmp_path / "huge.trace"
+    save_trace(synthesize_trace(112, seed=9), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("N,"))
+    lines[i] = ",".join(lines[i].split(",")[:4] + [str(10**12)])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = dataclasses.replace(LOSSLESS, trace_file=str(path))
+    cfg.validate()
+    with pytest.raises(TraceError, match="source packets"):
+        run(cfg, seed=1)
+
+
 def test_short_trace_rejected(tmp_path):
     trace = synthesize_trace(16, seed=9)
     path = tmp_path / "short.trace"
@@ -273,9 +289,9 @@ def _small_engine(cfg, log=None):
 
 
 def test_static_event_wins_a_tie_with_a_dynamic_one():
-    # a no-op give-up (its generation already complete in time) lands exactly
-    # on the first frame arrival; events at one time run in kind order, so
-    # the frame goes first
+    # a give-up lands exactly on the first frame arrival; events at one time
+    # run in kind order, so the frame goes first and the give-up then finds
+    # frame 0 to lose
     log = []
     eng = _small_engine(dataclasses.replace(BASE, duration_s=0.1), log)
     first_frame = eng._heap[0]
@@ -352,6 +368,25 @@ def test_each_generation_gives_up_at_most_once():
                 seen.add((ue, arg))
         giveups += len(seen)
     assert giveups  # give-ups happen, so the check above is not vacuous
+
+
+def test_failure_notices_name_generations_late_for_their_deadline(monkeypatch):
+    # the consumer loses a frame on any abandon or give-up, with no check of
+    # the generation: that is sound only because a notice never names a
+    # generation that completed by its deadline
+    notices = []
+    real = engine._Engine._resolve_failure
+
+    def checked(self, ue, g, now):
+        notices.append(g.gen_id)
+        assert g.is_base
+        assert g.complete_at is None or g.complete_at > g.deadline, (g.gen_id, now)
+        real(self, ue, g, now)
+
+    monkeypatch.setattr(engine._Engine, "_resolve_failure", checked)
+    for cell in grid_cells(SimConfig(duration_s=3.0, seed=7)):
+        run(cell)
+    assert notices  # notices happen, so the check above is not vacuous
 
 
 @pytest.fixture

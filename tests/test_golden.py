@@ -45,8 +45,8 @@ def test_golden_digest(tmp_path):
     ]
     canonical = json.dumps(reports, sort_keys=True, separators=(",", ":"))
     reports_digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    assert csv_digest == RESULTS_CSV_SHA256
-    assert reports_digest == REPORTS_SHA256
+    assert csv_digest == RESULTS_CSV_SHA256, csv_digest
+    assert reports_digest == REPORTS_SHA256, reports_digest
 
 
 def test_events_log_golden_digest():
@@ -56,7 +56,7 @@ def test_events_log_golden_digest():
         engine.run(cell, events_log=log)
         for line in log:
             h.update(line.encode("utf-8") + b"\n")
-    assert h.hexdigest() == EVENTS_LOG_SHA256
+    assert h.hexdigest() == EVENTS_LOG_SHA256, h.hexdigest()
 
 
 def test_codec_golden_digest():
@@ -81,4 +81,4 @@ def test_codec_golden_digest():
         payloads = dec.extract()
         assert b"".join(payloads) == data
         h.update(b"".join(payloads))
-    assert h.hexdigest() == CODEC_SHA256
+    assert h.hexdigest() == CODEC_SHA256, h.hexdigest()

@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from mcnc.sim.config import SimConfig, cell_key
+from mcnc.sim.config import ConfigError, SimConfig, cell_key
 from mcnc.sim.engine import run
 from mcnc.sim.montecarlo import (
     SUMMARY_METRICS,
@@ -67,6 +67,14 @@ def test_monte_carlo_runs_requested_count():
     summary, reports = monte_carlo(FAST)
     assert len(reports) == 3
     assert set(summary) == set(SUMMARY_METRICS)
+
+
+@pytest.mark.parametrize("runs", [0, -1])
+def test_no_runs_is_a_config_error(runs):
+    # validate() checks cfg.runs, not the count a caller passes
+    for call in (run_seeds, monte_carlo, run_grid):
+        with pytest.raises(ConfigError, match="runs must be at least 1"):
+            call(FAST, runs=runs)
 
 
 def test_worker_count_does_not_change_results():

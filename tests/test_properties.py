@@ -127,6 +127,16 @@ def _peak_occupancy(ues) -> int:
     return peak
 
 
+def _assert_fates_settled(ues):
+    """After a run every frame is played or lost, never both, and its
+    ``base_left`` counts exactly its base generations that never completed."""
+    for ue in ues:
+        for fr in ue.frames:
+            assert (fr.consumed_at is not None) != fr.lost, "frame fate unresolved or twofold"
+            assert fr.base_left == sum(
+                1 for g in fr.gens if g.is_base and g.complete_at is None)
+
+
 @settings(max_examples=500, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(configs())
@@ -141,6 +151,7 @@ def test_every_valid_config_runs_to_completion(cfg):
     assert check_conservation(report) is None
     assert report.frames_total == cfg.n_ues * cfg.frame_count()
     assert _peak_occupancy(ues) <= cfg.playout_buffer_frames
+    _assert_fates_settled(ues)
 
 
 def test_default_cell_fills_the_playout_buffer_exactly():
@@ -148,6 +159,20 @@ def test_default_cell_fills_the_playout_buffer_exactly():
     cfg = SimConfig(duration_s=3.0)
     _, ues = _run_keeping_receivers(cfg)
     assert _peak_occupancy(ues) == cfg.playout_buffer_frames
+    _assert_fates_settled(ues)
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_lost_frames_still_count_late_base_completions(profile):
+    # in this cell some frames are lost at their deadline while a base
+    # generation is still in flight; its completion must still count
+    cfg = SimConfig(duration_s=10.0, seed=11, coding_profile=profile,
+                    multi_connectivity=False, ran_retx=False, nc_fec=True)
+    _, ues = _run_keeping_receivers(cfg)
+    late = [fr for ue in ues for fr in ue.frames
+            if fr.lost and any(g.is_base and g.complete_at is not None for g in fr.gens)]
+    assert late, "the cell must lose a frame whose base layer completes later"
+    _assert_fates_settled(ues)
 
 
 def _negative():
@@ -211,6 +236,8 @@ _BREAKS = st.one_of(
     _set("duration_s", _floats(2e5, 1e300)).map(lambda d: {**d, "fps": 60.0}),
     st.just({"feedback_interval_s": 1e-9, "channel_step_s": 1e-9}),
     _set("n_ues", st.integers(10**5, 10**6)).map(lambda d: {**d, "stagger_step_s": 0.0}),
+    # more source packets than a run may send
+    st.just({"base_nalu_bytes": 10**12, "enh_nalu_bytes": 10**12, "packet_bytes": 1}),
 )
 
 
