@@ -15,7 +15,7 @@ shared between FieldSpec instances.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -173,6 +173,10 @@ class SymbolVector:
         arr = np.asarray(symbols)  # a uint8 array is kept as is, not copied
         if arr.ndim != 1:
             raise ValueError("symbol vectors are one-dimensional")
+        # the uint8 cast would truncate 1.5 to 1 and -0.5 to 0; an empty
+        # list comes in as float64 but holds nothing to truncate
+        if arr.dtype.kind not in "biu" and arr.size:
+            raise ValueError(f"symbols of dtype {arr.dtype} are not integers")
         # range-check before the cast to uint8, which would wrap 256 to 0
         # and -1 to 255
         if arr.size and (int(arr.max()) >= field.order
@@ -198,15 +202,7 @@ class SymbolVector:
         return f"SymbolVector(m={self.field.m}, n={len(self.symbols)})"
 
     def pack(self) -> bytes:
-        m = self.field.m
-        s = self.symbols
-        if m == 8:
-            return s.tobytes()
-        if m == 4:
-            if len(s) % 2:
-                s = np.append(s, np.uint8(0))
-            return ((s[0::2] << 4) | s[1::2]).astype(np.uint8).tobytes()
-        return np.packbits(s).tobytes()
+        return pack_symbols(self.field, self.symbols).tobytes()
 
     @classmethod
     def unpack(cls, field: FieldSpec, data: bytes, n_symbols: int) -> "SymbolVector":
@@ -214,20 +210,48 @@ class SymbolVector:
             raise LengthMismatchError(
                 f"{len(data)} bytes cannot hold {n_symbols} symbols of GF(2^{field.m})"
             )
-        raw = np.frombuffer(data, dtype=np.uint8)
-        if field.m == 8:
-            symbols = raw.copy()
-        elif field.m == 4:
-            symbols = np.empty(2 * len(raw), dtype=np.uint8)
-            symbols[0::2] = raw >> 4
-            symbols[1::2] = raw & 0x0F
-            symbols = symbols[:n_symbols]
-        else:
-            symbols = np.unpackbits(raw)[:n_symbols]
+        symbols = unpack_symbols(field, np.frombuffer(data, dtype=np.uint8), n_symbols)
+        return cls._of(field, symbols if field.m != 8 else symbols.copy())
+
+    def split(self, n: int) -> List["SymbolVector"]:
+        """The vector cut into n equal consecutive parts. Each part is a view
+        of this one's symbols, already in range, so none is checked again."""
+        return [self._of(self.field, row) for row in self.symbols.reshape(n, -1)]
+
+    @classmethod
+    def _of(cls, field: FieldSpec, symbols: np.ndarray) -> "SymbolVector":
         out = cls.__new__(cls)
         out.field = field
         out.symbols = symbols
         return out
+
+
+def pack_symbols(spec: FieldSpec, symbols: np.ndarray) -> np.ndarray:
+    """Wire packing (see :class:`SymbolVector`) along the last axis of a
+    uint8 symbol array of any shape; a sub-byte tail pads with zeros."""
+    if spec.m == 8:
+        return symbols
+    if spec.m == 4:
+        if symbols.shape[-1] % 2 or symbols.strides[-1] != 1:
+            # one contiguous copy, a zero symbol appended if the count is odd
+            pad = np.zeros(symbols.shape[:-1] + (symbols.shape[-1] % 2,), dtype=np.uint8)
+            symbols = np.concatenate((symbols, pad), axis=-1)
+        pairs = symbols.view("<u2")  # symbols a, b read as a | b << 8
+        return ((pairs << 4) | (pairs >> 8)).astype(np.uint8)
+    return np.packbits(symbols, axis=-1)
+
+
+def unpack_symbols(spec: FieldSpec, raw: np.ndarray, n_symbols: int) -> np.ndarray:
+    """Inverse of :func:`pack_symbols`: the first ``n_symbols`` symbols along
+    the last axis of a packed uint8 array, a view of ``raw`` for m=8."""
+    if spec.m == 8:
+        return raw[..., :n_symbols]
+    if spec.m == 4:
+        pairs = raw.astype("<u2")  # byte hi << 4 | lo
+        pairs |= pairs << 12
+        pairs >>= 4  # now hi | lo << 8: the symbols hi, lo in memory order
+        return pairs.view(np.uint8)[..., :n_symbols]
+    return np.unpackbits(raw, axis=-1)[..., :n_symbols]
 
 
 def packed_size(spec: FieldSpec, n_symbols: int) -> int:

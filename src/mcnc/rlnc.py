@@ -18,10 +18,13 @@ GF(2)-linear, so ``c * x`` is the XOR of ``2^b * x`` over the set bits b of
 c. An encoder given payloads keeps the m planes ``2^b * payload_i`` of
 every source row, each padded to whole 64-bit words: m * k * symbol_size
 bytes (0.8 MB for k=100 GF(2^8) rows of 1000 symbols, 0.32 MB for k=40
-GF(2^4) rows of 2000). A coded payload is then one XOR-reduce of the planes
-its coefficient bits select. :meth:`DecoderState.extract` builds the same
-planes of the received payloads and recovers each source payload by one
-such XOR-reduce.
+GF(2^4) rows of 2000). Plane 0 is the rows themselves and each further
+plane is the one before doubled, with word-wide shifts and masks over eight
+symbols at a time, so building them takes no table lookup. A coded payload
+is then one XOR-reduce of the planes its coefficient bits select.
+:meth:`DecoderState.extract` builds the same planes of the received payloads,
+recovers each source payload by one such XOR-reduce, and packs all k at
+once.
 
 Coefficient draw modes
     guarded       systematic: emission i < k is source packet i as it is,
@@ -49,7 +52,9 @@ from .gf import (
     LengthMismatchError,
     SymbolVector,
     _PER_BYTE,
+    pack_symbols,
     packed_size,
+    unpack_symbols,
 )
 from .seeding import derive_seed
 
@@ -139,12 +144,9 @@ class Generation:
             raise EmptyGenerationError("no payload data")
         k = -(-len(data) // packet_bytes)
         size = symbols_per_packet(field, packet_bytes)
-        payloads = []
-        for i in range(k):
-            chunk = data[i * packet_bytes : (i + 1) * packet_bytes]
-            chunk = chunk.ljust(packet_bytes, b"\x00")
-            payloads.append(SymbolVector.unpack(field, chunk, size))
-        return cls(gen_id, field, k, size, payloads, len(data))
+        # every packet is whole bytes, so the padded block unpacks at once
+        block = SymbolVector.unpack(field, data.ljust(k * packet_bytes, b"\x00"), k * size)
+        return cls(gen_id, field, k, size, block.split(k), len(data))
 
 
 def split_counts(n_packets: int, k_max: int) -> List[int]:
@@ -214,9 +216,9 @@ class Encoder:
             matrix = _word_rows(gen.k, gen.symbol_size)
             for row, p in zip(matrix, gen.payloads):
                 row[: gen.symbol_size] = p.symbols
-            # one row per (source packet, bit): the planes a coefficient
+            # one row per (bit, source packet): the planes a coefficient
             # bit selects, in the order _coeff_bits flattens them
-            planes = _planes(gen.field, matrix).view(np.uint64)
+            planes = _planes(gen.field, matrix)
             self._planes = planes.reshape(-1, planes.shape[-1])
         else:
             self._planes = None
@@ -291,9 +293,11 @@ class DecoderState:
 
     Memory: k rows of 2k coefficient bytes (k without payloads) plus the k
     raw payloads, padded to 64-bit words: 20 kB and 100 kB for k=100
-    GF(2^8) rows of 1000 symbols. ``extract`` adds the m bit planes of the
-    raw payloads, m * k * symbol_size bytes (0.8 MB there), for the length
-    of the call.
+    GF(2^8) rows of 1000 symbols. ``extract`` adds, for the length of the
+    call, the m bit planes of the raw payloads, m * k * symbol_size bytes
+    (0.8 MB there), the k solved rows (100 kB) and one 8-byte plane index
+    per set bit of S: k of them after a loss-free systematic delivery, at
+    most m * k * k (640 kB there).
     """
 
     __slots__ = ("gen", "k", "field", "rank", "row_ops", "last_consume_row_ops",
@@ -424,17 +428,26 @@ class DecoderState:
         if self._raw is None:
             raise ValueError("decoder holds no payload symbols")
         field, k, size = self.field, self.k, self.gen.symbol_size
-        planes = _planes(field, self._raw).view(np.uint64)
-        planes = planes.reshape(-1, planes.shape[-1])  # one row per (slot, bit)
-        bits = _coeff_bits(field, self._rows[:, k : 2 * k])
-        out = [b""] * k
-        for slot, lead in enumerate(self._leads.tolist()):
-            words = np.bitwise_xor.reduce(
-                planes.take(np.flatnonzero(bits[slot]), axis=0), axis=0)
-            out[lead] = SymbolVector(field, words.view(np.uint8)[:size]).pack()
+        # slot by slot, the plane rows its raw-packet coordinates select
+        bits = _coeff_bits(field, self._rows[:, k : 2 * k]).reshape(k, -1)
+        picks = np.flatnonzero(bits)
+        picks %= bits.shape[1]
+        ends = np.count_nonzero(bits, axis=1).cumsum().tolist()
+        del bits
+        planes = _planes(field, self._raw)
+        planes = planes.reshape(-1, planes.shape[-1])  # one row per (bit, slot)
+        words = np.empty((k, planes.shape[-1]), dtype=np.uint64)
+        start = 0
+        for lead, end in zip(self._leads.tolist(), ends):
+            np.bitwise_xor.reduce(planes.take(picks[start:end], axis=0),
+                                  axis=0, out=words[lead])
+            start = end
+        del planes  # the largest array here; gone before the payloads are packed
+        # an XOR of in-field planes stays in the field: pack with no check
+        data = pack_symbols(field, words.view(np.uint8)[:, :size]).tobytes()
         full = packed_size(field, size)
-        tail = self.gen.payload_bytes - (k - 1) * full
-        out[-1] = out[-1][:tail]
+        out = [data[i : i + full] for i in range(0, k * full, full)]
+        out[-1] = out[-1][: self.gen.payload_bytes - (k - 1) * full]
         return out
 
 
@@ -445,10 +458,13 @@ def _gather(mul: np.ndarray, c: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return mul.take((c.astype(np.uint16) << m)[:, None] | rows)
 
 
+_BITS = np.arange(8, dtype=np.uint8)[:, None]
+
+
 def _coeff_bits(field: FieldSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Bit b of every symbol, on a new last axis of length m (as bool)."""
-    bits = np.unpackbits(coeffs[..., None], axis=-1, bitorder="little")
-    return bits[..., : field.m].view(bool)
+    """Bit b of every symbol, 0 or 1, on a new axis of length m before the
+    last: entry ``[..., b, i]`` is bit b of ``coeffs[..., i]``."""
+    return (coeffs[..., None, :] >> _BITS[: field.m]) & 1
 
 
 def _word_rows(n: int, size: int) -> np.ndarray:
@@ -457,13 +473,32 @@ def _word_rows(n: int, size: int) -> np.ndarray:
 
 
 def _planes(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
-    """Bit planes ``2^b * rows`` for b in 0..m-1, on a new axis before the last.
+    """Bit planes ``2^b * rows`` for b in 0..m-1 of n uint8 symbol rows
+    padded to whole words, as ``(m, n, W)`` uint64 words: plane-major, so
+    each step below runs over contiguous words.
 
     Multiplication by a symbol c is GF(2)-linear, so ``c * x`` is the XOR
-    of the planes of x picked out by the set bits of c.
+    of the planes of x picked out by the set bits of c. Plane b+1 is plane
+    b doubled, eight symbols per word: shift each byte left within the
+    field's bits, and where its top bit fell out, add the reduction
+    polynomial's low bits. Zero pad bytes stay zero.
     """
-    mul = field.mul_table
-    return np.stack([mul[1 << b].take(rows) for b in range(field.m)], axis=-2)
+    m, top = field.m, field.order - 1
+    ones = np.uint64(0x0101010101010101)
+    low = np.uint64((top & 0xFE) * 0x0101010101010101)
+    red, shift = np.uint64(field.poly & top), np.uint64(m - 1)
+    planes = np.empty((m, len(rows), rows.shape[-1] // 8), dtype=np.uint64)
+    planes[0] = rows.view(np.uint64)
+    carry = np.empty_like(planes[0])
+    for b in range(1, m):
+        x, y = planes[b - 1], planes[b]
+        np.right_shift(x, shift, out=carry)
+        carry &= ones
+        carry *= red
+        np.left_shift(x, np.uint64(1), out=y)
+        y &= low
+        y ^= carry
+    return planes
 
 
 def serialize(packet: CodedPacket, field: FieldSpec) -> bytes:
@@ -471,16 +506,22 @@ def serialize(packet: CodedPacket, field: FieldSpec) -> bytes:
 
     ``seq`` goes out modulo 2^16; the decoder never reads it.
     """
+    coeffs = bytes(packet.coeffs)  # the header's k counts the symbols sent
+    gen_id, k, attempt = packet.gen_id, len(coeffs), packet.attempt
+    if not 0 <= gen_id <= 0xFFFFFFFF:
+        raise ValueError(f"gen_id={gen_id} outside [0, 2^32)")
+    if not 0 < k <= 0xFFFF:
+        raise ValueError(f"k={k} coefficients, the header holds 1 to 65535")
+    if not 0 <= attempt <= 0xFF:
+        raise ValueError(f"attempt={attempt} outside [0, 255]")
     if packet.payload is None:
         raise ValueError("cannot serialize a packet without payload symbols")
-    coeffs = bytes(packet.coeffs)  # the header's k counts the symbols sent
-    return b"".join(
-        (
-            WIRE_HEADER.pack(packet.gen_id, len(coeffs), packet.seq & 0xFFFF, packet.attempt),
-            SymbolVector(field, np.frombuffer(coeffs, np.uint8)).pack(),
-            packet.payload.pack(),
-        )
-    )
+    if field.m != 8:  # every byte is a symbol of GF(2^8)
+        if max(coeffs) >= field.order:
+            raise ValueError(f"coefficient={max(coeffs)} outside GF(2^{field.m})")
+        coeffs = pack_symbols(field, np.frombuffer(coeffs, np.uint8)).tobytes()
+    header = WIRE_HEADER.pack(gen_id, k, packet.seq & 0xFFFF, attempt)
+    return b"".join((header, coeffs, packet.payload.pack()))
 
 
 def deserialize(
@@ -495,16 +536,20 @@ def deserialize(
     if len(data) < WIRE_HEADER.size:
         raise LengthMismatchError("short packet header")
     gen_id, k, seq, attempt = WIRE_HEADER.unpack_from(data)
-    coeff_bytes = packed_size(field, k)
-    body = data[WIRE_HEADER.size :]
-    if len(body) < coeff_bytes:
+    if k == 0:
+        raise LengthMismatchError("header announces k=0 coefficients")
+    start = WIRE_HEADER.size
+    end = start + packed_size(field, k)
+    if len(data) < end:
         raise LengthMismatchError("truncated coefficient block")
-    coeffs = SymbolVector.unpack(field, body[:coeff_bytes], k)
-    payload_raw = body[coeff_bytes:]
+    coeffs = bytes(data[start:end])  # every packed value is in the field
+    if field.m != 8:
+        coeffs = unpack_symbols(field, np.frombuffer(coeffs, np.uint8), k).tobytes()
+    payload_raw = data[end:]
     if symbol_size is None:
         symbol_size = len(payload_raw) * _PER_BYTE[field.m]
     payload = SymbolVector.unpack(field, payload_raw, symbol_size)
-    return CodedPacket(gen_id, coeffs.symbols.tobytes(), payload, seq, attempt)
+    return CodedPacket(gen_id, coeffs, payload, seq, attempt)
 
 
 def wire_size(field: FieldSpec, k: int, payload_bytes: int) -> int:

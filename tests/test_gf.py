@@ -17,7 +17,9 @@ from mcnc.gf import (
     ZeroInverseError,
     gf_inv,
     gf_mul,
+    pack_symbols,
     packed_size,
+    unpack_symbols,
     vec_axpy,
 )
 
@@ -175,6 +177,48 @@ def test_symbol_vector_range_checks_before_the_cast(m, form):
     vec = SymbolVector(spec, form([0, 1, top]))
     assert vec.symbols.dtype == np.uint8
     assert vec.symbols.tolist() == [0, 1, top]
+
+
+@pytest.mark.parametrize(
+    "symbols",
+    [[1.5, 2.0], [-0.5], [1.0], np.array([3.0]), np.array(["a", "b"]), [None], [1j]],
+    ids=["fraction", "negative-fraction", "whole-float", "float-array", "str", "object",
+         "complex"],
+)
+def test_symbol_vector_rejects_non_integer_input(symbols):
+    # a uint8 cast would truncate 1.5 to 1 and -0.5 to 0
+    with pytest.raises(ValueError, match="not integers"):
+        SymbolVector(FieldSpec(4), symbols)
+
+
+def test_symbol_vector_takes_bool_and_every_integer_dtype():
+    spec = FieldSpec(4)
+    assert SymbolVector(spec, [True, False]).symbols.tolist() == [1, 0]
+    for dtype in (np.int8, np.uint16, np.int64):
+        assert SymbolVector(spec, np.array([0, 15], dtype=dtype)).symbols.tolist() == [0, 15]
+    assert len(SymbolVector(spec, [])) == 0
+
+
+def _reference_pack(m, symbols):
+    """Big-end-first packing, one m-bit group per symbol, zero-filled."""
+    bits = "".join(format(int(s), f"0{m}b") for s in symbols)
+    bits += "0" * (-len(bits) % 8)
+    return int(bits, 2).to_bytes(len(bits) // 8, "big")
+
+
+@pytest.mark.parametrize("m", [1, 4, 8])
+def test_row_packing_matches_a_bitwise_reference(m):
+    # pack_symbols and unpack_symbols work row-wise on 2-D arrays, also on
+    # column slices of wider rows, strided or not
+    spec = FieldSpec(m)
+    rng = np.random.default_rng(m)
+    wide = rng.integers(0, spec.order, size=(5, 48), dtype=np.uint8)
+    for n in (1, 6, 7, 16, 21):
+        for rows in (wide[:, :n], wide[:, ::2][:, :n]):
+            packed = pack_symbols(spec, rows)
+            assert packed.shape == (5, packed_size(spec, n))
+            assert [r.tobytes() for r in packed] == [_reference_pack(m, r) for r in rows]
+            assert np.array_equal(unpack_symbols(spec, packed, n), rows)
 
 
 def test_symbol_vector_keeps_a_uint8_view():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from mcnc.rlnc import (
     GenerationMismatchError,
     RankDeficientError,
     WIRE_HEADER,
+    _planes,
+    _word_rows,
     deserialize,
     full_rank_probability,
     serialize,
@@ -67,6 +70,22 @@ def test_split_block_covers_data_exactly():
     assert [g.k for g in gens] == [40, 40, 23]
     assert [g.gen_id for g in gens] == [100, 101, 102]
     assert sum(g.payload_bytes for g in gens) == len(data)
+
+
+@pytest.mark.parametrize("m", [1, 4, 8])
+def test_from_block_payloads_match_per_chunk_unpack(m):
+    # one unpack of the padded block gives what unpacking each zero-padded
+    # packet alone gives, short last packet included
+    field = FieldSpec(m)
+    rng = random.Random(71 + m)
+    for packet_bytes, n in ((7, 32), (7, 35), (32, 1), (32, 33)):
+        data = rng.randbytes(n)
+        gen = Generation.from_block(0, field, data, packet_bytes)
+        size = symbols_per_packet(field, packet_bytes)
+        chunks = [data[i : i + packet_bytes].ljust(packet_bytes, b"\x00")
+                  for i in range(0, n, packet_bytes)]
+        assert gen.k == len(chunks) and gen.payload_bytes == n
+        assert gen.payloads == [SymbolVector.unpack(field, c, size) for c in chunks]
 
 
 def test_symbols_per_packet():
@@ -142,7 +161,27 @@ def test_unknown_mode_rejected():
 # -- payload kernels against a per-symbol reference ---------------------
 
 # (m, k, symbols): sizes that are no multiple of 8 pad the word rows
-KERNEL_CASES = [(1, 5, 13), (1, 1, 8), (4, 6, 7), (4, 1, 3), (8, 9, 24), (8, 1, 5), (8, 4, 1)]
+KERNEL_CASES = [(1, 5, 13), (1, 1, 8), (4, 6, 7), (4, 1, 3), (4, 3, 10), (8, 9, 24), (8, 1, 5),
+                (8, 4, 1)]
+
+
+@pytest.mark.parametrize("m", [1, 4, 8])
+def test_planes_match_the_product_table(m):
+    # plane b holds 2^b times every symbol, as the product table has it,
+    # and the pad bytes past the symbols stay zero in every plane; one row
+    # holds every symbol of the field
+    field = FieldSpec(m)
+    rng = np.random.default_rng(m)
+    for size in (1, 5, 13, field.order + 3):
+        rows = _word_rows(3, size)
+        rows[:, :size] = rng.integers(0, field.order, size=(3, size), dtype=np.uint8)
+        rows[0, : min(size, field.order)] = np.arange(min(size, field.order))
+        planes = _planes(field, rows)
+        assert planes.dtype == np.uint64 and planes.shape == (m, 3, rows.shape[1] // 8)
+        for b in range(m):
+            plane = planes[b].view(np.uint8)
+            assert np.array_equal(plane[:, :size], field.mul_table[1 << b].take(rows[:, :size]))
+            assert not plane[:, size:].any()
 
 
 def _symbol_generation(rng, field, k, size):
@@ -522,6 +561,38 @@ def test_deserialize_rejects_truncation():
         deserialize(raw[:4], GF256)
     with pytest.raises(LengthMismatchError):
         deserialize(raw[: WIRE_HEADER.size], GF256)
+
+
+def test_serialize_rejects_gen_id_out_of_range():
+    pkt = Encoder(Generation.from_block(0, GF256, b"\xdd" * 8, 8), seed=0).next_packet()
+    for gen_id in (-1, 2**32):
+        with pytest.raises(ValueError, match="gen_id"):
+            serialize(replace(pkt, gen_id=gen_id), GF256)
+    assert deserialize(serialize(replace(pkt, gen_id=2**32 - 1), GF256), GF256).gen_id == 2**32 - 1
+
+
+def test_serialize_rejects_a_coefficient_count_the_header_cannot_hold():
+    pkt = Encoder(Generation.from_block(0, GF16, b"\xdd" * 8, 8), seed=0).next_packet()
+    for n in (0, 65536):
+        with pytest.raises(ValueError, match=f"k={n} coefficients"):
+            serialize(replace(pkt, coeffs=bytes(n)), GF16)
+    raw = serialize(replace(pkt, coeffs=bytes(65535)), GF16)
+    assert len(deserialize(raw, GF16, symbol_size=16).coeffs) == 65535
+
+
+def test_serialize_rejects_attempt_out_of_range():
+    pkt = Encoder(Generation.from_block(0, GF256, b"\xdd" * 8, 8), seed=0).next_packet()
+    for attempt in (-1, 256):
+        with pytest.raises(ValueError, match="attempt"):
+            serialize(replace(pkt, attempt=attempt), GF256)
+    assert deserialize(serialize(replace(pkt, attempt=255), GF256), GF256).attempt == 255
+
+
+@pytest.mark.parametrize("field", [GF16, GF256], ids=["gf16", "gf256"])
+def test_deserialize_rejects_k_zero(field):
+    # no generation has k = 0, so neither does a packet
+    with pytest.raises(LengthMismatchError, match="k=0"):
+        deserialize(WIRE_HEADER.pack(3, 0, 0, 0) + b"\xee" * 8, field)
 
 
 def test_serialize_needs_payload():
