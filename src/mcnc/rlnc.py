@@ -368,7 +368,7 @@ class DecoderState:
             raise ValueError(f"coefficient outside GF(2^{m})") from None
         if len(raw) != self.k:
             raise LengthMismatchError(f"{len(raw)} coefficients for k={self.k}")
-        if max(raw) >= self.field.order:
+        if m != 8 and max(raw) >= self.field.order:  # every byte is a GF(2^8) symbol
             raise ValueError(f"coefficient={max(raw)} outside GF(2^{m})")
         return np.frombuffer(raw, np.uint8)
 

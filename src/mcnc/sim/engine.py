@@ -53,22 +53,24 @@ of wall clock without changing observable behavior:
   arrives adds one rank. Later emissions are uniform nonzero vectors, and
   by uniformity against any fixed span such an arrival is dependent with
   probability (q^rank - 1)/(q^k - 1); the engine samples that Bernoulli
-  from a run-level stream instead of eliminating coefficient vectors. (A
-  source packet landing after tail packets already raised the rank could
-  in truth be dependent, at odds ~q^(rank-k); the shortcut ignores that.)
+  from the receiver's own rank stream instead of eliminating coefficient
+  vectors. (A source packet landing after tail packets already raised the
+  rank could in truth be dependent, at odds ~q^(rank-k); the shortcut
+  ignores that.)
   Byte counts use the padded wire size, and the codec's real elimination
   path has its own tests.
-- One heap, with the fixed events pushed lazily. Frame arrivals and
-  display deadlines are known at init, but each receiver keeps only its
-  next frame arrival and its next deadline in the heap: handling one
-  pushes the next. Their seq numbers are precomputed, as if every
-  (frame, deadline) pair had been pushed up front, so the (time, kind,
-  seq) dispatch order does not depend on when they enter the heap.
-- The per-run object graph is acyclic: a generation names its frame by
-  index, not by reference, and nothing a receiver holds points back at the
-  engine. Reference counting frees a run as it ends, so the cyclic
-  collector is held off around the event loop (and restored, even when a
-  handler raises) instead of rescanning the live graph.
+- Receiver-major. Receivers share no simulated state, so each one's
+  session runs alone, to its end, one after another: its own heap, seq
+  numbers, generation ids and random streams. Frame arrivals and display
+  deadlines are known at init, but the heap holds only the next of each:
+  handling one pushes the next. Their seq numbers are precomputed, as if
+  every (frame, deadline) pair had been pushed up front, so the (time,
+  kind, seq) dispatch order does not depend on when they enter the heap.
+- The per-session object graph is acyclic: a generation names its frame
+  by index, not by reference. Reference counting frees a session as it
+  ends, before the next one starts, so the cyclic collector is held off
+  around the event loop (and restored, even when a handler raises)
+  instead of rescanning the live graph.
 """
 
 from __future__ import annotations
@@ -173,12 +175,6 @@ class _FrameState:
         self.lost = False
 
 
-class _UEState:
-    __slots__ = ("idx", "stream_start", "mm", "lte", "selector", "metrics",
-                 "newest", "frames", "decode_memo", "ptr", "buffer", "ul_delay",
-                 "seq0")
-
-
 #: run inputs kept per process: enough for a grid's one trace and its two
 #: plan lists (one per coding profile), small enough that sweeps stay flat
 RUN_INPUT_CACHE_SIZE = 4
@@ -239,13 +235,15 @@ def _newest_reports(fb_ok, scan: int) -> List[int]:
 
 
 class _Engine:
+    """One receiver's session: its links, feedback, playout clock and events."""
+
     def __init__(self, cfg: SimConfig, seed: int, plans: List[_FramePlan],
-                 n_frames: int, log: Optional[List[str]]):
+                 n_frames: int, log: Optional[List[str]], u: int):
         self.cfg = cfg
-        self.seed = seed
         self.plans = plans
         self.n_frames = n_frames
         self.log = log
+        self.u = u
 
         self.field = FieldSpec(cfg.field_exponent)
         # per-k tables, indexed by generation size k in [0, generation_size]
@@ -254,43 +252,19 @@ class _Engine:
         self._n_initial = {path: [initial_burst_size(k, path, cfg.nc_fec) for k in ks]
                            for path in (MMWAVE, LTE)}
         self._dep: Dict[int, List[float]] = {}
-        self._rank_rng = random.Random(derive_seed(seed, "rank"))
+        self._rank_rng = random.Random(derive_seed(seed, "rank", u))
         self._next_gen_id = 0
-        self._heap: list = []
 
-        fps = cfg.fps
-        buffer_depth = cfg.playout_buffer_frames / fps
         self.t_end = cfg.session_end_s()
-        self.n_steps = int(self.t_end * (1.0 / cfg.channel_step_s)) + 2
+        n_steps = int(self.t_end * (1.0 / cfg.channel_step_s)) + 2
         self.fb_int = cfg.feedback_interval_s
         self.n_reports = int(self.t_end / self.fb_int) + 2
         # how many missed reports to scan back before declaring ignorance;
         # past the staleness bound the answer cannot change path choice
         self._fb_scan = max(2, int(cfg.feedback_staleness_s / self.fb_int) + 2)
 
-        self.ues = [self._build_ue(u, buffer_depth) for u in range(cfg.n_ues)]
-
-        # frame f of receiver u arrives at stream_start + f / fps with seq
-        # 2*u*n_frames + 2*f + 1, and its deadline takes the next seq: the
-        # numbers a push of every (frame, deadline) pair up front would have
-        # given. Dynamic events number on from there. Only frame 0 and its
-        # deadline enter now; each handler pushes its successor.
-        heap = self._heap
-        for ue in self.ues:
-            heap.append((ue.stream_start + 0 / fps, _FRAME, ue.seq0 + 1, ue.idx, 0))
-            heap.append((ue.buffer.deadline(0), _DEADLINE, ue.seq0 + 2, ue.idx, 0))
-        heapq.heapify(heap)
-        self._seq = 2 * len(self.ues) * n_frames
-
-    # ------------------------------------------------------------- setup
-
-    def _build_ue(self, u: int, buffer_depth: float) -> _UEState:
-        cfg = self.cfg
-        ue = _UEState()
-        ue.idx = u
-        ue.seq0 = 2 * u * self.n_frames
-        ue.stream_start = u * cfg.stagger_step_s
-        ue.mm = LinkModel(
+        self.stream_start = u * cfg.stagger_step_s
+        self.mm = LinkModel(
             kind=MMWAVE,
             bandwidth_hz=cfg.mmwave_bandwidth_hz,
             efficiency=cfg.efficiency,
@@ -305,10 +279,10 @@ class _Engine:
             max_attempts=cfg.ran_max_attempts,
             retx_delay_s=cfg.ran_retx_delay_s,
             initial_mode=LOS if u < cfg.ues_los else NLOS,
-            rng=random.Random(derive_seed(self.seed, "mmloss", u)),
+            rng=random.Random(derive_seed(seed, "mmloss", u)),
         )
         # the cell rate is shared evenly among receivers by static split
-        ue.lte = LinkModel.lte(
+        self.lte = LinkModel.lte(
             bandwidth_hz=cfg.lte_bandwidth_hz / cfg.n_ues,
             snr_db=cfg.lte_snr_db,
             loss_prob=cfg.lte_loss,
@@ -318,49 +292,59 @@ class _Engine:
             retx_delay_s=cfg.ran_retx_delay_s,
             efficiency=cfg.efficiency,
             outage_threshold_db=cfg.outage_threshold_db,
-            rng=random.Random(derive_seed(self.seed, "lteloss", u)),
+            rng=random.Random(derive_seed(seed, "lteloss", u)),
         )
-        ue.selector = PathSelector(
-            outage_threshold_db=ue.mm.outage_threshold_db,
+        self.selector = PathSelector(
+            outage_threshold_db=self.mm.outage_threshold_db,
             hysteresis_db=cfg.hysteresis_db,
             staleness_s=cfg.feedback_staleness_s,
         )
-        ue.metrics = UEMetrics(ue_id=u)
-        ue.mm.presample(self.n_steps, cfg.channel_step_s,
-                        np.random.default_rng(derive_seed(self.seed, "chan", u)))
+        self.mm.presample(n_steps, cfg.channel_step_s,
+                          np.random.default_rng(derive_seed(seed, "chan", u)))
         # feedback rides the fallback path when there is one, else the
         # mmWave uplink: its state decides which reports survive, and every
         # control packet (reports, abandon notices) takes its delay
-        fb_link = ue.lte if cfg.multi_connectivity else ue.mm
+        fb_link = self.lte if cfg.multi_connectivity else self.mm
         fb_ok = fb_link.control_survival(
             np.arange(self.n_reports) * self.fb_int,
-            np.random.default_rng(derive_seed(self.seed, "fb", u)))
-        ue.newest = _newest_reports(fb_ok, self._fb_scan)
-        ue.ul_delay = cfg.backhaul_delay_s + fb_link.base_delay_s + _CTRL_PROC_S
-        ue.frames = [None] * self.n_frames
-        ue.decode_memo = set()  # frames found decodable; they stay so
-        ue.ptr = 0
-        ue.buffer = PlayoutBuffer(ue.stream_start + cfg.backhaul_delay_s + buffer_depth,
-                                  fps=cfg.fps)
-        ue.metrics.feedback_sent = self.n_reports
-        ue.metrics.feedback_lost = int(np.count_nonzero(~fb_ok))
-        return ue
+            np.random.default_rng(derive_seed(seed, "fb", u)))
+        self.newest = _newest_reports(fb_ok, self._fb_scan)
+        self.ul_delay = cfg.backhaul_delay_s + fb_link.base_delay_s + _CTRL_PROC_S
+        self.metrics = UEMetrics(ue_id=u)
+        self.metrics.feedback_sent = self.n_reports
+        self.metrics.feedback_lost = int(np.count_nonzero(~fb_ok))
+        self.frames: List[Optional[_FrameState]] = [None] * n_frames
+        self.decode_memo = set()  # frames found decodable; they stay so
+        self.ptr = 0
+        self.buffer = PlayoutBuffer(
+            self.stream_start + cfg.backhaul_delay_s + cfg.playout_buffer_frames / cfg.fps,
+            fps=cfg.fps)
+
+        # frame f arrives at stream_start + f / fps with seq 2f + 1, and its
+        # deadline takes seq 2f + 2: the numbers a push of every (frame,
+        # deadline) pair up front would have given. Dynamic events number on
+        # from there. Only frame 0 and its deadline enter now; each handler
+        # pushes its successor.
+        self._heap = [(self.stream_start, _FRAME, 1, 0),
+                      (self.buffer.deadline(0), _DEADLINE, 2, 0)]
+        heapq.heapify(self._heap)
+        self._seq = 2 * n_frames
 
     # --------------------------------------------------------- event loop
 
-    def _push(self, t, kind, ue_idx, arg):
+    def _push(self, t, kind, arg):
         self._seq += 1
-        heapq.heappush(self._heap, (t, kind, self._seq, ue_idx, arg))
+        heapq.heappush(self._heap, (t, kind, self._seq, arg))
 
-    def run(self) -> MetricsReport:
+    def run(self) -> UEMetrics:
         heap = self._heap
         heappop = heapq.heappop
-        ues = self.ues
         log = self.log
+        u = self.u
         # indexed by event kind
         handlers = [self._on_deadline, self._on_frame, self._on_check,
                     self._on_done, self._resolve_failure, self._resolve_failure]
-        # the run's object graph is acyclic, so reference counting frees
+        # the session's object graph is acyclic, so reference counting frees
         # everything the loop drops and the cyclic collector has nothing
         # to find; hold it off instead of letting it rescan the live graph
         gc_was_on = gc.isenabled()
@@ -368,14 +352,14 @@ class _Engine:
         try:
             while heap:
                 # seq numbers are unique, so the tuples order on (t, kind, seq)
-                t, kind, _, ue_idx, arg = heappop(heap)
+                t, kind, _, arg = heappop(heap)
                 if log is not None:
-                    log.append(f"{t:.9f} {_KIND_NAMES[kind]} ue={ue_idx} arg={self._log_arg(arg)}")
-                handlers[kind](ues[ue_idx], arg, t)
+                    log.append(f"{t:.9f} {_KIND_NAMES[kind]} ue={u} arg={self._log_arg(arg)}")
+                handlers[kind](arg, t)
         finally:
             if gc_was_on:
                 gc.enable()
-        return MetricsReport(self.seed, self.cfg.duration_s, [u.metrics for u in ues])
+        return self.metrics
 
     @staticmethod
     def _log_arg(arg):
@@ -383,22 +367,22 @@ class _Engine:
 
     # ----------------------------------------------------------- feedback
 
-    def _latest_report(self, ue: _UEState, now: float) -> int:
+    def _latest_report(self, now: float) -> int:
         """Newest surviving report index whose arrival is <= now, or -1."""
-        g = math.floor((now - ue.ul_delay) / self.fb_int)
+        g = math.floor((now - self.ul_delay) / self.fb_int)
         if g < 0:
             return -1
-        newest = ue.newest
+        newest = self.newest
         return newest[g] if g < self.n_reports else newest[-1]
 
-    def _current_path(self, ue: _UEState, now: float) -> str:
+    def _current_path(self, now: float) -> str:
         if not self.cfg.multi_connectivity:
             return MMWAVE
-        rep = self._latest_report(ue, now)
+        rep = self._latest_report(now)
         if rep >= 0:
             sent_at = rep * self.fb_int
-            ue.selector.update(sent_at, ue.mm.snr_at(sent_at))
-        return ue.selector.select_path(now)
+            self.selector.update(sent_at, self.mm.snr_at(sent_at))
+        return self.selector.select_path(now)
 
     # -------------------------------------------------------- transmission
 
@@ -412,28 +396,28 @@ class _Engine:
             self._dep[k] = probs
         return probs
 
-    def _send_burst(self, ue: _UEState, g: _GenState, n: int, path: str,
-                    now: float) -> float:
+    def _send_burst(self, g: _GenState, n: int, path: str, now: float) -> float:
         """Send n packets of g on path; returns when the burst has settled.
 
         Each surviving packet feeds the receiver's rank timeline in arrival
         order. A source packet (emission < k) adds one rank; a tail packet
         adds one unless the Bernoulli draw says it is dependent. An arrival
         that lands before the rank last rose is clamped to that time, so
-        the timeline stays monotone.
+        the timeline stays monotone. A base generation that completes
+        schedules its DONE; no one waits on an enhancement generation.
         """
         first = g.seq
         g.seq += n
         nbytes = self._wire[g.k]
         backhaul = self.cfg.backhaul_delay_s
-        link = ue.mm if path == MMWAVE else ue.lte
+        link = self.mm if path == MMWAVE else self.lte
         transmit = link.transmit
         survivors = []
         for emission in range(first, first + n):
             delivered, deliver_at, _, _ = transmit(nbytes, now)
             if delivered:
                 survivors.append((deliver_at + backhaul, emission))
-        ue.metrics.count_burst(path, n, len(survivors))
+        self.metrics.count_burst(path, n, len(survivors))
         est = link.busy_until + link.base_delay_s + backhaul
         if now > est:
             est = now
@@ -463,15 +447,15 @@ class _Engine:
                     rank += 1
                     if rank == k:
                         g.complete_at = arrival
-                        ue.metrics.generations_delivered += 1
-                        self._seq += 1
-                        heapq.heappush(self._heap, (arrival, _DONE, self._seq, ue.idx, g))
+                        self.metrics.generations_delivered += 1
+                        if g.is_base:
+                            self._push(arrival, _DONE, g)
             if arrival > last:
                 last = arrival
         g.last_arrival = last
         return est
 
-    def _arm_giveup(self, ue: _UEState, g: _GenState, now: float):
+    def _arm_giveup(self, g: _GenState, now: float):
         # receiver-side skip timer for planless operation; with reactive
         # coding on, the sender plan plus the display deadline resolve
         # every generation, so the timer must not race them. An empty
@@ -483,49 +467,47 @@ class _Engine:
             t = max(g.last_arrival, now) + self.cfg.receiver_giveup_s
         else:
             t = now + self.cfg.receiver_giveup_empty_s
-        self._push(t, _GIVEUP, ue.idx, g)
+        self._push(t, _GIVEUP, g)
 
-    def _finish_plan(self, ue: _UEState, g: _GenState):
-        ue.metrics.fec_rounds_hist[g.attempts_used] += 1
+    def _finish_plan(self, g: _GenState):
+        self.metrics.fec_rounds_hist[g.attempts_used] += 1
 
-    def _schedule_check(self, ue: _UEState, g: _GenState, settle: float, now: float):
+    def _schedule_check(self, g: _GenState, settle: float):
         # look again once the burst just sent has settled and the report
         # showing it can have arrived, unless the rank the sender will know
         # by then already completes the plan
-        guard = self.cfg.plan_check_guard_s
         # settle >= now and ul_delay > 0, so the check lands after now
-        t_check = settle + ue.ul_delay + guard
+        t_check = settle + self.ul_delay + self.cfg.plan_check_guard_s
         # the rank the newest report by t_check shows
-        rep = self._latest_report(ue, t_check)
+        rep = self._latest_report(t_check)
         if rep >= 0 and bisect_right(g.rank_ts, rep * self.fb_int) >= g.k:
             g.delivered = True
-            self._finish_plan(ue, g)
+            self._finish_plan(g)
         else:
-            self._seq += 1
-            heapq.heappush(self._heap, (t_check, _CHECK, self._seq, ue.idx, g))
+            self._push(t_check, _CHECK, g)
 
-    def _fail_plan(self, ue: _UEState, g: _GenState, now: float):
+    def _fail_plan(self, g: _GenState, now: float):
         # the sender gives up; the receiver hears of it one uplink delay
         # later and drops the frame unless this base generation made it
         g.failed = True
-        self._finish_plan(ue, g)
+        self._finish_plan(g)
         if g.is_base and (g.complete_at is None or g.complete_at > g.deadline):
-            self._push(now + ue.ul_delay, _ABANDON, ue.idx, g)
+            self._push(now + self.ul_delay, _ABANDON, g)
 
     # ------------------------------------------------------------ handlers
 
-    def _on_frame(self, ue: _UEState, f: int, now: float):
+    def _on_frame(self, f: int, now: float):
         cfg = self.cfg
         if f + 1 < self.n_frames:
-            heapq.heappush(self._heap, (ue.stream_start + (f + 1) / cfg.fps, _FRAME,
-                                        ue.seq0 + 2 * f + 3, ue.idx, f + 1))
+            heapq.heappush(self._heap, (self.stream_start + (f + 1) / cfg.fps, _FRAME,
+                                        2 * f + 3, f + 1))
         plan = self.plans[f]
-        fr = _FrameState(now, ue.buffer.deadline(f), plan)
-        ue.frames[f] = fr
-        path = self._current_path(ue, now)
+        fr = _FrameState(now, self.buffer.deadline(f), plan)
+        self.frames[f] = fr
+        path = self._current_path(now)
         nc = cfg.nc_fec
         n_initial = self._n_initial[path]
-        m = ue.metrics
+        m = self.metrics
         m.generations_total += len(plan.gens)
         send_burst = self._send_burst
         gens = fr.gens
@@ -536,59 +518,59 @@ class _Engine:
             g = _GenState(gen_id, k, n_initial[k], deadline, f, nalu_slot, is_base)
             gen_id += 1
             gens.append(g)
-            settle = send_burst(ue, g, g.n_initial, path, now)
+            settle = send_burst(g, g.n_initial, path, now)
             if not nc:
                 # no sender-side plan without reactive coding: losses
                 # resolve through the receiver timer or the display clock
                 m.fec_rounds_hist[0] += 1
-                self._arm_giveup(ue, g, now)
+                self._arm_giveup(g, now)
                 continue
-            self._schedule_check(ue, g, settle, now)
+            self._schedule_check(g, settle)
 
-    def _on_check(self, ue: _UEState, g: _GenState, now: float):
+    def _on_check(self, g: _GenState, now: float):
         cfg = self.cfg
-        rep = self._latest_report(ue, now)
-        if rep < 0 or now - rep * self.fb_int - ue.ul_delay > cfg.feedback_staleness_s:
+        rep = self._latest_report(now)
+        if rep < 0 or now - rep * self.fb_int - self.ul_delay > cfg.feedback_staleness_s:
             # feedback blackout (mmWave-only uplink in outage): hold the
             # plan instead of burning top-up rounds blind; the display
             # deadline still bounds how long the receiver waits
             if now + self.fb_int > g.deadline:
-                self._fail_plan(ue, g, now)
+                self._fail_plan(g, now)
             else:
-                self._push(now + self.fb_int, _CHECK, ue.idx, g)
+                self._push(now + self.fb_int, _CHECK, g)
             return
         rank = bisect_right(g.rank_ts, rep * self.fb_int)
         act = handle_feedback(g, rank, now, overshoot=cfg.retx_overshoot)
         if act.kind == "delivered":
-            self._finish_plan(ue, g)
+            self._finish_plan(g)
         elif act.kind == "failed":
-            self._fail_plan(ue, g, now)
+            self._fail_plan(g, now)
         else:
-            settle = self._send_burst(ue, g, act.count, self._current_path(ue, now), now)
-            self._schedule_check(ue, g, settle, now)
+            settle = self._send_burst(g, act.count, self._current_path(now), now)
+            self._schedule_check(g, settle)
 
-    def _on_done(self, ue: _UEState, g: _GenState, now: float):
-        # lost frames count too: the display check reads base_left == 0
-        if g.is_base:
-            fr = ue.frames[g.frame]
-            fr.base_left -= 1
-            if fr.base_left == 0:
-                self._try_advance(ue, now)
+    def _on_done(self, g: _GenState, now: float):
+        # a base generation completed; lost frames count too, since the
+        # display check reads base_left == 0
+        fr = self.frames[g.frame]
+        fr.base_left -= 1
+        if fr.base_left == 0:
+            self._try_advance(now)
 
-    def _resolve_failure(self, ue: _UEState, g: _GenState, now: float):
+    def _resolve_failure(self, g: _GenState, now: float):
         # an abandon notice or a give-up: a base generation missed its deadline
-        self._lose(ue, ue.frames[g.frame], now)
+        self._lose(self.frames[g.frame], now)
 
-    def _lose(self, ue: _UEState, fr: _FrameState, now: float):
+    def _lose(self, fr: _FrameState, now: float):
         if not fr.lost and fr.consumed_at is None:
             fr.lost = True
-            self._try_advance(ue, now)
+            self._try_advance(now)
 
-    def _try_advance(self, ue: _UEState, now: float):
+    def _try_advance(self, now: float):
         # consume complete frames in display order, skipping lost ones; an
         # unresolved frame at the pointer always has its deadline ahead
-        frames = ue.frames
-        ptr = ue.ptr
+        frames = self.frames
+        ptr = self.ptr
         while ptr < len(frames):
             fr = frames[ptr]
             if fr is None or not (fr.lost or fr.base_left == 0):
@@ -596,24 +578,24 @@ class _Engine:
             if not fr.lost:
                 fr.consumed_at = now
             ptr += 1
-        ue.ptr = ptr
+        self.ptr = ptr
 
-    def _on_deadline(self, ue: _UEState, f: int, now: float):
+    def _on_deadline(self, f: int, now: float):
         if f + 1 < self.n_frames:
             # PlayoutBuffer.deadline(f + 1), inlined
-            buf = ue.buffer
+            buf = self.buffer
             heapq.heappush(self._heap, (buf.start_time + (f + 1) / buf.fps, _DEADLINE,
-                                        ue.seq0 + 2 * f + 4, ue.idx, f + 1))
-        frames = ue.frames
+                                        2 * f + 4, f + 1))
+        frames = self.frames
         fr = frames[f]
-        if ue.ptr == f:
+        if self.ptr == f:
             # the pointer only rests on a frame that exists, is not lost and
             # still waits for a base generation: at display time, a hard loss
-            self._lose(ue, fr, now)
+            self._lose(fr, now)
 
-        m = ue.metrics
+        m = self.metrics
         m.frames_total += 1
-        memo = ue.decode_memo
+        memo = self.decode_memo
         usable = fr.consumed_at is not None and (f in memo or decodable(
             f, self.n_frames,
             lambda j: frames[j] is not None and frames[j].base_left == 0, memo))
@@ -655,7 +637,11 @@ def run(config: SimConfig, seed: Optional[int] = None,
         if packets > MAX_GRID_STATES:
             raise TraceError(f"trace needs {packets} source packets, over {MAX_GRID_STATES}")
     plans = _frame_plans(trace, n_frames, config.packet_bytes, config.generation_size)
-    report = _Engine(config, seed, plans, n_frames, events_log).run()
+    # receivers share no simulated state, so each session runs alone, to
+    # its end, and is freed before the next one starts
+    report = MetricsReport(seed, config.duration_s, [
+        _Engine(config, seed, plans, n_frames, events_log, u).run()
+        for u in range(config.n_ues)])
     violation = check_conservation(report)
     if violation is not None:
         raise RuntimeError("conservation violated: " + violation)

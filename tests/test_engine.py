@@ -275,17 +275,22 @@ def test_short_trace_rejected(tmp_path):
 
 
 def test_event_log_is_chronological():
+    # the log holds each receiver's session in turn, each in time order
     log = []
     run(BASE, seed=11, events_log=log)
-    times = [float(line.split()[0]) for line in log]
-    assert times == sorted(times)
+    ues = [int(line.split()[2][len("ue="):]) for line in log]
+    assert ues == sorted(ues) and set(ues) == set(range(BASE.n_ues))
+    for u in range(BASE.n_ues):
+        times = [float(line.split()[0]) for line, v in zip(log, ues) if v == u]
+        assert times == sorted(times)
 
 
-def _small_engine(cfg, log=None):
+def _small_engine(cfg, log=None, u=0):
+    """Receiver u's session of cfg at seed 1, built but not run."""
     n_frames = cfg.frame_count()
     plans = engine._frame_plans(engine._obtain_trace(cfg), n_frames,
                                 cfg.packet_bytes, cfg.generation_size)
-    return engine._Engine(cfg, 1, plans, n_frames, log)
+    return engine._Engine(cfg, 1, plans, n_frames, log, u)
 
 
 def test_static_event_wins_a_tie_with_a_dynamic_one():
@@ -298,7 +303,7 @@ def test_static_event_wins_a_tie_with_a_dynamic_one():
     assert first_frame[1] == engine._FRAME
     done = engine._GenState(-1, 1, 1, math.inf, 0, 0, True)
     done.complete_at = 0.0
-    eng._push(first_frame[0], engine._GIVEUP, 0, done)
+    eng._push(first_frame[0], engine._GIVEUP, done)
     eng.run()
     assert [line.split()[1] for line in log[:2]] == ["frame", "giveup"]
     assert log[0].split()[0] == log[1].split()[0]
@@ -308,18 +313,16 @@ def test_engine_starts_with_one_frame_and_one_deadline_per_receiver():
     # frame arrivals and deadlines enter the heap one at a time, each
     # pushed by its predecessor's handler, not all at once up front
     cfg = dataclasses.replace(BASE, n_ues=3)
-    eng = _small_engine(cfg)
-    assert len(eng._heap) == 2 * cfg.n_ues
     for u in range(cfg.n_ues):
-        kinds = sorted(e[1] for e in eng._heap if e[3] == u)
-        assert kinds == [engine._DEADLINE, engine._FRAME]
-        assert all(e[4] == 0 for e in eng._heap if e[3] == u)
+        eng = _small_engine(cfg, u=u)
+        assert sorted(eng._heap) == [(eng.stream_start, engine._FRAME, 1, 0),
+                                     (eng.buffer.deadline(0), engine._DEADLINE, 2, 0)]
 
 
-def _reference_latest_report(eng, ue, fb_ok, now):
+def _reference_latest_report(eng, fb_ok, now):
     """The scan the ``newest`` table replaces: walk back from the report
     slot at now - ul_delay over at most _fb_scan slots."""
-    g = math.floor((now - ue.ul_delay) / eng.fb_int)
+    g = math.floor((now - eng.ul_delay) / eng.fb_int)
     if g >= eng.n_reports:
         g = eng.n_reports - 1
     lim = g - eng._fb_scan
@@ -333,7 +336,6 @@ def _reference_latest_report(eng, ue, fb_ok, now):
 @pytest.mark.parametrize("p_ok", [0.0, 0.1, 0.5, 0.9, 1.0])
 def test_latest_report_matches_the_scan(p_ok):
     eng = _small_engine(dataclasses.replace(BASE, duration_s=0.5))
-    ue = eng.ues[0]
     n, scan = eng.n_reports, eng._fb_scan
     rng = random.Random(int(p_ok * 10))
     fb_ok = [rng.random() < p_ok for _ in range(n)]
@@ -342,13 +344,13 @@ def test_latest_report_matches_the_scan(p_ok):
         fb_ok[a:a + 2 * scan + 1] = [False] * (2 * scan + 1)
     if p_ok:
         fb_ok[n // 2] = True  # a lone survivor just past a lost run
-    ue.newest = engine._newest_reports(np.array(fb_ok), scan)
-    times = [-eng.fb_int, 0.0, ue.ul_delay - 1e-9, ue.ul_delay]
-    times += [ue.ul_delay + (g + frac) * eng.fb_int
+    eng.newest = engine._newest_reports(np.array(fb_ok), scan)
+    times = [-eng.fb_int, 0.0, eng.ul_delay - 1e-9, eng.ul_delay]
+    times += [eng.ul_delay + (g + frac) * eng.fb_int
               for g in range(n + 2 * scan) for frac in (0.0, 0.5)]
     times += [eng.t_end + 1.0, 1e6]
     for t in times:
-        assert eng._latest_report(ue, t) == _reference_latest_report(eng, ue, fb_ok, t), t
+        assert eng._latest_report(t) == _reference_latest_report(eng, fb_ok, t), t
 
 
 def test_each_generation_gives_up_at_most_once():
@@ -377,16 +379,52 @@ def test_failure_notices_name_generations_late_for_their_deadline(monkeypatch):
     notices = []
     real = engine._Engine._resolve_failure
 
-    def checked(self, ue, g, now):
+    def checked(self, g, now):
         notices.append(g.gen_id)
         assert g.is_base
         assert g.complete_at is None or g.complete_at > g.deadline, (g.gen_id, now)
-        real(self, ue, g, now)
+        real(self, g, now)
 
     monkeypatch.setattr(engine._Engine, "_resolve_failure", checked)
     for cell in grid_cells(SimConfig(duration_s=3.0, seed=7)):
         run(cell)
     assert notices  # notices happen, so the check above is not vacuous
+
+
+def test_done_events_name_each_completed_base_generation_once(monkeypatch):
+    # only a base generation can release a frame, so only its completion
+    # is an event, and exactly one
+    sessions, done = [], []
+    real_run, real_done = engine._Engine.run, engine._Engine._on_done
+
+    def keep(self):
+        sessions.append(self)
+        return real_run(self)
+
+    def checked(self, g, now):
+        assert g.is_base and g.complete_at == now, (g.gen_id, now)
+        done.append(g)
+        real_done(self, g, now)
+
+    monkeypatch.setattr(engine._Engine, "run", keep)
+    monkeypatch.setattr(engine._Engine, "_on_done", checked)
+    for cell in grid_cells(SimConfig(duration_s=3.0, seed=7)):
+        run(cell)
+    completed = [g for eng in sessions for fr in eng.frames for g in fr.gens
+                 if g.is_base and g.complete_at is not None]
+    assert completed  # completions happen, so the check below is not vacuous
+    assert sorted(map(id, done)) == sorted(map(id, completed))
+
+
+@pytest.mark.parametrize("multi_connectivity", [True, False])
+def test_each_receiver_session_runs_alone(multi_connectivity):
+    # no state leaks between receivers: sessions built and run in reverse
+    # receiver order give the metrics the whole run gives
+    cfg = dataclasses.replace(BASE, n_ues=3, multi_connectivity=multi_connectivity)
+    expected = run(cfg, seed=1).per_ue
+    sessions = [_small_engine(cfg, u=u) for u in reversed(range(cfg.n_ues))]
+    for eng in sessions:
+        assert eng.run() == expected[eng.u]
 
 
 @pytest.fixture
@@ -421,7 +459,7 @@ def test_run_restores_collector_state(collector_state, enabled):
 
 
 def test_collector_restored_when_a_handler_raises(collector_state, monkeypatch):
-    def broken(self, ue, f, now):
+    def broken(self, f, now):
         assert not gc.isenabled()  # raised from inside the held loop
         raise ValueError("handler failed")
 

@@ -6,11 +6,12 @@ changes behaviour would still pass it. This test pins the sha256 of the
 ``results.csv`` a 16-cell, 2-run, 3 s grid writes, and of every run's full
 ``MetricsReport.to_dict()`` (per-path packet totals, FEC round histograms,
 p95 latency), so any drift in the channel, coding, distribution or video
-layers shows up here. The events-log digest pins the engine's dispatch
-order itself: every event of the 16 cells at one seed, with its time, kind
-and argument. The codec digest pins the real payload codec the simulator
-never runs: systematic ("guarded") emissions, their wire bytes, every
-decoder step and the recovered payloads. An intentional behaviour change
+layers shows up here. The events-log digest pins each receiver's dispatch
+order: every event of the 16 cells at one seed, one receiver's session
+after another, with its time, kind and argument. The codec digest pins
+the real payload codec the simulator never runs: systematic ("guarded")
+emissions, their wire bytes, every decoder step and the recovered
+payloads. An intentional behaviour change
 re-pins the affected value and says why in CHANGES.md.
 """
 
@@ -28,9 +29,9 @@ from mcnc.sim.config import SimConfig, grid_cells
 from mcnc.sim.montecarlo import run_grid, run_seeds
 from mcnc.sim.results import emit_results
 
-RESULTS_CSV_SHA256 = "bd1d0883708f5ef4bf4e2b9cad3079f183984ae9fb9c451596f6ccaa1090f4c4"
-REPORTS_SHA256 = "639d7bffbe6f927c4101723bda64eb281a2edecc6c5a9e1b4e024f19452fe4e3"
-EVENTS_LOG_SHA256 = "cff0197ba57a5bfa7362a003cfb47015f563ae9fd83897c9a40f1e86adad3fa0"
+RESULTS_CSV_SHA256 = "01f4eda9903a10080853bd1d3e13fd07e94296a5500cf616693c0c95bbf1daaa"
+REPORTS_SHA256 = "d71d884724742359e8679c8f41782e6b4fe88d2e7a8b0a02733af2696529f3c9"
+EVENTS_LOG_SHA256 = "874eb587c915fa36aba911454a8bb2d5f648a4105da76546f6cdfc37db72e793"
 CODEC_SHA256 = "0e2eb0d45d73e7611a6e2fe8ea94c48c7784db908f0b39fff30dd75285f8cbd8"
 
 
@@ -45,8 +46,8 @@ def test_golden_digest(tmp_path):
     ]
     canonical = json.dumps(reports, sort_keys=True, separators=(",", ":"))
     reports_digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    assert csv_digest == RESULTS_CSV_SHA256, csv_digest
-    assert reports_digest == REPORTS_SHA256, reports_digest
+    # one tuple, so a deliberate re-pin shows both new values in one run
+    assert (csv_digest, reports_digest) == (RESULTS_CSV_SHA256, REPORTS_SHA256)
 
 
 def test_events_log_golden_digest():

@@ -94,17 +94,18 @@ def configs(draw):
 
 
 def _run_keeping_receivers(cfg):
-    """Run cfg through ``run`` and return its report and the engine's receivers."""
-    engines = []
+    """Run cfg through ``run`` and return its report and every receiver's
+    session."""
+    sessions = []
     engine_run = engine._Engine.run
 
     def keep(self):
-        engines.append(self)
+        sessions.append(self)
         return engine_run(self)
 
     with mock.patch.object(engine._Engine, "run", keep):
         report = run(cfg)
-    return report, engines[0].ues
+    return report, sessions
 
 
 def _peak_occupancy(ues) -> int:

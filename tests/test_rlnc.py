@@ -360,6 +360,8 @@ def test_out_of_range_coefficients_rejected():
     assert full.consume(CodedPacket(0, b"\x01\x00\x00", gen.payloads[0], 0)) == 1
     with pytest.raises(ValueError, match=r"outside GF\(2\^1\)"):
         DecoderState(Generation(0, FieldSpec(1), 2, 8)).consume_coeffs((2, 1))
+    with pytest.raises(ValueError, match=r"outside GF\(2\^8\)"):
+        DecoderState(Generation(0, GF256, 2, 8)).consume_coeffs((1, 256))
 
 
 def test_coeff_only_decoder_refuses_payload_work():
