@@ -2,23 +2,29 @@
 
 One run couples the layers end to end. Trace frames are cut into
 generations at the sender (one NALU never shares a generation with
-another), coded bursts ride the per-receiver radio links, feedback steers
-path choice and top-up rounds, and an in-order consumer, the only model
-of admission, takes complete frames on a hard display clock. It alone
-decides a frame's fate, with one loss site (``_lose``): a frame unresolved
-at its deadline, or named by a failure notice, is lost for good. A display
-deadline runs before a completion at the same instant, so a base
-generation completing at exactly a display instant counts after that
-display, for its own frame and for the frames that reference it. No more than
-``playout_buffer_frames`` frames are ever admitted but undisplayed, with
-no check needed: admission cannot precede arrival, and no frame arrives
-earlier than one buffer depth before its deadline. With multi-connectivity
-disabled everything rides mmWave. Without FEC a generation gets its k
-packets once and a shortfall is final: the receiver's give-up timer or the
-display clock resolves it. Everything is deterministic given (config,
-seed): every random stream is split off the master seed with a distinct
-label. Each generation is one record: the sender's ``GenerationPlan``
-extended with the receiver's rank timeline.
+another), coded bursts ride the per-receiver radio links, and feedback
+steers path choice and top-up rounds. Only the sender is evented: a FRAME
+sends a frame's initial bursts, a CHECK reads feedback and tops up,
+closes or fails a generation's plan, and at equal times a FRAME runs
+first. With multi-connectivity disabled everything rides mmWave; without
+FEC a generation gets its k packets once. Everything is deterministic
+given (config, seed): every random stream is split off the master seed
+with a distinct label. Each generation is one record: the sender's
+``GenerationPlan`` extended with the receiver's rank timeline.
+
+After the loop, ``_play`` plays the receiver back in one pass over the
+frames in display order. Every input is final by then: ``complete_at``
+and the failure notice ``notice_at`` (a failed plan, heard one uplink
+delay later, or the give-up timer without FEC). One rule decides: a
+generation counts for display instant D only if ``complete_at < D``. A
+frame whose base generations all count is taken once the last completed,
+but not before the consumer moved past the frame before it; any other
+frame is lost, and the consumer moves past it at D or at its first
+notice, if earlier. A taken frame plays if the frames it references are
+decodable by the same rule; a NALU is lost if any of its generations does
+not count. At most ``playout_buffer_frames`` frames are ever taken but
+undisplayed: nothing is taken before it arrives, and nothing arrives
+earlier than one buffer depth before its display instant.
 
 Scale choices, made so a 60 s five-receiver session stays under a second
 of wall clock without changing observable behavior:
@@ -30,7 +36,7 @@ of wall clock without changing observable behavior:
 - Transmissions are presimulated at dispatch. The FIFO link yields each
   packet's delivery time immediately, so a burst's effect on the decoder
   rank timeline is known when the burst is sent; rank queries and the
-  completion event read that timeline instead of per-packet events. A
+  playback pass read that timeline instead of per-packet events. A
   retried packet can overlap a later burst by a few milliseconds; the
   timeline clamps such arrivals to keep rank monotone in time.
 - The send path stays per packet, with the counting and the rate done
@@ -61,15 +67,13 @@ of wall clock without changing observable behavior:
   path has its own tests.
 - Receiver-major. Receivers share no simulated state, so each one's
   session runs alone, to its end, one after another: its own heap, seq
-  numbers, generation ids and random streams. Frame arrivals and display
-  deadlines are known at init, but the heap holds only the next of each:
-  handling one pushes the next. Their seq numbers are precomputed, as if
-  every (frame, deadline) pair had been pushed up front, so the (time,
-  kind, seq) dispatch order does not depend on when they enter the heap.
-- The per-session object graph is acyclic: a generation names its frame
-  by index, not by reference. Reference counting frees a session as it
-  ends, before the next one starts, so the cyclic collector is held off
-  around the event loop (and restored, even when a handler raises)
+  numbers, generation ids and random streams. Frame arrivals are known at
+  init, but the heap holds only the next one: handling a frame pushes its
+  successor.
+- The per-session object graph is acyclic: a frame holds its generations,
+  and nothing points back. Reference counting frees a session as it ends,
+  before the next one starts, so the cyclic collector is held off around
+  the event loop and playback (and restored, even when a handler raises)
   instead of rescanning the live graph.
 """
 
@@ -104,45 +108,32 @@ class TraceError(RuntimeError):
 
 
 # event kinds, in tie-break order at equal timestamps
-_DEADLINE = 0
-_FRAME = 1
-_CHECK = 2
-_DONE = 3
-_ABANDON = 4
-_GIVEUP = 5
-
-_KIND_NAMES = {
-    _DEADLINE: "deadline",
-    _FRAME: "frame",
-    _CHECK: "check",
-    _DONE: "gen_done",
-    _ABANDON: "abandon",
-    _GIVEUP: "giveup",
-}
+_FRAME = 0
+_CHECK = 1
+_KIND_NAMES = ("frame", "check")
 
 # flat serialization/processing allowance for control packets (reports and
-# abandon notices); their payloads are too small for FIFO treatment to matter
+# failure notices); their payloads are too small for FIFO treatment to matter
 _CTRL_PROC_S = 0.0005
 
 
 class _FramePlan:
     """Per-frame template shared by every receiver: generation cut + psnr."""
 
-    __slots__ = ("gens", "n_nalus", "psnr_recv", "psnr_lost", "base_count")
+    __slots__ = ("gens", "n_nalus", "psnr_recv", "psnr_lost")
 
     def __init__(self, gens, n_nalus, psnr_recv, psnr_lost):
         self.gens = gens  # tuple of (nalu_slot, is_base, k)
         self.n_nalus = n_nalus
         self.psnr_recv = psnr_recv
         self.psnr_lost = psnr_lost
-        self.base_count = sum(1 for _, is_base, _ in gens if is_base)
 
 
 class _GenState(GenerationPlan):
-    __slots__ = ("frame", "nalu_slot", "is_base", "rank_ts", "complete_at",
-                 "last_arrival", "seq")
+    __slots__ = ("nalu_slot", "is_base", "rank_ts", "complete_at", "last_arrival",
+                 "seq", "notice_at")
 
-    def __init__(self, gen_id, k, n_initial, deadline, frame, nalu_slot, is_base):
+    def __init__(self, gen_id, k, n_initial, deadline, nalu_slot, is_base):
         # the GenerationPlan fields, set directly: this runs once per
         # generation, and a super().__init__ call would add a frame to each
         self.gen_id = gen_id
@@ -152,27 +143,24 @@ class _GenState(GenerationPlan):
         self.attempts_used = 0
         self.delivered = False
         self.failed = False
-        self.frame = frame  # frame index, not the _FrameState: no cycle
         self.nalu_slot = nalu_slot
         self.is_base = is_base
         self.rank_ts: List[float] = []  # rank_ts[i]: when the rank reached i + 1
-        self.complete_at: Optional[float] = None
+        self.complete_at = math.inf  # when the rank reached k
         self.last_arrival = -1.0
         self.seq = 0  # emissions so far; the first k are source packets
+        self.notice_at = math.inf  # when a failure notice reached the receiver
 
 
 class _FrameState:
-    __slots__ = ("gen_time", "deadline", "plan", "gens", "base_left",
-                 "consumed_at", "lost")
+    __slots__ = ("gen_time", "deadline", "plan", "gens", "consumed_at")
 
     def __init__(self, gen_time, deadline, plan):
         self.gen_time = gen_time
         self.deadline = deadline
         self.plan = plan
         self.gens: List[_GenState] = []
-        self.base_left = plan.base_count
-        self.consumed_at: Optional[float] = None
-        self.lost = False
+        self.consumed_at: Optional[float] = None  # None: lost
 
 
 #: run inputs kept per process: enough for a grid's one trace and its two
@@ -260,8 +248,10 @@ class _Engine:
         self.fb_int = cfg.feedback_interval_s
         self.n_reports = int(self.t_end / self.fb_int) + 2
         # how many missed reports to scan back before declaring ignorance;
-        # past the staleness bound the answer cannot change path choice
-        self._fb_scan = max(2, int(cfg.feedback_staleness_s / self.fb_int) + 2)
+        # past the staleness bound the answer cannot change path choice, and
+        # a window longer than the report grid reaches back to report 0
+        self._fb_scan = min(max(2, int(cfg.feedback_staleness_s / self.fb_int) + 2),
+                            self.n_reports + 1)
 
         self.stream_start = u * cfg.stagger_step_s
         self.mm = LinkModel(
@@ -314,21 +304,15 @@ class _Engine:
         self.metrics.feedback_sent = self.n_reports
         self.metrics.feedback_lost = int(np.count_nonzero(~fb_ok))
         self.frames: List[Optional[_FrameState]] = [None] * n_frames
-        self.decode_memo = set()  # frames found decodable; they stay so
-        self.ptr = 0
         self.buffer = PlayoutBuffer(
             self.stream_start + cfg.backhaul_delay_s + cfg.playout_buffer_frames / cfg.fps,
             fps=cfg.fps)
 
-        # frame f arrives at stream_start + f / fps with seq 2f + 1, and its
-        # deadline takes seq 2f + 2: the numbers a push of every (frame,
-        # deadline) pair up front would have given. Dynamic events number on
-        # from there. Only frame 0 and its deadline enter now; each handler
-        # pushes its successor.
-        self._heap = [(self.stream_start, _FRAME, 1, 0),
-                      (self.buffer.deadline(0), _DEADLINE, 2, 0)]
-        heapq.heapify(self._heap)
-        self._seq = 2 * n_frames
+        # frame f arrives at stream_start + f / fps; only frame 0 enters
+        # now, and each frame's handler pushes the next
+        self._heap = []
+        self._seq = 0
+        self._push(self.stream_start, _FRAME, 0)
 
     # --------------------------------------------------------- event loop
 
@@ -341,9 +325,7 @@ class _Engine:
         heappop = heapq.heappop
         log = self.log
         u = self.u
-        # indexed by event kind
-        handlers = [self._on_deadline, self._on_frame, self._on_check,
-                    self._on_done, self._resolve_failure, self._resolve_failure]
+        handlers = [self._on_frame, self._on_check]  # indexed by event kind
         # the session's object graph is acyclic, so reference counting frees
         # everything the loop drops and the cyclic collector has nothing
         # to find; hold it off instead of letting it rescan the live graph
@@ -356,6 +338,7 @@ class _Engine:
                 if log is not None:
                     log.append(f"{t:.9f} {_KIND_NAMES[kind]} ue={u} arg={self._log_arg(arg)}")
                 handlers[kind](arg, t)
+            self._play()
         finally:
             if gc_was_on:
                 gc.enable()
@@ -403,8 +386,7 @@ class _Engine:
         order. A source packet (emission < k) adds one rank; a tail packet
         adds one unless the Bernoulli draw says it is dependent. An arrival
         that lands before the rank last rose is clamped to that time, so
-        the timeline stays monotone. A base generation that completes
-        schedules its DONE; no one waits on an enhancement generation.
+        the timeline stays monotone.
         """
         first = g.seq
         g.seq += n
@@ -448,8 +430,6 @@ class _Engine:
                     if rank == k:
                         g.complete_at = arrival
                         self.metrics.generations_delivered += 1
-                        if g.is_base:
-                            self._push(arrival, _DONE, g)
             if arrival > last:
                 last = arrival
         g.last_arrival = last
@@ -460,14 +440,13 @@ class _Engine:
         # coding on, the sender plan plus the display deadline resolve
         # every generation, so the timer must not race them. An empty
         # generation reads as link loss, not repairable noise, and gets
-        # the shorter patience. Only base generations can release a frame.
-        if not g.is_base or g.complete_at is not None:
+        # the shorter patience. Only a base generation's notice loses a frame.
+        if not g.is_base or g.complete_at < math.inf:
             return
         if g.last_arrival >= 0.0:
-            t = max(g.last_arrival, now) + self.cfg.receiver_giveup_s
+            g.notice_at = max(g.last_arrival, now) + self.cfg.receiver_giveup_s
         else:
-            t = now + self.cfg.receiver_giveup_empty_s
-        self._push(t, _GIVEUP, g)
+            g.notice_at = now + self.cfg.receiver_giveup_empty_s
 
     def _finish_plan(self, g: _GenState):
         self.metrics.fec_rounds_hist[g.attempts_used] += 1
@@ -488,19 +467,19 @@ class _Engine:
 
     def _fail_plan(self, g: _GenState, now: float):
         # the sender gives up; the receiver hears of it one uplink delay
-        # later and drops the frame unless this base generation made it
+        # later, which can only lose the frame if this base generation
+        # does not count for its display instant
         g.failed = True
         self._finish_plan(g)
-        if g.is_base and (g.complete_at is None or g.complete_at > g.deadline):
-            self._push(now + self.ul_delay, _ABANDON, g)
+        if g.is_base and not g.complete_at < g.deadline:
+            g.notice_at = now + self.ul_delay
 
     # ------------------------------------------------------------ handlers
 
     def _on_frame(self, f: int, now: float):
         cfg = self.cfg
         if f + 1 < self.n_frames:
-            heapq.heappush(self._heap, (self.stream_start + (f + 1) / cfg.fps, _FRAME,
-                                        2 * f + 3, f + 1))
+            self._push(self.stream_start + (f + 1) / cfg.fps, _FRAME, f + 1)
         plan = self.plans[f]
         fr = _FrameState(now, self.buffer.deadline(f), plan)
         self.frames[f] = fr
@@ -515,7 +494,7 @@ class _Engine:
         gen_id = self._next_gen_id
         self._next_gen_id += len(plan.gens)
         for nalu_slot, is_base, k in plan.gens:
-            g = _GenState(gen_id, k, n_initial[k], deadline, f, nalu_slot, is_base)
+            g = _GenState(gen_id, k, n_initial[k], deadline, nalu_slot, is_base)
             gen_id += 1
             gens.append(g)
             settle = send_burst(g, g.n_initial, path, now)
@@ -549,67 +528,48 @@ class _Engine:
             settle = self._send_burst(g, act.count, self._current_path(now), now)
             self._schedule_check(g, settle)
 
-    def _on_done(self, g: _GenState, now: float):
-        # a base generation completed; lost frames count too, since the
-        # display check reads base_left == 0
-        fr = self.frames[g.frame]
-        fr.base_left -= 1
-        if fr.base_left == 0:
-            self._try_advance(now)
+    # ------------------------------------------------------------ playback
 
-    def _resolve_failure(self, g: _GenState, now: float):
-        # an abandon notice or a give-up: a base generation missed its deadline
-        self._lose(self.frames[g.frame], now)
-
-    def _lose(self, fr: _FrameState, now: float):
-        if not fr.lost and fr.consumed_at is None:
-            fr.lost = True
-            self._try_advance(now)
-
-    def _try_advance(self, now: float):
-        # consume complete frames in display order, skipping lost ones; an
-        # unresolved frame at the pointer always has its deadline ahead
+    def _play(self):
+        """Decide every frame's fate, in display order, by the one rule: a
+        generation counts for display instant D only if complete_at < D."""
         frames = self.frames
-        ptr = self.ptr
-        while ptr < len(frames):
-            fr = frames[ptr]
-            if fr is None or not (fr.lost or fr.base_left == 0):
-                break
-            if not fr.lost:
-                fr.consumed_at = now
-            ptr += 1
-        self.ptr = ptr
-
-    def _on_deadline(self, f: int, now: float):
-        if f + 1 < self.n_frames:
-            # PlayoutBuffer.deadline(f + 1), inlined
-            buf = self.buffer
-            heapq.heappush(self._heap, (buf.start_time + (f + 1) / buf.fps, _DEADLINE,
-                                        2 * f + 4, f + 1))
-        frames = self.frames
-        fr = frames[f]
-        if self.ptr == f:
-            # the pointer only rests on a frame that exists, is not lost and
-            # still waits for a base generation: at display time, a hard loss
-            self._lose(fr, now)
-
         m = self.metrics
-        m.frames_total += 1
-        memo = self.decode_memo
-        usable = fr.consumed_at is not None and (f in memo or decodable(
-            f, self.n_frames,
-            lambda j: frames[j] is not None and frames[j].base_left == 0, memo))
-        if usable:
-            m.frames_played += 1
-            m.psnr_sum_db += fr.plan.psnr_recv
-            m.latency_samples.append(fr.consumed_at - fr.gen_time)
-        else:
+        m.frames_total += len(frames)
+        # pass 1: when each frame's base layer completed, inf if it never
+        # did, and the NALUs with a generation that misses the display
+        base_done = []
+        for fr in frames:
+            d = fr.deadline
+            done = -math.inf
+            lost_slot = -1  # a NALU's generations are adjacent in fr.gens
+            for g in fr.gens:
+                c = g.complete_at
+                if not c < d and g.nalu_slot != lost_slot:
+                    lost_slot = g.nalu_slot
+                    m.nalus_lost += 1
+                if g.is_base and c > done:
+                    done = c
+            base_done.append(done)
+            m.nalus_total += fr.plan.n_nalus
+        # pass 2: the in-order consumer, and the display check
+        memo = set()  # frames found decodable; they stay so as D grows
+        past = -math.inf  # when the consumer moved past the previous frame
+        for f, fr in enumerate(frames):
+            d = fr.deadline
+            done = base_done[f]
+            if done < d:
+                past = fr.consumed_at = max(done, past)
+                if f in memo or decodable(f, self.n_frames,
+                                          lambda j: base_done[j] < d, memo):
+                    m.frames_played += 1
+                    m.psnr_sum_db += fr.plan.psnr_recv
+                    m.latency_samples.append(past - fr.gen_time)
+                    continue
+            else:
+                # only a base generation ever carries a notice
+                past = max(past, min(d, min(g.notice_at for g in fr.gens)))
             m.psnr_sum_db += fr.plan.psnr_lost
-
-        # a NALU is lost when any of its generations is incomplete
-        m.nalus_total += fr.plan.n_nalus
-        m.nalus_lost += len({g.nalu_slot for g in fr.gens
-                             if g.complete_at is None or g.complete_at > now})
 
 
 def run(config: SimConfig, seed: Optional[int] = None,

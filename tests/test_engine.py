@@ -285,38 +285,36 @@ def test_event_log_is_chronological():
         assert times == sorted(times)
 
 
-def _small_engine(cfg, log=None, u=0):
-    """Receiver u's session of cfg at seed 1, built but not run."""
+def _small_engine(cfg, log=None, u=0, seed=1):
+    """Receiver u's session of cfg, built but not run."""
     n_frames = cfg.frame_count()
     plans = engine._frame_plans(engine._obtain_trace(cfg), n_frames,
                                 cfg.packet_bytes, cfg.generation_size)
-    return engine._Engine(cfg, 1, plans, n_frames, log, u)
+    return engine._Engine(cfg, seed, plans, n_frames, log, u)
 
 
 def test_static_event_wins_a_tie_with_a_dynamic_one():
-    # a give-up lands exactly on the first frame arrival; events at one time
-    # run in kind order, so the frame goes first and the give-up then finds
-    # frame 0 to lose
+    # a plan check lands exactly on the first frame arrival and is pushed
+    # first, so it holds the lower seq number; events at one time run in
+    # kind order, so the frame still goes first
     log = []
     eng = _small_engine(dataclasses.replace(BASE, duration_s=0.1), log)
-    first_frame = eng._heap[0]
-    assert first_frame[1] == engine._FRAME
-    done = engine._GenState(-1, 1, 1, math.inf, 0, 0, True)
-    done.complete_at = 0.0
-    eng._push(first_frame[0], engine._GIVEUP, done)
+    t = eng.stream_start
+    eng._heap.clear()
+    eng._push(t, engine._CHECK, engine._GenState(-1, 1, 1, t, 0, True))
+    eng._push(t, engine._FRAME, 0)
     eng.run()
-    assert [line.split()[1] for line in log[:2]] == ["frame", "giveup"]
+    assert [line.split()[1] for line in log[:2]] == ["frame", "check"]
     assert log[0].split()[0] == log[1].split()[0]
 
 
-def test_engine_starts_with_one_frame_and_one_deadline_per_receiver():
-    # frame arrivals and deadlines enter the heap one at a time, each
-    # pushed by its predecessor's handler, not all at once up front
+def test_engine_starts_with_one_frame_per_receiver():
+    # frame arrivals enter the heap one at a time, each pushed by its
+    # predecessor's handler, not all at once up front
     cfg = dataclasses.replace(BASE, n_ues=3)
     for u in range(cfg.n_ues):
         eng = _small_engine(cfg, u=u)
-        assert sorted(eng._heap) == [(eng.stream_start, engine._FRAME, 1, 0),
-                                     (eng.buffer.deadline(0), engine._DEADLINE, 2, 0)]
+        assert eng._heap == [(eng.stream_start, engine._FRAME, 1, 0)]
 
 
 def _reference_latest_report(eng, fb_ok, now):
@@ -335,85 +333,110 @@ def _reference_latest_report(eng, fb_ok, now):
 
 @pytest.mark.parametrize("p_ok", [0.0, 0.1, 0.5, 0.9, 1.0])
 def test_latest_report_matches_the_scan(p_ok):
-    eng = _small_engine(dataclasses.replace(BASE, duration_s=0.5))
-    n, scan = eng.n_reports, eng._fb_scan
-    rng = random.Random(int(p_ok * 10))
-    fb_ok = [rng.random() < p_ok for _ in range(n)]
-    # all-lost runs longer than the scan window, one at the start
-    for a in (0, n // 3):
-        fb_ok[a:a + 2 * scan + 1] = [False] * (2 * scan + 1)
-    if p_ok:
-        fb_ok[n // 2] = True  # a lone survivor just past a lost run
-    eng.newest = engine._newest_reports(np.array(fb_ok), scan)
-    times = [-eng.fb_int, 0.0, eng.ul_delay - 1e-9, eng.ul_delay]
-    times += [eng.ul_delay + (g + frac) * eng.fb_int
-              for g in range(n + 2 * scan) for frac in (0.0, 0.5)]
-    times += [eng.t_end + 1.0, 1e6]
-    for t in times:
-        assert eng._latest_report(t) == _reference_latest_report(eng, fb_ok, t), t
+    # at the default staleness, and with a scan window longer than the
+    # whole report grid
+    for staleness in (BASE.feedback_staleness_s, 1e17):
+        eng = _small_engine(dataclasses.replace(BASE, duration_s=0.5,
+                                                feedback_staleness_s=staleness))
+        n, scan = eng.n_reports, eng._fb_scan
+        rng = random.Random(int(p_ok * 10))
+        fb_ok = [rng.random() < p_ok for _ in range(n)]
+        # all-lost runs longer than the scan window, one at the start
+        gap = min(2 * scan + 1, n // 4)
+        for a in (0, n // 3):
+            fb_ok[a:a + gap] = [False] * gap
+        if p_ok:
+            fb_ok[n // 2] = True  # a lone survivor just past a lost run
+        eng.newest = engine._newest_reports(np.array(fb_ok), scan)
+        times = [-eng.fb_int, 0.0, eng.ul_delay - 1e-9, eng.ul_delay]
+        times += [eng.ul_delay + (g + frac) * eng.fb_int
+                  for g in range(n + 2 * min(scan, n)) for frac in (0.0, 0.5)]
+        times += [eng.t_end + 1.0, 1e6]
+        for t in times:
+            assert eng._latest_report(t) == _reference_latest_report(eng, fb_ok, t), t
 
 
-def test_each_generation_gives_up_at_most_once():
-    # without FEC a base generation arms its receiver timer once, at its
-    # frame's arrival, so no (receiver, generation) meets a second give-up
+def test_staleness_longer_than_the_session_runs():
+    # every staleness bound past the report grid gives the same scan
+    # window, so the same run, however large the bound
+    runs = [run(SimConfig(duration_s=0.5, feedback_staleness_s=s), seed=1).per_ue
+            for s in (1e3, 1e17, 1e300)]
+    assert runs[0] == runs[1] == runs[2]
+
+
+def _sessions(cfg, seed=1):
+    """Every receiver's session of cfg, run."""
+    sessions = [_small_engine(cfg, u=u, seed=seed) for u in range(cfg.n_ues)]
+    for eng in sessions:
+        eng.run()
+    return sessions
+
+
+def test_failure_notices_name_generations_late_for_their_deadline():
+    # a notice can only move the consumer past a lost frame, so a sender
+    # plan that fails or a give-up timer leaves one only on a base
+    # generation that does not count for its frame's display instant. With
+    # zero staleness every report is stale, so plans also fail on
+    # generations that completed in time: those must carry no notice
+    cells = [(cell, 7) for cell in grid_cells(SimConfig(duration_s=3.0, seed=7))]
+    cells.append((dataclasses.replace(BASE, feedback_staleness_s=0.0,
+                                      multi_connectivity=False), 3))
+    notices = spared = 0
+    for cell, seed in cells:
+        for eng in _sessions(cell, seed):
+            for fr in eng.frames:
+                for g in fr.gens:
+                    counts = g.complete_at < fr.deadline
+                    if g.notice_at < math.inf:
+                        assert g.is_base and not counts, g.gen_id
+                        notices += 1
+                    elif g.is_base and g.failed and counts:
+                        spared += 1
+    assert notices and spared  # both happen, so neither check is vacuous
+
+
+def test_each_generation_gives_up_at_most_once(monkeypatch):
+    # a give-up is the generation's one notice_at, so neither the receiver
+    # timer nor a failed sender plan may write it over an earlier notice
     giveups = 0
+    real_arm, real_fail = engine._Engine._arm_giveup, engine._Engine._fail_plan
+
+    def once(real, count):
+        def checked(self, g, now):
+            nonlocal giveups
+            before = g.notice_at
+            real(self, g, now)
+            if g.notice_at != before:
+                assert before == math.inf, g.gen_id
+                giveups += count
+        return checked
+
+    monkeypatch.setattr(engine._Engine, "_arm_giveup", once(real_arm, 1))
+    monkeypatch.setattr(engine._Engine, "_fail_plan", once(real_fail, 0))
     for cell in grid_cells(SimConfig(duration_s=3.0, seed=7)):
-        if cell.nc_fec:
-            continue
-        log = []
-        run(cell, events_log=log)
-        seen = set()
-        for line in log:
-            _, kind, ue, arg = line.split()
-            if kind == "giveup":
-                assert (ue, arg) not in seen
-                seen.add((ue, arg))
-        giveups += len(seen)
+        run(cell)
     assert giveups  # give-ups happen, so the check above is not vacuous
 
 
-def test_failure_notices_name_generations_late_for_their_deadline(monkeypatch):
-    # the consumer loses a frame on any abandon or give-up, with no check of
-    # the generation: that is sound only because a notice never names a
-    # generation that completed by its deadline
-    notices = []
-    real = engine._Engine._resolve_failure
-
-    def checked(self, g, now):
-        notices.append(g.gen_id)
-        assert g.is_base
-        assert g.complete_at is None or g.complete_at > g.deadline, (g.gen_id, now)
-        real(self, g, now)
-
-    monkeypatch.setattr(engine._Engine, "_resolve_failure", checked)
-    for cell in grid_cells(SimConfig(duration_s=3.0, seed=7)):
-        run(cell)
-    assert notices  # notices happen, so the check above is not vacuous
-
-
-def test_done_events_name_each_completed_base_generation_once(monkeypatch):
-    # only a base generation can release a frame, so only its completion
-    # is an event, and exactly one
-    sessions, done = [], []
-    real_run, real_done = engine._Engine.run, engine._Engine._on_done
-
-    def keep(self):
-        sessions.append(self)
-        return real_run(self)
-
-    def checked(self, g, now):
-        assert g.is_base and g.complete_at == now, (g.gen_id, now)
-        done.append(g)
-        real_done(self, g, now)
-
-    monkeypatch.setattr(engine._Engine, "run", keep)
-    monkeypatch.setattr(engine._Engine, "_on_done", checked)
-    for cell in grid_cells(SimConfig(duration_s=3.0, seed=7)):
-        run(cell)
-    completed = [g for eng in sessions for fr in eng.frames for g in fr.gens
-                 if g.is_base and g.complete_at is not None]
-    assert completed  # completions happen, so the check below is not vacuous
-    assert sorted(map(id, done)) == sorted(map(id, completed))
+def test_give_up_moves_the_consumer_past_a_lost_frame():
+    # without FEC a base generation that falls short gives up on its frame
+    # before the display instant; a next frame already complete by then is
+    # taken at the notice, not at the lost frame's display instant
+    cfg = dataclasses.replace(BASE, duration_s=3.0, nc_fec=False, n_ues=5)
+    cases = 0
+    for eng in _sessions(cfg):
+        frames = eng.frames
+        for f in range(1, len(frames) - 1):
+            prev, fr, nxt = frames[f - 1], frames[f], frames[f + 1]
+            notice = min(g.notice_at for g in fr.gens)
+            if not (fr.consumed_at is None and notice < fr.deadline
+                    and prev.consumed_at is not None and prev.consumed_at <= notice
+                    and nxt.consumed_at is not None):
+                continue
+            if max(g.complete_at for g in nxt.gens if g.is_base) < notice:
+                assert nxt.consumed_at == notice, f
+                cases += 1
+    assert cases  # the cell has such frames, so the check is not vacuous
 
 
 @pytest.mark.parametrize("multi_connectivity", [True, False])

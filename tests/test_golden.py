@@ -31,7 +31,7 @@ from mcnc.sim.results import emit_results
 
 RESULTS_CSV_SHA256 = "01f4eda9903a10080853bd1d3e13fd07e94296a5500cf616693c0c95bbf1daaa"
 REPORTS_SHA256 = "d71d884724742359e8679c8f41782e6b4fe88d2e7a8b0a02733af2696529f3c9"
-EVENTS_LOG_SHA256 = "874eb587c915fa36aba911454a8bb2d5f648a4105da76546f6cdfc37db72e793"
+EVENTS_LOG_SHA256 = "c250ca280fccc1ad88792ff1cf77a07cc64e837fc28502957d728f8c14c8197e"
 CODEC_SHA256 = "0e2eb0d45d73e7611a6e2fe8ea94c48c7784db908f0b39fff30dd75285f8cbd8"
 
 
