@@ -19,11 +19,11 @@ extra delay per repeat) standing in for HARQ and RLC recovery.
 
 The fading trajectory is presampled on a fixed step grid (``presample``):
 sojourn lengths are drawn exponentially and quantized onto the grid, and
-the autoregression runs vectorized over each sojourn segment. Sampling the
-sojourn directly is the continuous-time form of stepping the chain with
-per-step flip probability 1 - exp(-dt/sojourn). Each transmission looks
-the state up at its own send start; a link never presampled holds its
-initial state at every time.
+the autoregression runs as one pass over Python floats that restarts at
+each sojourn. Sampling the sojourn directly is the continuous-time form
+of stepping the chain with per-step flip probability 1 - exp(-dt/sojourn).
+Each transmission looks the state up at its own send start; a link never
+presampled holds its initial state at every time.
 
 The LTE link reuses the same machinery in degenerate form: transition
 rates zero, no shadowing, a fixed SNR, and a small constant loss
@@ -42,7 +42,6 @@ import random
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import lfilter
 
 MMWAVE = "mmwave"
 LTE = "lte"
@@ -164,10 +163,13 @@ class LinkModel:
         Starts in the initial mode and draws from ``rng`` the sojourn
         lengths first, then one standard normal per step. Each sojourn
         opens with a fresh shadowing draw; within it the term makes AR(1)
-        moves, which keep the N(mean, sigma^2) marginal while correlating
-        successive steps over shadow_corr_s. A non-positive correlation
-        time degenerates to an independent redraw every step. Times past
-        the last step read the last state.
+        moves, ``y[i] = innov * x[i] + rho * y[i-1]`` with
+        ``rho = exp(-step_s / shadow_corr_s)`` and
+        ``innov = sqrt(1 - rho^2)``, which keep the N(mean, sigma^2)
+        marginal while correlating successive steps over shadow_corr_s
+        (Gudmundson's exponential autocorrelation). A non-positive
+        correlation time degenerates to an independent redraw every step.
+        Times past the last step read the last state.
         """
         mode = np.empty(n_steps, dtype=np.int8)
         m = self.modes[0]
@@ -181,18 +183,23 @@ class LinkModel:
             m ^= 1
         means = np.where(mode == LOS, self.snr_mean_db[LOS], self.snr_mean_db[NLOS])
         x = rng.standard_normal(n_steps)
+        modes = mode.tolist()
         corr = self.shadow_corr_s
         if self.snr_sigma_db != 0.0 and corr > 0.0:
             rho = math.exp(-step_s / corr)
             innov = math.sqrt(1.0 - rho * rho)
-            bounds = np.concatenate(([0], np.flatnonzero(np.diff(mode)) + 1, [n_steps]))
-            for a, b in zip(bounds[:-1], bounds[1:]):
-                # x[a] keeps its fresh draw; the rest of the sojourn follows it
-                if b - a > 1:
-                    seg, _ = lfilter([innov], [1.0, -rho], x[a + 1:b],
-                                     zi=np.asarray([rho * x[a]]))
-                    x[a + 1:b] = seg
-        self.modes = mode.tolist()
+            ys = []
+            y = 0.0
+            prev = -1
+            for m, xi in zip(modes, x.tolist()):
+                if m == prev:
+                    y = innov * xi + rho * y
+                else:  # a sojourn's first step keeps its fresh draw
+                    y = xi
+                    prev = m
+                ys.append(y)
+            x = np.array(ys)
+        self.modes = modes
         self.snrs_db = (means + self.snr_sigma_db * x).tolist()
         self.inv_step = 1.0 / step_s
         self._rate_step = -1

@@ -67,9 +67,10 @@ of wall clock without changing observable behavior:
   path has its own tests.
 - Receiver-major. Receivers share no simulated state, so each one's
   session runs alone, to its end, one after another: its own heap, seq
-  numbers, generation ids and random streams. Frame arrivals are known at
-  init, but the heap holds only the next one: handling a frame pushes its
-  successor.
+  numbers, generation ids and random streams. Frame arrivals are fixed
+  at ``stream_start + f / fps``, so they never enter the heap: the loop
+  walks the frames in order and, before each, dispatches the CHECKs due
+  strictly earlier. The heap holds CHECKs only.
 - The per-session object graph is acyclic: a frame holds its generations,
   and nothing points back. Reference counting frees a session as it ends,
   before the next one starts, so the cyclic collector is held off around
@@ -106,11 +107,6 @@ from .metrics import MetricsReport, UEMetrics, check_conservation
 class TraceError(RuntimeError):
     """Raised when the video trace cannot be obtained or is too short."""
 
-
-# event kinds, in tie-break order at equal timestamps
-_FRAME = 0
-_CHECK = 1
-_KIND_NAMES = ("frame", "check")
 
 # flat serialization/processing allowance for control packets (reports and
 # failure notices); their payloads are too small for FIFO treatment to matter
@@ -308,45 +304,52 @@ class _Engine:
             self.stream_start + cfg.backhaul_delay_s + cfg.playout_buffer_frames / cfg.fps,
             fps=cfg.fps)
 
-        # frame f arrives at stream_start + f / fps; only frame 0 enters
-        # now, and each frame's handler pushes the next
+        # pending plan checks; frames arrive on their own clock instead
         self._heap = []
         self._seq = 0
-        self._push(self.stream_start, _FRAME, 0)
 
     # --------------------------------------------------------- event loop
 
-    def _push(self, t, kind, arg):
+    def _push(self, t: float, g: _GenState):
         self._seq += 1
-        heapq.heappush(self._heap, (t, kind, self._seq, arg))
+        heapq.heappush(self._heap, (t, self._seq, g))
 
     def run(self) -> UEMetrics:
         heap = self._heap
         heappop = heapq.heappop
         log = self.log
         u = self.u
-        handlers = [self._on_frame, self._on_check]  # indexed by event kind
+        on_frame = self._on_frame
+        on_check = self._on_check
+        start = self.stream_start
+        fps = self.cfg.fps
         # the session's object graph is acyclic, so reference counting frees
         # everything the loop drops and the cyclic collector has nothing
         # to find; hold it off instead of letting it rescan the live graph
         gc_was_on = gc.isenabled()
         gc.disable()
         try:
-            while heap:
-                # seq numbers are unique, so the tuples order on (t, kind, seq)
-                t, kind, _, arg = heappop(heap)
+            # seq numbers are unique, so the heap's tuples order on (t, seq)
+            n = self.n_frames
+            for f in range(n + 1):
+                # frame f arrives at start + f / fps; the end, after the
+                # last frame, drains the CHECKs left
+                t_f = start + f / fps if f < n else math.inf
+                while heap and heap[0][0] < t_f:  # a FRAME wins a tie
+                    t, _, g = heappop(heap)
+                    if log is not None:
+                        log.append(f"{t:.9f} check ue={u} arg=gen{g.gen_id}")
+                    on_check(g, t)
+                if f == n:
+                    break
                 if log is not None:
-                    log.append(f"{t:.9f} {_KIND_NAMES[kind]} ue={u} arg={self._log_arg(arg)}")
-                handlers[kind](arg, t)
+                    log.append(f"{t_f:.9f} frame ue={u} arg={f}")
+                on_frame(f, t_f)
             self._play()
         finally:
             if gc_was_on:
                 gc.enable()
         return self.metrics
-
-    @staticmethod
-    def _log_arg(arg):
-        return f"gen{arg.gen_id}" if isinstance(arg, _GenState) else arg
 
     # ----------------------------------------------------------- feedback
 
@@ -463,7 +466,7 @@ class _Engine:
             g.delivered = True
             self._finish_plan(g)
         else:
-            self._push(t_check, _CHECK, g)
+            self._push(t_check, g)
 
     def _fail_plan(self, g: _GenState, now: float):
         # the sender gives up; the receiver hears of it one uplink delay
@@ -478,8 +481,6 @@ class _Engine:
 
     def _on_frame(self, f: int, now: float):
         cfg = self.cfg
-        if f + 1 < self.n_frames:
-            self._push(self.stream_start + (f + 1) / cfg.fps, _FRAME, f + 1)
         plan = self.plans[f]
         fr = _FrameState(now, self.buffer.deadline(f), plan)
         self.frames[f] = fr
@@ -516,7 +517,7 @@ class _Engine:
             if now + self.fb_int > g.deadline:
                 self._fail_plan(g, now)
             else:
-                self._push(now + self.fb_int, _CHECK, g)
+                self._push(now + self.fb_int, g)
             return
         rank = bisect_right(g.rank_ts, rep * self.fb_int)
         act = handle_feedback(g, rank, now, overshoot=cfg.retx_overshoot)

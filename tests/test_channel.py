@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +132,56 @@ def test_mode_flip_redraws_shadowing_fresh():
     assert (jump[~flip] < 1e-3).all()
     # two independent N(0, 1) draws differ by 2/sqrt(pi) on average
     assert jump[flip].mean() == pytest.approx(2.0 / math.sqrt(math.pi), rel=0.15)
+
+
+# sha256 of the int8 modes then the float64 SNRs that presample wrote, pinned
+# when scipy.signal.lfilter still ran the autoregression: its order-1
+# direct form computes innov * x[i] + rho * y[i - 1], the same two
+# products and one add as the in-house recurrence, so every bit must hold
+_TRAJECTORIES = {
+    # the default mmWave link over a 62 s session
+    "default": (dict(), 6200, 0.01,
+                "7d2ae25be74be7a464f0aafcf40f89058ef3e8b0d88a67aad00df0131f68f173"),
+    "no_correlation": (dict(shadow_corr_s=0.0), 2000, 0.01,
+                       "bc41bc9679602924e21189d02ca8cef82b61a0c433b9aa67d9d371ca49e87cc9"),
+    "no_shadowing": (dict(snr_sigma_db=0.0), 2000, 0.01,
+                     "c4ff168890789bb78afb4e387b680ad3e97f16cb7a13a76bbc1b16d11c403051"),
+    # sojourns shorter than a step: every segment is one step long
+    "sub_step_sojourns": (dict(sojourn_s=(0.004, 0.003)), 2000, 0.01,
+                          "6d8e59c253d18a294f8c92a94d352195f999c3b2a412f1e59b92d7e97fd06ac7"),
+    # sojourns of one or two steps: most segments are one step long
+    "step_sojourns": (dict(sojourn_s=(0.02, 0.01)), 2000, 0.01,
+                      "49ce710f255e543d60537dde67ff2698fdc5d0aa7a28ccd57423411f128907d1"),
+    "rho_near_one": (dict(shadow_corr_s=1e6), 2000, 0.001,
+                     "dda63a5a1a70b1df5518c53c37da048da90e66493ae7bb3c580b5a4e877bf0c4"),
+    "one_step": (dict(), 1, 0.01,
+                 "674c13616d15949071999699fa2daaf52388ce770201be28648f878b4f2bc852"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TRAJECTORIES))
+def test_presampled_trajectory_is_pinned(case):
+    kw, n_steps, step_s, digest = _TRAJECTORIES[case]
+    link = LinkModel(rng=random.Random(0), **kw)
+    modes, snrs = _presampled(link, n_steps, step_s, seed=20)
+    assert len(modes) == len(snrs) == n_steps
+    h = hashlib.sha256(modes.astype(np.int8).tobytes())
+    h.update(snrs.astype(np.float64).tobytes())
+    assert h.hexdigest() == digest, h.hexdigest()
+
+
+def test_the_simulator_never_imports_scipy():
+    # importing scipy.signal costs a simulator process about 75 MB and a
+    # second of start-up, more than a default run; a fresh interpreter
+    # shows whether any module pulls it back in
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import mcnc.sim, mcnc.sim.cli, mcnc.channel, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]", out.stdout
 
 
 def test_transmit_reads_state_at_its_send_start():

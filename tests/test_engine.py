@@ -295,26 +295,32 @@ def _small_engine(cfg, log=None, u=0, seed=1):
 
 def test_static_event_wins_a_tie_with_a_dynamic_one():
     # a plan check lands exactly on the first frame arrival and is pushed
-    # first, so it holds the lower seq number; events at one time run in
-    # kind order, so the frame still goes first
+    # before the run starts; the loop dispatches only the checks strictly
+    # earlier than a frame, so the frame still goes first
     log = []
     eng = _small_engine(dataclasses.replace(BASE, duration_s=0.1), log)
     t = eng.stream_start
-    eng._heap.clear()
-    eng._push(t, engine._CHECK, engine._GenState(-1, 1, 1, t, 0, True))
-    eng._push(t, engine._FRAME, 0)
+    eng._push(t, engine._GenState(-1, 1, 1, t, 0, True))
     eng.run()
     assert [line.split()[1] for line in log[:2]] == ["frame", "check"]
     assert log[0].split()[0] == log[1].split()[0]
 
 
 def test_engine_starts_with_one_frame_per_receiver():
-    # frame arrivals enter the heap one at a time, each pushed by its
-    # predecessor's handler, not all at once up front
-    cfg = dataclasses.replace(BASE, n_ues=3)
+    # frame arrivals never enter the heap, which starts empty: each
+    # receiver's session opens with its frame 0 at its own stream start,
+    # and frame f arrives at stream_start + f / fps, in order
+    cfg = dataclasses.replace(BASE, n_ues=3, duration_s=0.5)
     for u in range(cfg.n_ues):
-        eng = _small_engine(cfg, u=u)
-        assert eng._heap == [(eng.stream_start, engine._FRAME, 1, 0)]
+        log = []
+        eng = _small_engine(cfg, log, u=u)
+        assert eng._heap == []
+        eng.run()
+        assert log[0] == f"{eng.stream_start:.9f} frame ue={u} arg=0"
+        frames = [line.split() for line in log if line.split()[1] == "frame"]
+        assert [fr[3] for fr in frames] == [f"arg={f}" for f in range(eng.n_frames)]
+        assert [fr[0] for fr in frames] == [
+            f"{eng.stream_start + f / cfg.fps:.9f}" for f in range(eng.n_frames)]
 
 
 def _reference_latest_report(eng, fb_ok, now):
