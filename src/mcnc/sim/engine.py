@@ -193,8 +193,10 @@ def _obtain_trace(cfg: SimConfig) -> VideoTrace:
 @functools.lru_cache(maxsize=RUN_INPUT_CACHE_SIZE)
 def _frame_plans(trace: VideoTrace, n_frames: int,
                  packet_bytes: int, k_max: int) -> List[_FramePlan]:
-    # keyed on the trace object itself, which the trace caches share
+    # keyed on the trace object itself, which the trace caches share; a
+    # cut repeats across frames, so each distinct one is stored once
     plans = []
+    cuts = {}
     for f in range(n_frames):
         rec = trace.frames[f]
         gens = []
@@ -204,9 +206,9 @@ def _frame_plans(trace: VideoTrace, n_frames: int,
             n_pkts = len(packetize(size, packet_bytes))
             for k in split_counts(n_pkts, k_max):
                 gens.append((slot, is_base, k))
-        plans.append(
-            _FramePlan(tuple(gens), len(rec.nalu_ids), rec.psnr_received, rec.psnr_lost)
-        )
+        gens = tuple(gens)
+        plans.append(_FramePlan(cuts.setdefault(gens, gens), len(rec.nalu_ids),
+                                rec.psnr_received, rec.psnr_lost))
     return plans
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -48,11 +49,15 @@ def psnr_frame(reference, received) -> float:
 
 
 def latency_stats(samples: Sequence[float]) -> Dict[str, float]:
-    """Mean and tail percentiles of a latency sample set, in seconds."""
-    if not samples:
+    """Mean and tail percentiles of a latency sample set, in seconds.
+
+    ``samples`` is any 1-D sequence of floats: a list, an ``array('d')``
+    or an ndarray.
+    """
+    arr = np.asarray(samples, dtype=np.float64)
+    if arr.size == 0:
         return {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0,
                 "min": 0.0, "max": 0.0}
-    arr = np.asarray(samples, dtype=np.float64)
     p50, p95, p99 = np.percentile(arr, (50.0, 95.0, 99.0))
     return {
         "count": int(arr.size),
@@ -75,7 +80,8 @@ class UEMetrics:
     nalus_total: int = 0
     nalus_lost: int = 0
     psnr_sum_db: float = 0.0
-    latency_samples: List[float] = field(default_factory=list)
+    # one float64 per played frame: 8 bytes each, not a boxed float's 32
+    latency_samples: array = field(default_factory=lambda: array("d"))
     # index = extra FEC rounds spent on a generation (0 = initial burst only)
     fec_rounds_hist: List[int] = field(default_factory=lambda: [0] * (MAX_FEC_ATTEMPTS + 1))
     packets_sent: Dict[str, int] = field(default_factory=dict)
@@ -154,10 +160,11 @@ class MetricsReport:
 
     @property
     def latency(self) -> Dict[str, float]:
-        pooled: List[float] = []
-        for u in self.per_ue:
-            pooled.extend(u.latency_samples)
-        return latency_stats(pooled)
+        # receiver order, as played; the empty head keeps a report with no
+        # receivers valid input to concatenate
+        return latency_stats(np.concatenate(
+            [np.empty(0)] + [np.asarray(u.latency_samples, dtype=np.float64)
+                             for u in self.per_ue]))
 
     @property
     def fec_rounds_hist(self) -> List[int]:

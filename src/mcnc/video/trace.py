@@ -36,7 +36,7 @@ class InvariantViolation(ValueError):
         self.rule = rule
 
 
-@dataclass
+@dataclass(slots=True)
 class FrameRecord:
     frame_id: int
     gop_index: int
@@ -48,7 +48,7 @@ class FrameRecord:
     nalu_layers: List[int] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class NaluRecord:
     nalu_id: int
     frame_id: int

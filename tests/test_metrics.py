@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import pickle
+import tracemalloc
+from array import array
+
 import numpy as np
 import pytest
 
+from mcnc.sim.config import SimConfig, grid_cells
+from mcnc.sim.engine import run
 from mcnc.sim.metrics import (
     PSNR_CAP_DB,
     DimensionMismatchError,
@@ -54,17 +60,29 @@ def test_psnr_shape_checks():
 
 
 def test_latency_stats_known_values():
-    stats = latency_stats([0.010, 0.020, 0.030, 0.040])
+    values = [0.010, 0.020, 0.030, 0.040]
+    stats = latency_stats(values)
     assert stats["count"] == 4
     assert stats["mean"] == pytest.approx(0.025)
     assert stats["min"] == 0.010 and stats["max"] == 0.040
     assert stats["p50"] == pytest.approx(0.025)
+    # any 1-D sequence: the same values as an array('d') or an ndarray
+    assert latency_stats(array("d", values)) == stats
+    assert latency_stats(np.array(values)) == stats
+
+
+EMPTY_STATS = {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0,
+               "p99": 0.0, "min": 0.0, "max": 0.0}
 
 
 def test_latency_stats_empty():
-    stats = latency_stats([])
-    assert stats == {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0,
-                     "p99": 0.0, "min": 0.0, "max": 0.0}
+    # an ndarray has no truth value, so emptiness is judged by size
+    for empty in ([], array("d"), np.empty(0)):
+        assert latency_stats(empty) == EMPTY_STATS
+
+
+def test_report_without_receivers_has_empty_latency():
+    assert MetricsReport(seed=0, duration_s=1.0, per_ue=[]).latency == EMPTY_STATS
 
 
 def _ue(ue_id=0, **kw):
@@ -89,9 +107,9 @@ def test_ue_psnr_mean_never_exceeds_cap():
 
 def test_report_pools_ues():
     a = _ue(0, nalus_total=100, nalus_lost=10, frames_total=50, frames_played=45,
-            psnr_sum_db=50 * 80.0, latency_samples=[0.01] * 5)
+            psnr_sum_db=50 * 80.0, latency_samples=array("d", [0.01] * 5))
     b = _ue(1, nalus_total=300, nalus_lost=0, frames_total=150, frames_played=150,
-            psnr_sum_db=150 * 99.99, latency_samples=[0.03] * 5)
+            psnr_sum_db=150 * 99.99, latency_samples=array("d", [0.03] * 5))
     report = MetricsReport(seed=1, duration_s=1.0, per_ue=[a, b])
     assert report.nalus_total == 400 and report.nalus_lost == 10
     assert report.nalu_loss_ratio == pytest.approx(0.025)
@@ -151,9 +169,67 @@ def test_fec_hist_sums_across_ues():
 
 def test_to_dict_round_trips_key_fields():
     u = _ue(nalus_total=10, nalus_lost=1, frames_total=5, frames_played=4,
-            psnr_sum_db=5 * 90.0, latency_samples=[0.02])
+            psnr_sum_db=5 * 90.0, latency_samples=array("d", [0.02]))
     d = MetricsReport(seed=7, duration_s=2.0, per_ue=[u]).to_dict()
     assert d["seed"] == 7 and d["duration_s"] == 2.0
     assert d["nalu_loss_ratio"] == pytest.approx(0.1)
     assert d["latency_ms_mean"] == pytest.approx(20.0)
     assert d["frames_played"] == 4
+
+
+def _pooled_list_latency(report):
+    # the reference: every receiver's samples pooled as Python floats
+    pooled = []
+    for u in report.per_ue:
+        pooled.extend(u.latency_samples)
+    return latency_stats(pooled)
+
+
+def _storage_runs():
+    cells = grid_cells(SimConfig(duration_s=2.0, n_ues=3))
+    for cell in (cells[0], cells[7], cells[-1]):
+        for seed in (1, 2):
+            yield run(cell, seed=seed)
+
+
+def test_run_keeps_latency_as_float64_arrays():
+    for report in _storage_runs():
+        assert report.latency["count"] > 0
+        for u in report.per_ue:
+            assert isinstance(u.latency_samples, array)
+            assert u.latency_samples.typecode == "d"
+        # same values in the same order: every stat equal, not just close
+        assert report.latency == _pooled_list_latency(report)
+
+
+def test_report_survives_a_pickle_round_trip():
+    # the path a report takes back from a worker process
+    for report in _storage_runs():
+        clone = pickle.loads(pickle.dumps(report))
+        assert clone == report
+        assert clone.to_dict() == report.to_dict()
+        assert all(u.latency_samples.typecode == "d" for u in clone.per_ue)
+
+
+#: a report's memory beyond its latency samples: receiver records, their
+#: counters and histograms
+REPORT_FIXED_BYTES = 32 * 1024
+
+
+def test_a_finished_report_keeps_about_8_bytes_per_sample():
+    # what the parent of a multi-worker run holds per report: the report
+    # rebuilt from its pickle, traced alone; a boxed float in a list costs
+    # 32 bytes per sample and fails the bound
+    cfg = SimConfig()
+    report = run(cfg, seed=1)
+    n = report.latency["count"]
+    assert n == report.frames_played > 10_000
+    blob = pickle.dumps(report)
+    tracemalloc.start()
+    try:
+        clone = pickle.loads(blob)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert clone.latency["count"] == n
+    assert kept <= 12 * n + REPORT_FIXED_BYTES, (kept, n)
