@@ -3,14 +3,19 @@
 One run couples the layers end to end. Trace frames are cut into
 generations at the sender (one NALU never shares a generation with
 another), coded bursts ride the per-receiver radio links, and feedback
-steers path choice and top-up rounds. Only the sender is evented: a FRAME
-sends a frame's initial bursts, a CHECK reads feedback and tops up,
-closes or fails a generation's plan, and at equal times a FRAME runs
-first. With multi-connectivity disabled everything rides mmWave; without
-FEC a generation gets its k packets once. Everything is deterministic
-given (config, seed): every random stream is split off the master seed
-with a distinct label. Each generation is one record: the sender's
-``GenerationPlan`` extended with the receiver's rank timeline.
+steers path choice and top-up rounds. Only the sender is evented: a
+FRAME sends a frame's initial bursts, a CHECK reads feedback and tops
+up, closes or fails a generation's plan. At equal times a FRAME runs
+first, and CHECKs run in generation order. A CHECK that finds no fresh
+report (a feedback blackout) waits with no events in between: the sender
+would look again every report interval, so the CHECK walks those looks
+at once and leaves one CHECK at the first fresh one, or fails the plan
+at the last look before the display deadline. With multi-connectivity
+disabled everything rides mmWave; without FEC a generation gets its k
+packets once. Everything is deterministic given (config, seed): every
+random stream is split off the master seed with a distinct label. Each
+generation is one record: the sender's ``GenerationPlan`` extended with
+the receiver's rank timeline.
 
 After the loop, ``_play`` plays the receiver back in one pass over the
 frames in display order. Every input is final by then: ``complete_at``
@@ -20,11 +25,13 @@ generation counts for display instant D only if ``complete_at < D``. A
 frame whose base generations all count is taken once the last completed,
 but not before the consumer moved past the frame before it; any other
 frame is lost, and the consumer moves past it at D or at its first
-notice, if earlier. A taken frame plays if the frames it references are
-decodable by the same rule; a NALU is lost if any of its generations does
-not count. At most ``playout_buffer_frames`` frames are ever taken but
-undisplayed: nothing is taken before it arrives, and nothing arrives
-earlier than one buffer depth before its display instant.
+notice, if earlier. A taken frame plays if its ready instant, the latest
+base completion over it and every frame it references
+(``video.structure.ready_times``), is before D; a NALU is lost if any of
+its generations does not count. At most ``playout_buffer_frames`` frames
+are ever taken but undisplayed: nothing is taken before it arrives, and
+nothing arrives earlier than one buffer depth before its display
+instant.
 
 Scale choices, made so a 60 s five-receiver session stays under a second
 of wall clock without changing observable behavior:
@@ -66,8 +73,8 @@ of wall clock without changing observable behavior:
   Byte counts use the padded wire size, and the codec's real elimination
   path has its own tests.
 - Receiver-major. Receivers share no simulated state, so each one's
-  session runs alone, to its end, one after another: its own heap, seq
-  numbers, generation ids and random streams. Frame arrivals are fixed
+  session runs alone, to its end, one after another: its own heap,
+  generation ids and random streams. Frame arrivals are fixed
   at ``stream_start + f / fps``, so they never enter the heap: the loop
   walks the frames in order and, before each, dispatches the CHECKs due
   strictly earlier. The heap holds CHECKs only.
@@ -96,7 +103,7 @@ from ..distribution import (GenerationPlan, PathSelector, handle_feedback,
 from ..gf import FieldSpec
 from ..rlnc import split_counts, wire_size
 from ..seeding import derive_seed
-from ..video.structure import decodable, packetize
+from ..video.structure import packetize, ready_times
 from ..video.playout import PlayoutBuffer
 from ..video.trace import VideoTrace, load_trace
 from ..video.tracegen import synthesize_trace
@@ -306,15 +313,14 @@ class _Engine:
             self.stream_start + cfg.backhaul_delay_s + cfg.playout_buffer_frames / cfg.fps,
             fps=cfg.fps)
 
-        # pending plan checks; frames arrive on their own clock instead
+        # pending plan checks, at most one per generation; frames arrive on
+        # their own clock instead
         self._heap = []
-        self._seq = 0
 
     # --------------------------------------------------------- event loop
 
     def _push(self, t: float, g: _GenState):
-        self._seq += 1
-        heapq.heappush(self._heap, (t, self._seq, g))
+        heapq.heappush(self._heap, (t, g.gen_id, g))
 
     def run(self) -> UEMetrics:
         heap = self._heap
@@ -331,7 +337,8 @@ class _Engine:
         gc_was_on = gc.isenabled()
         gc.disable()
         try:
-            # seq numbers are unique, so the heap's tuples order on (t, seq)
+            # a generation has at most one CHECK pending, so the heap's
+            # tuples order on (t, gen_id): equal times run in generation order
             n = self.n_frames
             for f in range(n + 1):
                 # frame f arrives at start + f / fps; the end, after the
@@ -362,6 +369,14 @@ class _Engine:
             return -1
         newest = self.newest
         return newest[g] if g < self.n_reports else newest[-1]
+
+    def _fresh_report(self, now: float) -> int:
+        """The newest report index known by now, or -1 if there is none or
+        it arrived more than ``feedback_staleness_s`` ago."""
+        rep = self._latest_report(now)
+        if rep < 0 or now - rep * self.fb_int - self.ul_delay > self.cfg.feedback_staleness_s:
+            return -1
+        return rep
 
     def _current_path(self, now: float) -> str:
         if not self.cfg.multi_connectivity:
@@ -510,19 +525,12 @@ class _Engine:
             self._schedule_check(g, settle)
 
     def _on_check(self, g: _GenState, now: float):
-        cfg = self.cfg
-        rep = self._latest_report(now)
-        if rep < 0 or now - rep * self.fb_int - self.ul_delay > cfg.feedback_staleness_s:
-            # feedback blackout (mmWave-only uplink in outage): hold the
-            # plan instead of burning top-up rounds blind; the display
-            # deadline still bounds how long the receiver waits
-            if now + self.fb_int > g.deadline:
-                self._fail_plan(g, now)
-            else:
-                self._push(now + self.fb_int, g)
+        rep = self._fresh_report(now)
+        if rep < 0:
+            self._wait_out_blackout(g, now)
             return
         rank = bisect_right(g.rank_ts, rep * self.fb_int)
-        act = handle_feedback(g, rank, now, overshoot=cfg.retx_overshoot)
+        act = handle_feedback(g, rank, now, overshoot=self.cfg.retx_overshoot)
         if act.kind == "delivered":
             self._finish_plan(g)
         elif act.kind == "failed":
@@ -530,6 +538,26 @@ class _Engine:
         else:
             settle = self._send_burst(g, act.count, self._current_path(now), now)
             self._schedule_check(g, settle)
+
+    def _wait_out_blackout(self, g: _GenState, now: float):
+        # feedback blackout (mmWave-only uplink in outage): hold the plan
+        # instead of burning top-up rounds blind. The sender looks again
+        # every report interval, and a look changes nothing until a report
+        # is fresh, so walk the looks here: one CHECK at the first fresh
+        # one, or a failed plan at the last one the display deadline allows
+        fb_int = self.fb_int
+        deadline = g.deadline
+        fresh_report = self._fresh_report
+        t = now
+        while True:
+            nxt = t + fb_int  # the same float sums a CHECK per look would make
+            if nxt > deadline:
+                self._fail_plan(g, t)
+                return
+            t = nxt
+            if fresh_report(t) >= 0:
+                self._push(t, g)
+                return
 
     # ------------------------------------------------------------ playback
 
@@ -555,16 +583,17 @@ class _Engine:
                     done = c
             base_done.append(done)
             m.nalus_total += fr.plan.n_nalus
+        # the latest base completion over each frame and every frame it
+        # references: frame f is decodable for D exactly when ready[f] < D
+        ready = ready_times(base_done)
         # pass 2: the in-order consumer, and the display check
-        memo = set()  # frames found decodable; they stay so as D grows
         past = -math.inf  # when the consumer moved past the previous frame
         for f, fr in enumerate(frames):
             d = fr.deadline
             done = base_done[f]
             if done < d:
                 past = fr.consumed_at = max(done, past)
-                if f in memo or decodable(f, self.n_frames,
-                                          lambda j: base_done[j] < d, memo):
+                if ready[f] < d:
                     m.frames_played += 1
                     m.psnr_sum_db += fr.plan.psnr_recv
                     m.latency_samples.append(past - fr.gen_time)

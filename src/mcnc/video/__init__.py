@@ -3,9 +3,9 @@ from .structure import (
     LAYER_POPULATIONS,
     N_TEMPORAL_LAYERS,
     compute_decodable,
-    decodable,
     dyadic_parents,
     packetize,
+    ready_times,
     temporal_layer_of,
 )
 from .trace import (
@@ -27,9 +27,9 @@ __all__ = [
     "LAYER_POPULATIONS",
     "N_TEMPORAL_LAYERS",
     "compute_decodable",
-    "decodable",
     "dyadic_parents",
     "packetize",
+    "ready_times",
     "temporal_layer_of",
     "FrameRecord",
     "NaluRecord",

@@ -9,16 +9,24 @@ A non-key frame bisects the interval between its two reference frames, so
 its parents are frame_id +/- lowest_set_bit(gop_index); both sit on strictly
 lower temporal layers, and the right parent of position 8..15 is the next
 group's key frame. A frame is decodable only if all of its base spatial
-layer NALUs arrived and every parent inside the stream is decodable.
+layer NALUs arrived and every parent inside the stream is decodable, so
+it becomes decodable at its ready instant: the latest base-layer arrival
+over itself and every frame it references, directly or not.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Set, Tuple
+import math
+from typing import List, Sequence, Set, Tuple
 
 GOP_SIZE = 16
 N_TEMPORAL_LAYERS = 5
 LAYER_POPULATIONS = (1, 1, 2, 4, 8)
+
+#: (position, distance to both parents) for every non-key GOP position,
+#: each after its parents: by temporal layer, then left to right
+_VISIT = tuple((pos, pos & -pos) for pos in (8, 4, 12, 2, 6, 10, 14,
+                                              1, 3, 5, 7, 9, 11, 13, 15))
 
 
 class OutOfRangeError(ValueError):
@@ -65,42 +73,45 @@ def packetize(size_bytes: int, packet_bytes: int) -> List[int]:
     return sizes
 
 
-def decodable(
-    frame_id: int,
-    n_frames: int,
-    base_arrived: Callable[[int], bool],
-    memo: Set[int],
-) -> bool:
-    """Whether a frame can be reconstructed: ``base_arrived(frame_id)``
-    holds and every parent inside the stream is decodable.
+def ready_times(base_times: Sequence[float]) -> List[float]:
+    """``ready[f]``: the latest of ``base_times`` over frame f and every
+    frame it references, directly or not, in a stream of
+    ``len(base_times)`` frames.
 
-    ``base_arrived`` says whether all of a frame's base spatial layer NALUs
-    arrived; enhancement-layer NALUs do not gate decodability. ``memo``
-    caches the frames found decodable, so reuse it across calls only while
-    ``base_arrived`` never turns back to false.
+    ``base_times[f]`` is when frame f's base spatial layer arrived (``inf``
+    if it never did), so frame f is decodable at instant D exactly when
+    ``ready[f] < D``. One pass per GOP: a key frame has no parents, and
+    every other position is visited after both of its parents.
     """
-    if frame_id in memo:
-        return True
-    if not base_arrived(frame_id):
-        return False
-    for parent in dyadic_parents(frame_id, n_frames):
-        if not decodable(parent, n_frames, base_arrived, memo):
-            return False
-    memo.add(frame_id)
-    return True
+    ready = list(base_times)
+    n = len(ready)
+    for start in range(0, n, GOP_SIZE):
+        for pos, step in _VISIT:
+            f = start + pos
+            if f >= n:
+                continue
+            r = ready[f]
+            left = ready[f - step]
+            if left > r:
+                r = left
+            right = f + step
+            if right < n and ready[right] > r:
+                r = ready[right]
+            ready[f] = r
+    return ready
 
 
 def compute_decodable(frames: Sequence, delivered_nalus: Set[int]) -> Set[int]:
-    """Decodable closure over a whole stream."""
-    by_id = {frame.frame_id: frame for frame in frames}
+    """The decodable frames of a whole stream, given the NALUs delivered.
 
-    def base_arrived(frame_id: int) -> bool:
-        frame = by_id.get(frame_id)
-        return frame is not None and all(
-            nalu_id in delivered_nalus
-            for nalu_id, slayer in zip(frame.nalu_ids, frame.nalu_layers)
-            if slayer == 0)
-
-    memo: Set[int] = set()
-    n_frames = len(frames)
-    return {f.frame_id for f in frames if decodable(f.frame_id, n_frames, base_arrived, memo)}
+    ``frames`` are the stream's frames, ids 0 to ``len(frames) - 1``;
+    enhancement-layer NALUs do not gate decodability.
+    """
+    base_times = [math.inf] * len(frames)
+    for frame in frames:
+        if all(nalu_id in delivered_nalus
+               for nalu_id, slayer in zip(frame.nalu_ids, frame.nalu_layers)
+               if slayer == 0):
+            base_times[frame.frame_id] = 0.0
+    ready = ready_times(base_times)
+    return {f for f, r in enumerate(ready) if r < math.inf}

@@ -14,7 +14,7 @@ from mcnc.channel import LTE, MMWAVE, LinkModel
 from mcnc.sim import engine
 from mcnc.sim.config import SimConfig, grid_cells
 from mcnc.sim.engine import TraceError, run
-from mcnc.sim.metrics import UEMetrics, check_conservation
+from mcnc.sim.metrics import MetricsReport, UEMetrics, check_conservation
 from mcnc.video.tracegen import synthesize_trace
 from mcnc.video.trace import save_trace
 
@@ -285,12 +285,12 @@ def test_event_log_is_chronological():
         assert times == sorted(times)
 
 
-def _small_engine(cfg, log=None, u=0, seed=1):
+def _small_engine(cfg, log=None, u=0, seed=1, engine_class=engine._Engine):
     """Receiver u's session of cfg, built but not run."""
     n_frames = cfg.frame_count()
     plans = engine._frame_plans(engine._obtain_trace(cfg), n_frames,
                                 cfg.packet_bytes, cfg.generation_size)
-    return engine._Engine(cfg, seed, plans, n_frames, log, u)
+    return engine_class(cfg, seed, plans, n_frames, log, u)
 
 
 def test_static_event_wins_a_tie_with_a_dynamic_one():
@@ -304,6 +304,19 @@ def test_static_event_wins_a_tie_with_a_dynamic_one():
     eng.run()
     assert [line.split()[1] for line in log[:2]] == ["frame", "check"]
     assert log[0].split()[0] == log[1].split()[0]
+
+
+def test_equal_time_checks_run_in_generation_order():
+    # the heap orders plan checks on (t, gen_id), whatever order they were
+    # pushed in, so a CHECK that waited out a blackout takes its place
+    # among the others exactly as one pushed every report interval would
+    log = []
+    eng = _small_engine(dataclasses.replace(BASE, duration_s=0.1), log)
+    t = eng.stream_start - 1.0
+    for gen_id in (-2, -5, -3):
+        eng._push(t, engine._GenState(gen_id, 1, 1, t, 0, True))
+    eng.run()
+    assert [line.split()[3] for line in log[:3]] == ["arg=gen-5", "arg=gen-3", "arg=gen-2"]
 
 
 def test_engine_starts_with_one_frame_per_receiver():
@@ -370,9 +383,10 @@ def test_staleness_longer_than_the_session_runs():
     assert runs[0] == runs[1] == runs[2]
 
 
-def _sessions(cfg, seed=1):
+def _sessions(cfg, seed=1, engine_class=engine._Engine):
     """Every receiver's session of cfg, run."""
-    sessions = [_small_engine(cfg, u=u, seed=seed) for u in range(cfg.n_ues)]
+    sessions = [_small_engine(cfg, u=u, seed=seed, engine_class=engine_class)
+                for u in range(cfg.n_ues)]
     for eng in sessions:
         eng.run()
     return sessions
@@ -497,3 +511,67 @@ def test_collector_restored_when_a_handler_raises(collector_state, monkeypatch):
     with pytest.raises(ValueError, match="handler failed"):
         run(dataclasses.replace(BASE, duration_s=0.5), seed=1)
     assert gc.isenabled()
+
+
+class _PollingEngine(engine._Engine):
+    """The engine with its blackout polled: the sender looks again every
+    report interval, one CHECK each time, until a report is fresh or the
+    next look would pass the display deadline."""
+
+    polls = 0
+
+    def _wait_out_blackout(self, g, now):
+        if now + self.fb_int > g.deadline:
+            self._fail_plan(g, now)
+        else:
+            type(self).polls += 1
+            self._push(now + self.fb_int, g)
+
+
+def _fates(engine_class, cfg, seed):
+    """The report, latency samples and frame fates of every session."""
+    sessions = _sessions(cfg, seed, engine_class)
+    report = MetricsReport(seed, cfg.duration_s, [eng.metrics for eng in sessions])
+    return (report.to_dict(),
+            [list(ue.latency_samples) for ue in report.per_ue],
+            [[(fr.consumed_at, [g.notice_at for g in fr.gens]) for fr in eng.frames]
+             for eng in sessions])
+
+
+@pytest.mark.parametrize("staleness", [0.0, BASE.feedback_staleness_s, 1e17])
+def test_waiting_out_a_blackout_matches_polling_it(staleness, monkeypatch):
+    # the mmWave-only FEC cells are the ones whose feedback link has
+    # blackouts: resolving each in one step must change nothing at all
+    monkeypatch.setattr(_PollingEngine, "polls", 0)
+    cells = [cell for cell in grid_cells(dataclasses.replace(
+                 BASE, n_ues=5, feedback_staleness_s=staleness))
+             if cell.nc_fec and not cell.multi_connectivity]
+    assert len(cells) == 4
+    for cell in cells:
+        for seed in (1, 2, 3):
+            assert _fates(engine._Engine, cell, seed) == _fates(_PollingEngine, cell, seed), (
+                cell.coding_profile, cell.ran_retx, seed)
+    assert _PollingEngine.polls  # blackouts happen, so the check is not vacuous
+
+
+def test_a_blackout_costs_at_most_one_check_per_round():
+    # each round (the first burst and each top-up) schedules one CHECK; a
+    # blackout adds at most one more, at its first fresh report
+    waited = 0
+    for seed in (7, 8):
+        for cell in grid_cells(SimConfig(duration_s=3.0, seed=seed)):
+            for u in range(cell.n_ues):
+                log = []
+                eng = _small_engine(cell, log, u=u, seed=seed)
+                eng.run()
+                checks = {}
+                for line in log:
+                    _, kind, _, arg = line.split()
+                    if kind == "check":
+                        checks[arg] = checks.get(arg, 0) + 1
+                for fr in eng.frames:
+                    for g in fr.gens:
+                        n = checks.get(f"arg=gen{g.gen_id}", 0)
+                        assert n <= 2 * (g.attempts_used + 1), (cell, u, g.gen_id, n)
+                        waited += n > g.attempts_used + 1
+    assert waited  # some rounds waited out a blackout

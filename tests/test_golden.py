@@ -29,9 +29,9 @@ from mcnc.sim.config import SimConfig, grid_cells
 from mcnc.sim.montecarlo import run_grid, run_seeds
 from mcnc.sim.results import emit_results
 
-RESULTS_CSV_SHA256 = "01f4eda9903a10080853bd1d3e13fd07e94296a5500cf616693c0c95bbf1daaa"
-REPORTS_SHA256 = "d71d884724742359e8679c8f41782e6b4fe88d2e7a8b0a02733af2696529f3c9"
-EVENTS_LOG_SHA256 = "c250ca280fccc1ad88792ff1cf77a07cc64e837fc28502957d728f8c14c8197e"
+RESULTS_CSV_SHA256 = "d9888c8b044bc936887ca3f248863a7eca1b5809594d0fe9d86789b3cf1534e8"
+REPORTS_SHA256 = "635aa6d8a89c99fe4cb85dabfaa6eeb3449f83c0559984d33a7490c180aacc0b"
+EVENTS_LOG_SHA256 = "6d3ff13c43005a1a1c974168429c1a3162bc8a00cfdcb2bbd93ecf0b51953027"
 CODEC_SHA256 = "0e2eb0d45d73e7611a6e2fe8ea94c48c7784db908f0b39fff30dd75285f8cbd8"
 
 

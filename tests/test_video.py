@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mcnc.video.playout import PlayoutBuffer
 from mcnc.video.structure import (
@@ -14,6 +17,7 @@ from mcnc.video.structure import (
     compute_decodable,
     dyadic_parents,
     packetize,
+    ready_times,
     temporal_layer_of,
 )
 from mcnc.video.trace import (
@@ -116,6 +120,36 @@ def test_lost_top_layer_frame_is_isolated():
     nalu = trace.frames_by_id[5].nalu_ids[0]  # odd position, top layer
     decodable = _delivered_sets(trace, missing_nalus=[nalu])
     assert decodable == set(range(16)) - {5}
+
+
+def _walked_ready_times(base_times):
+    """For each frame, walk its whole reference set and take the latest
+    base time over it."""
+    n = len(base_times)
+    ready = []
+    for f in range(n):
+        seen, todo = {f}, [f]
+        while todo:
+            for parent in dyadic_parents(todo.pop(), n):
+                if parent not in seen:
+                    seen.add(parent)
+                    todo.append(parent)
+        ready.append(max(base_times[j] for j in seen))
+    return ready
+
+
+# few distinct values, so ties between a frame and its parents are common
+_BASE_TIMES = st.one_of(st.integers(0, 4).map(float), st.just(math.inf),
+                        st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_BASE_TIMES, max_size=70))
+@example([math.inf] + [0.0] * 16)  # a lost key frame, and one frame past the GOP
+@example([0.0] * 16 + [math.inf] + [0.0] * 14)  # the next key frame lost, GOP cut short
+@example([0.0] * 7 + [math.inf] + [0.0] * 25)  # a lost top-layer frame
+def test_ready_times_match_a_walk_over_each_reference_set(base_times):
+    assert ready_times(base_times) == _walked_ready_times(base_times)
 
 
 def test_enhancement_loss_does_not_gate_decodability():
