@@ -206,11 +206,10 @@ class LinkModel:
 
     # -- state lookup --------------------------------------------------
 
-    def snr_at(self, t: float) -> float:
-        """SNR of the trajectory state in force at time ``t``."""
-        snrs = self.snrs_db
-        i = int(t * self.inv_step)
-        return snrs[i] if i < len(snrs) else snrs[-1]
+    def snr_at(self, times: np.ndarray) -> np.ndarray:
+        """SNR of the trajectory state in force at each of ``times``."""
+        snrs = np.asarray(self.snrs_db)
+        return snrs[np.minimum((times * self.inv_step).astype(np.int64), len(snrs) - 1)]
 
     def control_survival(self, send_times: np.ndarray,
                          rng: np.random.Generator) -> np.ndarray:

@@ -3,9 +3,8 @@
 Each NALU's generations are dispatched on the path chosen from the latest
 link feedback: mmWave whenever it is confirmed usable, LTE as fallback.
 Switching up to mmWave requires the reported SNR to clear the outage
-threshold by a hysteresis margin; switching down happens at the threshold
-itself, and feedback older than the staleness bound means the mmWave state
-is unknown, which is treated as unavailable.
+threshold by a hysteresis margin; switching down happens as soon as it
+falls below the threshold, or when no report is at hand.
 
 When network-coded FEC is enabled the initial burst carries fixed
 redundancy (20% on mmWave, 10% on LTE, rounded up) and rank reports from
@@ -18,7 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple
+
+import numpy as np
 
 from .channel import LTE, MMWAVE
 from .rlnc import Encoder, Generation
@@ -51,36 +52,22 @@ class PathSelector:
     """Hysteresis path chooser that judges the raw mmWave SNR of receiver
     reports: below the outage threshold the link is unusable."""
 
-    __slots__ = ("outage_threshold_db", "hysteresis_db", "staleness_s",
-                 "_current", "_sent_at", "_snr_db")
+    __slots__ = ("outage_threshold_db", "hysteresis_db")
 
-    def __init__(
-        self,
-        outage_threshold_db: float = -5.0,
-        hysteresis_db: float = 3.0,
-        staleness_s: float = 0.020,
-    ):
+    def __init__(self, outage_threshold_db: float = -5.0, hysteresis_db: float = 3.0):
         self.outage_threshold_db = outage_threshold_db
         self.hysteresis_db = hysteresis_db
-        self.staleness_s = staleness_s
-        self._current = MMWAVE
-        # no report yet: infinitely stale
-        self._sent_at = -math.inf
-        self._snr_db = -math.inf
 
-    def update(self, sent_at: float, snr_db: float) -> None:
-        """Take the report sent at ``sent_at``; the newest one wins."""
-        if sent_at >= self._sent_at:
-            self._sent_at = sent_at
-            self._snr_db = snr_db
-
-    def select_path(self, now: float) -> str:
-        snr = self._snr_db
-        if now - self._sent_at > self.staleness_s or snr < self.outage_threshold_db:
-            self._current = LTE
-        elif snr >= self.outage_threshold_db + self.hysteresis_db:
-            self._current = MMWAVE
-        return self._current
+    def on_mmwave(self, snr_db: np.ndarray) -> List[bool]:
+        """The path after each report slot, True for mmWave, given the SNR
+        of each slot's report (NaN: none). No report or an SNR below the
+        threshold means LTE, threshold + hysteresis or more means mmWave,
+        and in between the path holds: LTE before any slot decides."""
+        up = snr_db >= self.outage_threshold_db + self.hysteresis_db
+        decided = up | ~(snr_db >= self.outage_threshold_db)
+        idx = np.arange(len(snr_db))
+        last = np.maximum.accumulate(np.where(decided, idx, -1))
+        return (up[last] & (last >= 0)).tolist()
 
 
 def initial_burst_size(k: int, path: str, nc_fec: bool) -> int:

@@ -160,6 +160,12 @@ class SimConfig:
                 + (self.frame_count() - 1) / self.fps
                 + self.backhaul_delay_s + self.playout_buffer_frames / self.fps + 1.0)
 
+    def fresh_slots(self) -> int:
+        """Report slots a report stays fresh: ceil(staleness / interval), at
+        least one. A whole multiple of the interval gives exactly that many
+        despite float rounding (0.035 / 0.005 reads 7.000000000000001)."""
+        return max(1, math.ceil(self.feedback_staleness_s / self.feedback_interval_s - 1e-9))
+
     def validate(self) -> None:
         # every range check below is a comparison, and NaN fails none of
         # them; an integer past float range overflows the first float product
@@ -201,6 +207,9 @@ class SimConfig:
         if math.isinf(self.feedback_interval_s):
             # report instants are multiples of the interval: 0 * inf is NaN
             raise ConfigError("feedback_interval_s must be finite")
+        if self.feedback_staleness_s <= 0:
+            # a report stays fresh for ceil(staleness / interval) slots
+            raise ConfigError("feedback_staleness_s must be positive")
         if self.channel_step_s % self.feedback_interval_s > 1e-12:
             # report instants must land on channel-state boundaries
             ratio = self.channel_step_s / self.feedback_interval_s
@@ -232,7 +241,6 @@ class SimConfig:
             "receiver_giveup_empty_s",
             "plan_check_guard_s",
             "mmwave_shadow_corr_s",
-            "feedback_staleness_s",
             "hysteresis_db",
         ):
             if getattr(self, name) < 0:

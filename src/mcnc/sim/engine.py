@@ -9,8 +9,8 @@ up, closes or fails a generation's plan. At equal times a FRAME runs
 first, and CHECKs run in generation order. A CHECK that finds no fresh
 report (a feedback blackout) waits with no events in between: the sender
 would look again every report interval, so the CHECK walks those looks
-at once and leaves one CHECK at the first fresh one, or fails the plan
-at the last look before the display deadline. With multi-connectivity
+at once and leaves one CHECK at the first look with a fresh report, or
+fails the plan at the last look before the display deadline. With multi-connectivity
 disabled everything rides mmWave; without FEC a generation gets its k
 packets once. Everything is deterministic given (config, seed): every
 random stream is split off the master seed with a distinct label. Each
@@ -51,15 +51,21 @@ of wall clock without changing observable behavior:
   ``LinkModel.transmit`` on its own, but the burst is counted once
   (``UEMetrics.count_burst``), its survivors feed the rank timeline in
   one pass, and each link computes its rate once per channel step.
-- Feedback is pulled, not evented. Receiver reports live on a fixed grid
-  and ride one feedback link: LTE with multi connectivity, else the mmWave
-  uplink. That link presamples per-report survival
-  (``LinkModel.control_survival``), and "what did the sender know at t"
-  resolves to the newest surviving report that had arrived by t: one
-  index into a per-receiver ``newest`` table, built at init, that holds
-  for each report slot the newest survivor within the scan window. Path
-  choice hands that report's send time and mmWave SNR to the
-  ``PathSelector``, which alone judges outage, hysteresis and staleness.
+- Feedback is one per-slot timeline, pulled, not evented. Receiver
+  reports live on a fixed grid and ride one feedback link: LTE with multi
+  connectivity, else the mmWave uplink. That link presamples per-report
+  survival (``LinkModel.control_survival``). At time t the newest report
+  slot that can have arrived is g = floor((t - ul_delay) / interval), and
+  a surviving report j is fresh while g - j < W, the
+  ``SimConfig.fresh_slots()`` window, ceil(staleness / interval). "What
+  does the sender know at t" is one index into a per-receiver ``newest``
+  table, built at init, that holds each slot's newest fresh report or
+  none. The same lookup serves the plan checks, the blackout walk and
+  path choice. With multi connectivity a second table, built next to it,
+  holds the path in force after each slot: ``PathSelector`` judges the
+  mmWave SNR of the slot's fresh report for outage and hysteresis once
+  per slot, and a slot with none means LTE. Path choice at t is one index
+  into it.
 - Decoding is rank-sampled. Payloads are never materialized here, and the
   transmit side is systematic: a generation's first k emissions are its
   source packets, with unit coefficient vectors, so each of them that
@@ -223,6 +229,7 @@ def _newest_reports(fb_ok, scan: int) -> List[int]:
     """``newest[g]``: the newest index j in (g - scan, g] with ``fb_ok[j]``,
     or -1 if there is none."""
     idx = np.arange(len(fb_ok))
+    scan = min(scan, len(fb_ok) + 1)  # longer reaches back to index 0 all the same
     last_ok = np.maximum.accumulate(np.where(fb_ok, idx, -1))
     return np.where(last_ok > idx - scan, last_ok, -1).tolist()
 
@@ -252,11 +259,7 @@ class _Engine:
         n_steps = int(self.t_end * (1.0 / cfg.channel_step_s)) + 2
         self.fb_int = cfg.feedback_interval_s
         self.n_reports = int(self.t_end / self.fb_int) + 2
-        # how many missed reports to scan back before declaring ignorance;
-        # past the staleness bound the answer cannot change path choice, and
-        # a window longer than the report grid reaches back to report 0
-        self._fb_scan = min(max(2, int(cfg.feedback_staleness_s / self.fb_int) + 2),
-                            self.n_reports + 1)
+        self.window = cfg.fresh_slots()
 
         self.stream_start = u * cfg.stagger_step_s
         self.mm = LinkModel(
@@ -289,21 +292,23 @@ class _Engine:
             outage_threshold_db=cfg.outage_threshold_db,
             rng=random.Random(derive_seed(seed, "lteloss", u)),
         )
-        self.selector = PathSelector(
-            outage_threshold_db=self.mm.outage_threshold_db,
-            hysteresis_db=cfg.hysteresis_db,
-            staleness_s=cfg.feedback_staleness_s,
-        )
         self.mm.presample(n_steps, cfg.channel_step_s,
                           np.random.default_rng(derive_seed(seed, "chan", u)))
         # feedback rides the fallback path when there is one, else the
         # mmWave uplink: its state decides which reports survive, and every
         # control packet (reports, abandon notices) takes its delay
         fb_link = self.lte if cfg.multi_connectivity else self.mm
+        sent_at = np.arange(self.n_reports) * self.fb_int
         fb_ok = fb_link.control_survival(
-            np.arange(self.n_reports) * self.fb_int,
-            np.random.default_rng(derive_seed(seed, "fb", u)))
-        self.newest = _newest_reports(fb_ok, self._fb_scan)
+            sent_at, np.random.default_rng(derive_seed(seed, "fb", u)))
+        self.newest = _newest_reports(fb_ok, self.window)
+        if cfg.multi_connectivity:
+            # the path in force once the sender has seen each slot's fresh
+            # report, from the mmWave SNR that report carries (NaN: none)
+            newest = np.array(self.newest)
+            selector = PathSelector(self.mm.outage_threshold_db, cfg.hysteresis_db)
+            self.on_mmwave = selector.on_mmwave(
+                np.where(newest >= 0, self.mm.snr_at(sent_at)[newest], np.nan))
         self.ul_delay = cfg.backhaul_delay_s + fb_link.base_delay_s + _CTRL_PROC_S
         self.metrics = UEMetrics(ue_id=u)
         self.metrics.feedback_sent = self.n_reports
@@ -363,29 +368,23 @@ class _Engine:
     # ----------------------------------------------------------- feedback
 
     def _latest_report(self, now: float) -> int:
-        """Newest surviving report index whose arrival is <= now, or -1."""
+        """The newest surviving report fresh at now, or -1: fresh means
+        fewer than ``window`` slots older than the newest report slot that
+        can have arrived by now."""
         g = math.floor((now - self.ul_delay) / self.fb_int)
         if g < 0:
             return -1
-        newest = self.newest
-        return newest[g] if g < self.n_reports else newest[-1]
-
-    def _fresh_report(self, now: float) -> int:
-        """The newest report index known by now, or -1 if there is none or
-        it arrived more than ``feedback_staleness_s`` ago."""
-        rep = self._latest_report(now)
-        if rep < 0 or now - rep * self.fb_int - self.ul_delay > self.cfg.feedback_staleness_s:
-            return -1
-        return rep
+        if g < self.n_reports:
+            return self.newest[g]
+        rep = self.newest[-1]  # past the report grid, no later report exists
+        return rep if g - rep < self.window else -1
 
     def _current_path(self, now: float) -> str:
+        # paths are chosen before the session's end, inside the report grid
         if not self.cfg.multi_connectivity:
             return MMWAVE
-        rep = self._latest_report(now)
-        if rep >= 0:
-            sent_at = rep * self.fb_int
-            self.selector.update(sent_at, self.mm.snr_at(sent_at))
-        return self.selector.select_path(now)
+        g = math.floor((now - self.ul_delay) / self.fb_int)
+        return MMWAVE if g >= 0 and self.on_mmwave[g] else LTE
 
     # -------------------------------------------------------- transmission
 
@@ -525,7 +524,7 @@ class _Engine:
             self._schedule_check(g, settle)
 
     def _on_check(self, g: _GenState, now: float):
-        rep = self._fresh_report(now)
+        rep = self._latest_report(now)
         if rep < 0:
             self._wait_out_blackout(g, now)
             return
@@ -547,7 +546,7 @@ class _Engine:
         # one, or a failed plan at the last one the display deadline allows
         fb_int = self.fb_int
         deadline = g.deadline
-        fresh_report = self._fresh_report
+        latest_report = self._latest_report
         t = now
         while True:
             nxt = t + fb_int  # the same float sums a CHECK per look would make
@@ -555,7 +554,7 @@ class _Engine:
                 self._fail_plan(g, t)
                 return
             t = nxt
-            if fresh_report(t) >= 0:
+            if latest_report(t) >= 0:
                 self._push(t, g)
                 return
 

@@ -31,7 +31,7 @@ from mcnc.rlnc import DecoderState, Encoder, Generation, full_rank_probability
 from mcnc.sim.cli import main as cli_main
 from mcnc.sim.config import SimConfig
 from mcnc.sim.metrics import psnr_frame
-from mcnc.sim.montecarlo import run_grid
+from mcnc.sim.montecarlo import report_samples, run_grid
 from mcnc.video.structure import LAYER_POPULATIONS, packetize
 from mcnc.video.tracegen import synthesize_trace
 
@@ -214,11 +214,24 @@ def desk_grid():
         key: {name: cell[0][name]["mean"] for name in cell[0]}
         for key, cell in results.items()
     }
-    return means, elapsed
+    # the cells share run seeds, so two cells' i-th runs are a pair
+    samples = {key: [report_samples(r) for r in cell[1]] for key, cell in results.items()}
+    return means, samples, elapsed
+
+
+def _paired_margin(xs, ys) -> str:
+    """The paired mean of xs - ys, its standard error, the margin in
+    standard errors and how many pairs are positive."""
+    d = [x - y for x, y in zip(xs, ys)]
+    n = len(d)
+    mean = sum(d) / n
+    se = math.sqrt(sum((x - mean) ** 2 for x in d) / (n - 1) / n)
+    return "%+.3g SE %.2g (%.1f SE, %d/%d)" % (
+        mean, se, mean / se if se else math.inf, sum(x > 0 for x in d), n)
 
 
 def test_criterion_6_grid_qualitative(desk_grid):
-    means, elapsed = desk_grid
+    means, samples, elapsed = desk_grid
     controls = ("none", "ran_retx", "nc_fec", "ran_retx+nc_fec")
     checks = []
     details = []
@@ -243,12 +256,19 @@ def test_criterion_6_grid_qualitative(desk_grid):
         )
         bare = means[("none", profile, "mmwave_only")]["psnr_db"]
         checks.append(protected > 90.0 and bare < 40.0)
+        # the thin gates' paired margins: output only, not a check
+        margin_a = _paired_margin(
+            [r["latency_ms_mean"] for r in samples[("ran_retx", profile, "mmwave_only")]],
+            [r["latency_ms_mean"] for r in samples[("ran_retx", profile, "multi")]])
+        margin_b = _paired_margin(
+            [r["nalu_loss"] for r in samples[("nc_fec", profile, "mmwave_only")]],
+            [r["nalu_loss"] for r in samples[("ran_retx+nc_fec", profile, "mmwave_only")]])
         details.append(
-            "%s: gaps %s loss %s best %.1e psnr %.1f/%.1f"
+            "%s: gaps %s loss %s best %.1e psnr %.1f/%.1f margins (a) %s ms (b) %s"
             % (profile,
                "/".join("%+.2f" % g for g in gaps),
                "/".join("%.3g" % x for x in losses),
-               best, protected, bare)
+               best, protected, bare, margin_a, margin_b)
         )
     checks.append(elapsed < GRID_BUDGET_S)
     ok = all(checks)

@@ -402,13 +402,13 @@ def _report_times(n, interval=0.005):
 def test_snr_at_reads_the_state_in_force():
     link = _los_link(sojourn_s=(0.5, 0.5), snr_sigma_db=4.0)
     _, snrs = _presampled(link, 300, step_s=0.01, seed=7)
-    for t in (0.0, 0.004, 0.01, 1.2345, 2.99):
-        assert link.snr_at(t) == snrs[int(t / 0.01)]
+    times = [0.0, 0.004, 0.01, 1.2345, 2.99]
     # past the trajectory's end the last state holds
-    assert link.snr_at(1e6) == snrs[-1]
+    assert link.snr_at(np.array(times + [1e6])).tolist() == [
+        snrs[int(t / 0.01)] for t in times] + [snrs[-1]]
     # a link never presampled holds its initial state at every time
     lte = LinkModel.lte(snr_db=12.0)
-    assert lte.snr_at(0.0) == lte.snr_at(1e6) == 12.0
+    assert lte.snr_at(np.array([0.0, 1e6])).tolist() == [12.0, 12.0]
 
 
 def test_control_survival_without_loss_keeps_every_report():

@@ -88,6 +88,8 @@ def test_labels():
         ("efficiency", -0.5),
         ("efficiency", 1.5),
         ("feedback_staleness_s", -0.001),
+        # a report stays fresh for ceil(staleness / interval) slots: 0 is none
+        ("feedback_staleness_s", 0.0),
         ("hysteresis_db", -1.0),
         ("trace_file", "/definitely/not/a/file"),
         ("duration_s", math.nan),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from mcnc.channel import LTE, MMWAVE
@@ -24,55 +25,70 @@ from mcnc.rlnc import Encoder, Generation
 # -- path selection ------------------------------------------------------
 
 
+def _paths(snr_db, **kwargs):
+    """The path after each report slot, given each slot's reported SNR
+    (None: no fresh report)."""
+    snr = np.array([math.nan if x is None else x for x in snr_db])
+    return [MMWAVE if up else LTE for up in PathSelector(**kwargs).on_mmwave(snr)]
+
+
 def test_selector_stays_on_mmwave_while_healthy():
-    sel = PathSelector()
-    sel.update(0.0, 15.0)
-    assert sel.select_path(0.001) == MMWAVE
+    assert _paths([15.0, 15.0, 15.0]) == [MMWAVE] * 3
 
 
 def test_selector_falls_back_without_any_feedback():
-    assert PathSelector().select_path(0.0) == LTE
+    assert _paths([None, None]) == [LTE, LTE]
+    assert _paths([]) == []
 
 
 def test_selector_treats_stale_feedback_as_unknown():
-    sel = PathSelector(staleness_s=0.020)
-    sel.update(0.0, 15.0)
-    assert sel.select_path(0.019) == MMWAVE
-    assert sel.select_path(0.021) == LTE
+    # a slot with no fresh report means the mmWave state is unknown, and
+    # the next healthy report switches straight back
+    assert _paths([15.0, None, 15.0]) == [MMWAVE, LTE, MMWAVE]
 
 
 def test_selector_hysteresis_band():
-    sel = PathSelector(outage_threshold_db=-5.0, hysteresis_db=3.0)
-    sel.update(0.0, -6.0)
-    assert sel.select_path(0.0) == LTE  # below threshold: switch down
-    # recovering into the hysteresis band is not enough to switch back
-    sel.update(0.001, -4.0)
-    assert sel.select_path(0.001) == LTE
-    sel.update(0.002, -2.1)
-    assert sel.select_path(0.002) == LTE
-    # clearing threshold + hysteresis switches up
-    sel.update(0.003, -2.0)
-    assert sel.select_path(0.003) == MMWAVE
-    # and the band does not knock it back down
-    sel.update(0.004, -4.0)
-    assert sel.select_path(0.004) == MMWAVE
+    paths = _paths([-6.0, -4.0, -2.1, -2.0, -4.0, -5.0],
+                   outage_threshold_db=-5.0, hysteresis_db=3.0)
+    # below threshold: switch down; recovering into the band is not enough
+    # to switch back; clearing threshold + hysteresis switches up; and the
+    # band does not knock it back down
+    assert paths == [LTE, LTE, LTE, MMWAVE, MMWAVE, MMWAVE]
+    # before any slot decides, the band holds LTE
+    assert _paths([-4.0, -2.0]) == [LTE, MMWAVE]
 
 
 def test_selector_threshold_itself_keeps_mmwave():
-    sel = PathSelector(outage_threshold_db=-5.0)
-    sel.update(0.0, 15.0)
-    assert sel.select_path(0.0) == MMWAVE
-    sel.update(0.001, -5.0)
-    assert sel.select_path(0.001) == MMWAVE
-    sel.update(0.002, math.nextafter(-5.0, -math.inf))
-    assert sel.select_path(0.002) == LTE
+    assert _paths([15.0, -5.0, math.nextafter(-5.0, -math.inf)],
+                  outage_threshold_db=-5.0) == [MMWAVE, MMWAVE, LTE]
 
 
-def test_selector_ignores_out_of_order_reports():
-    sel = PathSelector()
-    sel.update(0.010, 15.0)
-    sel.update(0.005, -20.0)  # older report must not win
-    assert sel.select_path(0.012) == MMWAVE
+def _slot_by_slot(sel, snr_db):
+    """The path rule one slot at a time, the reference for the table."""
+    on_mmwave, table = False, []
+    for x in snr_db:
+        if math.isnan(x) or x < sel.outage_threshold_db:
+            on_mmwave = False
+        elif x >= sel.outage_threshold_db + sel.hysteresis_db:
+            on_mmwave = True
+        table.append(on_mmwave)
+    return table
+
+
+def test_path_table_matches_a_slot_by_slot_loop():
+    rng = np.random.default_rng(23)
+    for trial in range(300):
+        thr = rng.uniform(-10.0, 10.0)
+        hyst = 0.0 if trial % 4 == 0 else rng.uniform(0.0, 6.0)
+        sel = PathSelector(outage_threshold_db=thr, hysteresis_db=hyst)
+        n = int(rng.integers(0, 80))
+        snr = rng.uniform(thr - 8.0, thr + hyst + 8.0, n)
+        # values exactly on both boundaries, and slots with no report
+        pick = rng.random(n)
+        snr[pick < 0.15] = thr
+        snr[(pick >= 0.15) & (pick < 0.3)] = thr + hyst
+        snr[(pick >= 0.3) & (pick < 0.4)] = math.nan
+        assert sel.on_mmwave(snr) == _slot_by_slot(sel, snr), trial
 
 
 # -- burst sizing --------------------------------------------------------

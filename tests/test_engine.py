@@ -336,43 +336,65 @@ def test_engine_starts_with_one_frame_per_receiver():
             f"{eng.stream_start + f / cfg.fps:.9f}" for f in range(eng.n_frames)]
 
 
-def _reference_latest_report(eng, fb_ok, now):
-    """The scan the ``newest`` table replaces: walk back from the report
-    slot at now - ul_delay over at most _fb_scan slots."""
+def _reference_latest_report(eng, fb_ok, now, staleness):
+    """The scan the ``newest`` table replaces: from the newest report slot
+    g that can have arrived by now, walk back over the reports j with
+    (g - j) * interval < staleness."""
     g = math.floor((now - eng.ul_delay) / eng.fb_int)
-    if g >= eng.n_reports:
-        g = eng.n_reports - 1
-    lim = g - eng._fb_scan
-    while g >= 0 and g > lim:
-        if fb_ok[g]:
-            return g
-        g -= 1
+    j = min(g, eng.n_reports - 1)
+    while j >= 0 and (g - j) * eng.fb_int < staleness:
+        if fb_ok[j]:
+            return j
+        j -= 1
     return -1
+
+
+# staleness -> report slots a report stays fresh: whole multiples of the
+# default interval (0.035 / 0.005 reads 7.000000000000001), one that is not
+# a multiple, one under a slot, and one past the whole report grid
+WINDOWS = {**{k * 0.005: k for k in range(1, 9)}, 0.0123: 3, 1e-12: 1, 1e17: None}
 
 
 @pytest.mark.parametrize("p_ok", [0.0, 0.1, 0.5, 0.9, 1.0])
 def test_latest_report_matches_the_scan(p_ok):
-    # at the default staleness, and with a scan window longer than the
-    # whole report grid
-    for staleness in (BASE.feedback_staleness_s, 1e17):
+    for staleness, window in WINDOWS.items():
         eng = _small_engine(dataclasses.replace(BASE, duration_s=0.5,
                                                 feedback_staleness_s=staleness))
-        n, scan = eng.n_reports, eng._fb_scan
+        n = eng.n_reports
+        assert eng.window > n if window is None else eng.window == window, staleness
         rng = random.Random(int(p_ok * 10))
         fb_ok = [rng.random() < p_ok for _ in range(n)]
-        # all-lost runs longer than the scan window, one at the start
-        gap = min(2 * scan + 1, n // 4)
+        # all-lost runs longer than the window, one at the start
+        gap = min(2 * eng.window + 1, n // 4)
         for a in (0, n // 3):
             fb_ok[a:a + gap] = [False] * gap
         if p_ok:
             fb_ok[n // 2] = True  # a lone survivor just past a lost run
-        eng.newest = engine._newest_reports(np.array(fb_ok), scan)
+        eng.newest = engine._newest_reports(np.array(fb_ok), eng.window)
         times = [-eng.fb_int, 0.0, eng.ul_delay - 1e-9, eng.ul_delay]
-        times += [eng.ul_delay + (g + frac) * eng.fb_int
-                  for g in range(n + 2 * min(scan, n)) for frac in (0.0, 0.5)]
+        # every slot boundary, one ulp either side of it, and mid-slot
+        for g in range(n + 2 * min(eng.window, n)):
+            edge = eng.ul_delay + g * eng.fb_int
+            times += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf),
+                      eng.ul_delay + (g + 0.5) * eng.fb_int]
         times += [eng.t_end + 1.0, 1e6]
         for t in times:
-            assert eng._latest_report(t) == _reference_latest_report(eng, fb_ok, t), t
+            assert eng._latest_report(t) == _reference_latest_report(
+                eng, fb_ok, t, staleness), (staleness, t)
+
+
+def test_path_choice_does_not_depend_on_when_it_is_asked():
+    # the path is a function of time alone, so the same looks give the
+    # same answers whether they are asked in order, reversed or shuffled
+    cfg = dataclasses.replace(BASE, duration_s=3.0, multi_connectivity=True)
+    eng = _small_engine(cfg)
+    times = [eng.stream_start + i * 0.0013 for i in range(int(eng.t_end / 0.0013))]
+    answers = []
+    for order in (times, times[::-1], random.Random(5).sample(times, len(times))):
+        eng = _small_engine(cfg)
+        answers.append({t: eng._current_path(t) for t in order})
+    assert answers[0] == answers[1] == answers[2]
+    assert set(answers[0].values()) == {MMWAVE, LTE}  # both paths are chosen
 
 
 def test_staleness_longer_than_the_session_runs():
@@ -396,10 +418,11 @@ def test_failure_notices_name_generations_late_for_their_deadline():
     # a notice can only move the consumer past a lost frame, so a sender
     # plan that fails or a give-up timer leaves one only on a base
     # generation that does not count for its frame's display instant. With
-    # zero staleness every report is stale, so plans also fail on
-    # generations that completed in time: those must carry no notice
+    # a staleness under one report interval a report is fresh for one slot
+    # only, so plans also fail on generations that completed in time: those
+    # must carry no notice
     cells = [(cell, 7) for cell in grid_cells(SimConfig(duration_s=3.0, seed=7))]
-    cells.append((dataclasses.replace(BASE, feedback_staleness_s=0.0,
+    cells.append((dataclasses.replace(BASE, feedback_staleness_s=0.001,
                                       multi_connectivity=False), 3))
     notices = spared = 0
     for cell, seed in cells:
@@ -538,7 +561,7 @@ def _fates(engine_class, cfg, seed):
              for eng in sessions])
 
 
-@pytest.mark.parametrize("staleness", [0.0, BASE.feedback_staleness_s, 1e17])
+@pytest.mark.parametrize("staleness", [0.001, BASE.feedback_staleness_s, 1e17])
 def test_waiting_out_a_blackout_matches_polling_it(staleness, monkeypatch):
     # the mmWave-only FEC cells are the ones whose feedback link has
     # blackouts: resolving each in one step must change nothing at all

@@ -29,9 +29,9 @@ from mcnc.sim.config import SimConfig, grid_cells
 from mcnc.sim.montecarlo import run_grid, run_seeds
 from mcnc.sim.results import emit_results
 
-RESULTS_CSV_SHA256 = "d9888c8b044bc936887ca3f248863a7eca1b5809594d0fe9d86789b3cf1534e8"
-REPORTS_SHA256 = "635aa6d8a89c99fe4cb85dabfaa6eeb3449f83c0559984d33a7490c180aacc0b"
-EVENTS_LOG_SHA256 = "6d3ff13c43005a1a1c974168429c1a3162bc8a00cfdcb2bbd93ecf0b51953027"
+RESULTS_CSV_SHA256 = "810e2315323160f61ac9510596473c23449ec5ed544a80092fa9d6599ec2887b"
+REPORTS_SHA256 = "fb5064202068a9086c5cf3433d9162487626125904eab58481603c126058d9bc"
+EVENTS_LOG_SHA256 = "b555920ba69cf5aa7507c599db321688c16f846d67b2e3023ef4f58b9e860374"
 CODEC_SHA256 = "0e2eb0d45d73e7611a6e2fe8ea94c48c7784db908f0b39fff30dd75285f8cbd8"
 
 

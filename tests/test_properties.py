@@ -61,7 +61,7 @@ def configs(draw):
         nc_fec=draw(st.booleans()),
         multi_connectivity=draw(st.booleans()),
         hysteresis_db=draw(_floats(0.0, 10.0)),
-        feedback_staleness_s=draw(_floats(0.0, 0.1)),
+        feedback_staleness_s=draw(st.floats(0.0, 0.1, exclude_min=True)),
         feedback_interval_s=feedback_interval_s,
         retx_overshoot=draw(_floats(1.0, 3.0)),
         plan_check_guard_s=draw(_floats(0.0, 0.05)),
