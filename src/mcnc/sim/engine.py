@@ -3,16 +3,17 @@
 One run couples the layers end to end. Trace frames are cut into
 generations at the sender (one NALU never shares a generation with
 another), coded bursts ride the per-receiver radio links, and feedback
-steers path choice and top-up rounds. Only the sender is evented: a
-FRAME sends a frame's initial bursts, a CHECK reads feedback and tops
-up, closes or fails a generation's plan. At equal times a FRAME runs
-first, and CHECKs run in generation order. A CHECK that finds no fresh
-report (a feedback blackout) waits with no events in between: the sender
-would look again every report interval, so the CHECK walks those looks
-at once and leaves one CHECK at the first look with a fresh report, or
-fails the plan at the last look before the display deadline. With multi-connectivity
-disabled everything rides mmWave; without FEC a generation gets its k
-packets once. Everything is deterministic given (config, seed): every
+steers path choice and top-up rounds. Only the sender is evented, and
+only where it touches a link: a FRAME sends a frame's initial bursts, a
+CHECK sends a generation's top-up. At equal times a FRAME runs first,
+and CHECKs run in generation order. Right after each burst, the sender's
+next look at the plan (``_Engine._look``) is decided: its inputs are all
+final by then, so it closes the plan, fails it or pushes the CHECK of
+its top-up. A look that finds no fresh report (a feedback blackout)
+walks the looks one report interval apart, to the first with a fresh
+report, or fails the plan at the last before the display deadline. With
+multi-connectivity disabled everything rides mmWave; without FEC a
+generation gets its k packets once. Everything is deterministic given (config, seed): every
 random stream is split off the master seed with a distinct label. Each
 generation is one record: the sender's ``GenerationPlan`` extended with
 the receiver's rank timeline.
@@ -60,7 +61,7 @@ of wall clock without changing observable behavior:
   ``SimConfig.fresh_slots()`` window, ceil(staleness / interval). "What
   does the sender know at t" is one index into a per-receiver ``newest``
   table, built at init, that holds each slot's newest fresh report or
-  none. The same lookup serves the plan checks, the blackout walk and
+  none. The same lookup serves the plan looks, the blackout walk and
   path choice. With multi connectivity a second table, built next to it,
   holds the path in force after each slot: ``PathSelector`` judges the
   mmWave SNR of the slot's fresh report for outage and hysteresis once
@@ -83,7 +84,7 @@ of wall clock without changing observable behavior:
   generation ids and random streams. Frame arrivals are fixed
   at ``stream_start + f / fps``, so they never enter the heap: the loop
   walks the frames in order and, before each, dispatches the CHECKs due
-  strictly earlier. The heap holds CHECKs only.
+  strictly earlier. The heap holds top-ups only.
 - The per-session object graph is acyclic: a frame holds its generations,
   and nothing points back. Reference counting frees a session as it ends,
   before the next one starts, so the cyclic collector is held off around
@@ -318,14 +319,11 @@ class _Engine:
             self.stream_start + cfg.backhaul_delay_s + cfg.playout_buffer_frames / cfg.fps,
             fps=cfg.fps)
 
-        # pending plan checks, at most one per generation; frames arrive on
-        # their own clock instead
+        # pending top-ups, (t, gen_id, generation, packets), at most one per
+        # generation; frames arrive on their own clock instead
         self._heap = []
 
     # --------------------------------------------------------- event loop
-
-    def _push(self, t: float, g: _GenState):
-        heapq.heappush(self._heap, (t, g.gen_id, g))
 
     def run(self) -> UEMetrics:
         heap = self._heap
@@ -342,7 +340,7 @@ class _Engine:
         gc_was_on = gc.isenabled()
         gc.disable()
         try:
-            # a generation has at most one CHECK pending, so the heap's
+            # a generation has at most one top-up pending, so the heap's
             # tuples order on (t, gen_id): equal times run in generation order
             n = self.n_frames
             for f in range(n + 1):
@@ -350,10 +348,10 @@ class _Engine:
                 # last frame, drains the CHECKs left
                 t_f = start + f / fps if f < n else math.inf
                 while heap and heap[0][0] < t_f:  # a FRAME wins a tie
-                    t, _, g = heappop(heap)
+                    t, _, g, count = heappop(heap)
                     if log is not None:
                         log.append(f"{t:.9f} check ue={u} arg=gen{g.gen_id}")
-                    on_check(g, t)
+                    on_check(g, count, t)
                 if f == n:
                     break
                 if log is not None:
@@ -414,11 +412,16 @@ class _Engine:
         link = self.mm if path == MMWAVE else self.lte
         transmit = link.transmit
         survivors = []
+        outage = exhausted = 0
         for emission in range(first, first + n):
-            delivered, deliver_at, _, _ = transmit(nbytes, now)
+            delivered, deliver_at, attempts, _ = transmit(nbytes, now)
             if delivered:
                 survivors.append((deliver_at + backhaul, emission))
-        self.metrics.count_burst(path, n, len(survivors))
+            elif attempts:
+                exhausted += 1  # every attempt the retry ladder allows was lost
+            else:
+                outage += 1  # dropped unsent: the link is in outage
+        self.metrics.count_burst(path, n, len(survivors), outage, exhausted)
         est = link.busy_until + link.base_delay_s + backhaul
         if now > est:
             est = now
@@ -467,31 +470,41 @@ class _Engine:
         else:
             g.notice_at = now + self.cfg.receiver_giveup_empty_s
 
-    def _finish_plan(self, g: _GenState):
-        self.metrics.fec_rounds_hist[g.attempts_used] += 1
-
-    def _schedule_check(self, g: _GenState, settle: float):
-        # look again once the burst just sent has settled and the report
-        # showing it can have arrived, unless the rank the sender will know
-        # by then already completes the plan
-        # settle >= now and ul_delay > 0, so the check lands after now
-        t_check = settle + self.ul_delay + self.cfg.plan_check_guard_s
-        # the rank the newest report by t_check shows
-        rep = self._latest_report(t_check)
-        if rep >= 0 and bisect_right(g.rank_ts, rep * self.fb_int) >= g.k:
-            g.delivered = True
-            self._finish_plan(g)
-        else:
-            self._push(t_check, g)
-
     def _fail_plan(self, g: _GenState, now: float):
         # the sender gives up; the receiver hears of it one uplink delay
         # later, which can only lose the frame if this base generation
         # does not count for its display instant
         g.failed = True
-        self._finish_plan(g)
+        self.metrics.fec_rounds_hist[g.attempts_used] += 1
         if g.is_base and not g.complete_at < g.deadline:
             g.notice_at = now + self.ul_delay
+
+    def _look(self, g: _GenState, t: float):
+        """Decide the sender's look at g's plan at t, right after the
+        round's burst: close the plan, fail it or push its top-up. Only g's
+        own bursts extend its rank timeline, so the look's inputs are final.
+        A blackout holds the plan rather than topping it up blind: the
+        looks one report interval apart are walked to the first with a
+        fresh report, or the plan fails at the last the deadline allows."""
+        rep = self._latest_report(t)
+        while rep < 0:
+            nxt = t + self.fb_int  # the same float sums a look per interval makes
+            if nxt > g.deadline:
+                self._fail_plan(g, t)
+                return
+            t = nxt
+            rep = self._latest_report(t)
+        # the rank the newest fresh report shows
+        rank = bisect_right(g.rank_ts, rep * self.fb_int)
+        if rank >= g.k:
+            g.delivered = True
+            self.metrics.fec_rounds_hist[g.attempts_used] += 1
+            return
+        act = handle_feedback(g, rank, t, overshoot=self.cfg.retx_overshoot)
+        if act.kind == "failed":
+            self._fail_plan(g, t)
+        else:
+            heapq.heappush(self._heap, (t, g.gen_id, g, act.count))
 
     # ------------------------------------------------------------ handlers
 
@@ -521,42 +534,14 @@ class _Engine:
                 m.fec_rounds_hist[0] += 1
                 self._arm_giveup(g, now)
                 continue
-            self._schedule_check(g, settle)
+            # look once the burst has settled and the report showing it can
+            # have arrived; settle >= now and ul_delay > 0, so after now
+            self._look(g, settle + self.ul_delay + cfg.plan_check_guard_s)
 
-    def _on_check(self, g: _GenState, now: float):
-        rep = self._latest_report(now)
-        if rep < 0:
-            self._wait_out_blackout(g, now)
-            return
-        rank = bisect_right(g.rank_ts, rep * self.fb_int)
-        act = handle_feedback(g, rank, now, overshoot=self.cfg.retx_overshoot)
-        if act.kind == "delivered":
-            self._finish_plan(g)
-        elif act.kind == "failed":
-            self._fail_plan(g, now)
-        else:
-            settle = self._send_burst(g, act.count, self._current_path(now), now)
-            self._schedule_check(g, settle)
-
-    def _wait_out_blackout(self, g: _GenState, now: float):
-        # feedback blackout (mmWave-only uplink in outage): hold the plan
-        # instead of burning top-up rounds blind. The sender looks again
-        # every report interval, and a look changes nothing until a report
-        # is fresh, so walk the looks here: one CHECK at the first fresh
-        # one, or a failed plan at the last one the display deadline allows
-        fb_int = self.fb_int
-        deadline = g.deadline
-        latest_report = self._latest_report
-        t = now
-        while True:
-            nxt = t + fb_int  # the same float sums a CHECK per look would make
-            if nxt > deadline:
-                self._fail_plan(g, t)
-                return
-            t = nxt
-            if latest_report(t) >= 0:
-                self._push(t, g)
-                return
+    def _on_check(self, g: _GenState, count: int, now: float):
+        # send the top-up a look decided on, and look again once it settled
+        settle = self._send_burst(g, count, self._current_path(now), now)
+        self._look(g, settle + self.ul_delay + self.cfg.plan_check_guard_s)
 
     # ------------------------------------------------------------ playback
 

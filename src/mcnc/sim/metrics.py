@@ -86,7 +86,9 @@ class UEMetrics:
     fec_rounds_hist: List[int] = field(default_factory=lambda: [0] * (MAX_FEC_ATTEMPTS + 1))
     packets_sent: Dict[str, int] = field(default_factory=dict)
     packets_delivered: Dict[str, int] = field(default_factory=dict)
-    packets_dropped: Dict[str, int] = field(default_factory=dict)
+    # drops by cause: the link in outage, or its retry ladder run out
+    packets_outage: Dict[str, int] = field(default_factory=dict)
+    packets_exhausted: Dict[str, int] = field(default_factory=dict)
     generations_total: int = 0
     generations_delivered: int = 0
     feedback_sent: int = 0
@@ -105,8 +107,10 @@ class UEMetrics:
         # accumulation noise must not push the mean past the sentinel cap
         return min(self.psnr_sum_db / self.frames_total, PSNR_CAP_DB)
 
-    def count_burst(self, path: str, sent: int, delivered: int) -> None:
-        """Count ``sent`` packets on ``path``, ``delivered`` of them through.
+    def count_burst(self, path: str, sent: int, delivered: int,
+                    outage: int, exhausted: int) -> None:
+        """Count ``sent`` packets on ``path``: ``delivered`` of them through,
+        ``outage`` dropped unsent and ``exhausted`` lost on every attempt.
 
         A path enters a counter only with a nonzero count: the counters
         reach ``to_dict``, so a zero entry would change the report.
@@ -115,9 +119,10 @@ class UEMetrics:
             self.packets_sent[path] = self.packets_sent.get(path, 0) + sent
         if delivered:
             self.packets_delivered[path] = self.packets_delivered.get(path, 0) + delivered
-        dropped = sent - delivered
-        if dropped:
-            self.packets_dropped[path] = self.packets_dropped.get(path, 0) + dropped
+        if outage:
+            self.packets_outage[path] = self.packets_outage.get(path, 0) + outage
+        if exhausted:
+            self.packets_exhausted[path] = self.packets_exhausted.get(path, 0) + exhausted
 
 
 @dataclass
@@ -180,7 +185,8 @@ class MetricsReport:
         for u in self.per_ue:
             for name, src in (("sent", u.packets_sent),
                               ("delivered", u.packets_delivered),
-                              ("dropped", u.packets_dropped)):
+                              ("dropped", u.packets_outage),
+                              ("dropped", u.packets_exhausted)):
                 for path, n in src.items():
                     out[name][path] = out[name].get(path, 0) + n
         return out
@@ -206,11 +212,18 @@ class MetricsReport:
 def check_conservation(report: MetricsReport) -> Optional[str]:
     """Return a description of the first violated bookkeeping identity, or None."""
     totals = report.packet_totals()
-    for path, sent in totals["sent"].items():
+    for path in sorted(set().union(*totals.values())):
+        sent = totals["sent"].get(path, 0)
         got = totals["delivered"].get(path, 0) + totals["dropped"].get(path, 0)
         if got != sent:
-            return "path %s: sent %d != delivered+dropped %d" % (path, sent, got)
+            return "path %s: sent %d != delivered+outage+exhausted %d" % (path, sent, got)
     for u in report.per_ue:
+        closed = sum(u.fec_rounds_hist)
+        if closed != u.generations_total:
+            return "ue %d: %d plans closed for %d generations" % (
+                u.ue_id, closed, u.generations_total)
+        if u.generations_delivered > u.generations_total:
+            return "ue %d: more generations delivered than sent" % u.ue_id
         if u.nalus_lost > u.nalus_total:
             return "ue %d: more NALUs lost than sent" % u.ue_id
         if u.frames_played > u.frames_total:

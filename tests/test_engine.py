@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import heapq
 import math
 import random
 
@@ -88,6 +89,8 @@ def test_permanent_outage_loses_everything_without_fallback():
     totals = rep.packet_totals()
     assert totals["delivered"] == {}
     assert totals["sent"].get("lte", 0) == 0
+    for ue in rep.per_ue:  # every drop is the outage's, none the retry ladder's
+        assert ue.packets_outage == ue.packets_sent and ue.packets_exhausted == {}
 
 
 def test_permanent_outage_rides_lte_with_multi_connectivity():
@@ -106,6 +109,8 @@ def test_residual_loss_without_error_control_on_lte():
     # blocks die, nothing else can recover them
     assert 0.0 < rep.nalu_loss_ratio < 0.5
     assert check_conservation(rep) is None
+    for ue in rep.per_ue:  # LTE is never in outage: its drops are lost attempts
+        assert ue.packets_exhausted["lte"] > 0 and "lte" not in ue.packets_outage
 
 
 def test_lossy_mmwave_only_cells_order_sanely():
@@ -212,8 +217,8 @@ def test_run_input_caches_stay_bounded():
 
 
 def test_broken_packet_count_fails_the_run(monkeypatch):
-    def count_sent_twice(self, path, sent, delivered):
-        real_count(self, path, sent, delivered)
+    def count_sent_twice(self, path, sent, delivered, outage, exhausted):
+        real_count(self, path, sent, delivered, outage, exhausted)
         self.packets_sent[path] += 1
 
     real_count = UEMetrics.count_burst
@@ -294,27 +299,28 @@ def _small_engine(cfg, log=None, u=0, seed=1, engine_class=engine._Engine):
 
 
 def test_static_event_wins_a_tie_with_a_dynamic_one():
-    # a plan check lands exactly on the first frame arrival and is pushed
+    # a top-up lands exactly on the first frame arrival and is pushed
     # before the run starts; the loop dispatches only the checks strictly
     # earlier than a frame, so the frame still goes first
     log = []
     eng = _small_engine(dataclasses.replace(BASE, duration_s=0.1), log)
     t = eng.stream_start
-    eng._push(t, engine._GenState(-1, 1, 1, t, 0, True))
+    heapq.heappush(eng._heap, (t, -1, engine._GenState(-1, 1, 1, t, 0, True), 1))
     eng.run()
     assert [line.split()[1] for line in log[:2]] == ["frame", "check"]
     assert log[0].split()[0] == log[1].split()[0]
 
 
 def test_equal_time_checks_run_in_generation_order():
-    # the heap orders plan checks on (t, gen_id), whatever order they were
-    # pushed in, so a CHECK that waited out a blackout takes its place
-    # among the others exactly as one pushed every report interval would
+    # the heap orders top-ups on (t, gen_id), whatever order they were
+    # pushed in, so one decided after a blackout walk takes its place
+    # among the others exactly as one decided by a look per report
+    # interval would
     log = []
     eng = _small_engine(dataclasses.replace(BASE, duration_s=0.1), log)
     t = eng.stream_start - 1.0
     for gen_id in (-2, -5, -3):
-        eng._push(t, engine._GenState(gen_id, 1, 1, t, 0, True))
+        heapq.heappush(eng._heap, (t, gen_id, engine._GenState(gen_id, 1, 1, t, 0, True), 1))
     eng.run()
     assert [line.split()[3] for line in log[:3]] == ["arg=gen-5", "arg=gen-3", "arg=gen-2"]
 
@@ -537,18 +543,26 @@ def test_collector_restored_when_a_handler_raises(collector_state, monkeypatch):
 
 
 class _PollingEngine(engine._Engine):
-    """The engine with its blackout polled: the sender looks again every
-    report interval, one CHECK each time, until a report is fresh or the
-    next look would pass the display deadline."""
+    """The engine with every look an event: a look that finds no fresh
+    report pushes the next one, a report interval later, until a report is
+    fresh or that look would pass the display deadline."""
 
     polls = 0
 
-    def _wait_out_blackout(self, g, now):
-        if now + self.fb_int > g.deadline:
-            self._fail_plan(g, now)
+    def _look(self, g, t):
+        if self._latest_report(t) >= 0:
+            super()._look(g, t)
+        elif t + self.fb_int > g.deadline:
+            self._fail_plan(g, t)
         else:
             type(self).polls += 1
-            self._push(now + self.fb_int, g)
+            heapq.heappush(self._heap, (t + self.fb_int, g.gen_id, g, None))
+
+    def _on_check(self, g, count, now):
+        if count is None:  # look again
+            self._look(g, now)
+        else:
+            super()._on_check(g, count, now)
 
 
 def _fates(engine_class, cfg, seed):
@@ -577,10 +591,10 @@ def test_waiting_out_a_blackout_matches_polling_it(staleness, monkeypatch):
     assert _PollingEngine.polls  # blackouts happen, so the check is not vacuous
 
 
-def test_a_blackout_costs_at_most_one_check_per_round():
-    # each round (the first burst and each top-up) schedules one CHECK; a
-    # blackout adds at most one more, at its first fresh report
-    waited = 0
+def test_every_check_sends_a_top_up():
+    # a look decides its round as the burst is sent, so the heap holds
+    # top-ups only: each CHECK of a generation is one of its attempts
+    attempts = 0
     for seed in (7, 8):
         for cell in grid_cells(SimConfig(duration_s=3.0, seed=seed)):
             for u in range(cell.n_ues):
@@ -595,6 +609,6 @@ def test_a_blackout_costs_at_most_one_check_per_round():
                 for fr in eng.frames:
                     for g in fr.gens:
                         n = checks.get(f"arg=gen{g.gen_id}", 0)
-                        assert n <= 2 * (g.attempts_used + 1), (cell, u, g.gen_id, n)
-                        waited += n > g.attempts_used + 1
-    assert waited  # some rounds waited out a blackout
+                        assert n == g.attempts_used, (cell, u, g.gen_id, n)
+                        attempts += n
+    assert attempts  # top-ups happen, so the check is not vacuous

@@ -121,40 +121,61 @@ def test_report_pools_ues():
 
 def test_packet_counting_and_conservation():
     u = _ue()
-    u.count_burst("mmwave", sent=4, delivered=4)
-    u.count_burst("mmwave", sent=2, delivered=1)
-    u.count_burst("lte", sent=1, delivered=1)
+    u.count_burst("mmwave", sent=4, delivered=4, outage=0, exhausted=0)
+    u.count_burst("mmwave", sent=2, delivered=1, outage=0, exhausted=1)
+    u.count_burst("mmwave", sent=3, delivered=0, outage=3, exhausted=0)
+    u.count_burst("lte", sent=1, delivered=1, outage=0, exhausted=0)
     report = MetricsReport(seed=0, duration_s=1.0, per_ue=[u])
     totals = report.packet_totals()
-    assert totals["sent"] == {"mmwave": 6, "lte": 1}
+    assert totals["sent"] == {"mmwave": 9, "lte": 1}
     assert totals["delivered"] == {"mmwave": 5, "lte": 1}
-    assert totals["dropped"] == {"mmwave": 1}
+    # the report pools both causes into one drop count per path
+    assert totals["dropped"] == {"mmwave": 4}
     assert check_conservation(report) is None
 
 
 def test_burst_counts_make_no_zero_entries():
     # the counters reach to_dict: a path with nothing to count stays out
     u = _ue()
-    u.count_burst("lte", sent=3, delivered=3)
-    u.count_burst("mmwave", sent=2, delivered=0)
-    u.count_burst("mmwave", sent=0, delivered=0)
+    u.count_burst("lte", sent=3, delivered=2, outage=0, exhausted=1)
+    u.count_burst("mmwave", sent=2, delivered=0, outage=2, exhausted=0)
+    u.count_burst("mmwave", sent=0, delivered=0, outage=0, exhausted=0)
     assert u.packets_sent == {"lte": 3, "mmwave": 2}
-    assert u.packets_delivered == {"lte": 3}
-    assert u.packets_dropped == {"mmwave": 2}
+    assert u.packets_delivered == {"lte": 2}
+    assert u.packets_outage == {"mmwave": 2}
+    assert u.packets_exhausted == {"lte": 1}
 
 
 def test_conservation_flags_violations():
-    u = _ue()
-    u.packets_sent["mmwave"] = 5
-    u.packets_delivered["mmwave"] = 3  # one packet unaccounted for
-    u.packets_dropped["mmwave"] = 1
-    report = MetricsReport(seed=0, duration_s=1.0, per_ue=[u])
-    assert "mmwave" in check_conservation(report)
+    for counts in (
+        {"packets_sent": 5, "packets_delivered": 3, "packets_outage": 1},  # one unaccounted for
+        {"packets_sent": 5, "packets_delivered": 3, "packets_exhausted": 3},  # one too many
+        {"packets_delivered": 1},  # delivered, never sent
+    ):
+        u = _ue()
+        for name, n in counts.items():
+            getattr(u, name)["mmwave"] = n
+        report = MetricsReport(seed=0, duration_s=1.0, per_ue=[u])
+        assert "mmwave" in check_conservation(report), counts
 
     bad = _ue(nalus_total=5, nalus_lost=9)
     assert "lost" in check_conservation(
         MetricsReport(seed=0, duration_s=1.0, per_ue=[bad])
     )
+
+
+def _closed(generations_total, hist, delivered=0):
+    u = _ue(generations_total=generations_total, generations_delivered=delivered)
+    u.fec_rounds_hist[:len(hist)] = hist
+    return check_conservation(MetricsReport(seed=0, duration_s=1.0, per_ue=[u]))
+
+
+def test_conservation_closes_each_plan_once():
+    # every generation's plan closes exactly once, in one histogram bin
+    assert _closed(3, [2, 1], delivered=3) is None
+    assert "3 plans closed for 2" in _closed(2, [2, 1])  # one closed twice
+    assert "1 plans closed for 2" in _closed(2, [0, 1])  # one never closed
+    assert "delivered" in _closed(2, [2], delivered=3)
 
 
 def test_fec_hist_sums_across_ues():
