@@ -7,9 +7,10 @@ threshold by a hysteresis margin; switching down happens as soon as it
 falls below the threshold, or when no report is at hand.
 
 When network-coded FEC is enabled the initial burst carries fixed
-redundancy (20% on mmWave, 10% on LTE, rounded up) and rank reports from
-the receiver trigger top-up bursts sized to the missing degrees of freedom,
-at most MAX_FEC_ATTEMPTS rounds per generation. Without FEC the burst is
+redundancy (20% on mmWave, 10% on LTE, rounded up). ``handle_feedback``
+decides the plan on each fresh rank report from the receiver: delivered,
+failed, or a top-up burst sized to the missing degrees of freedom, at
+most MAX_FEC_ATTEMPTS rounds per generation. Without FEC the burst is
 exactly k packets.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -41,11 +42,6 @@ class GenerationPlan:
     attempts_used: int = 0
     delivered: bool = False
     failed: bool = False
-
-
-class RetxAction(NamedTuple):
-    kind: str  # "delivered" | "retransmit" | "failed"
-    count: int = 0
 
 
 class PathSelector:
@@ -95,21 +91,19 @@ def handle_feedback(
     report_rank: int,
     now: float,
     overshoot: float = 1.0,
-) -> RetxAction:
-    """Advance a plan given the freshest known decoder rank.
+) -> int:
+    """Decide an open plan on the freshest known decoder rank.
 
-    Returns the action the sender should take; "retransmit" carries the
-    top-up packet count (missing degrees of freedom times overshoot, at
-    least one) and has already charged the attempt to the plan.
+    Returns the top-up packet count (missing degrees of freedom times
+    overshoot, at least one), already charged to the plan as an attempt,
+    or 0 once the plan has closed: ``plan.delivered`` if the rank is full,
+    else ``plan.failed`` when the attempts or the deadline ran out.
     """
-    if plan.delivered or plan.failed:
-        return RetxAction("delivered" if plan.delivered else "failed")
     if report_rank >= plan.k:
         plan.delivered = True
-        return RetxAction("delivered")
-    if plan.attempts_used >= MAX_FEC_ATTEMPTS or now >= plan.deadline:
+    elif plan.attempts_used >= MAX_FEC_ATTEMPTS or now >= plan.deadline:
         plan.failed = True
-        return RetxAction("failed")
-    count = math.ceil(max(plan.k - report_rank, 1) * overshoot)
-    plan.attempts_used += 1
-    return RetxAction("retransmit", count)
+    else:
+        plan.attempts_used += 1
+        return math.ceil((plan.k - report_rank) * overshoot)
+    return 0

@@ -7,11 +7,11 @@ steers path choice and top-up rounds. Only the sender is evented, and
 only where it touches a link: a FRAME sends a frame's initial bursts, a
 CHECK sends a generation's top-up. At equal times a FRAME runs first,
 and CHECKs run in generation order. Right after each burst, the sender's
-next look at the plan (``_Engine._look``) is decided: its inputs are all
-final by then, so it closes the plan, fails it or pushes the CHECK of
-its top-up. A look that finds no fresh report (a feedback blackout)
-walks the looks one report interval apart, to the first with a fresh
-report, or fails the plan at the last before the display deadline. With
+next look at the plan (``_Engine._look``) is made, its inputs all final:
+``handle_feedback`` decides a look with a fresh report, closing the plan
+or sizing the top-up whose CHECK the look pushes. A blackout (no fresh
+report) walks the looks one interval apart to the first fresh one, or
+fails the plan at the last before the display deadline. With
 multi-connectivity disabled everything rides mmWave; without FEC a
 generation gets its k packets once. Everything is deterministic given (config, seed): every
 random stream is split off the master seed with a distinct label. Each
@@ -480,9 +480,9 @@ class _Engine:
             g.notice_at = now + self.ul_delay
 
     def _look(self, g: _GenState, t: float):
-        """Decide the sender's look at g's plan at t, right after the
-        round's burst: close the plan, fail it or push its top-up. Only g's
-        own bursts extend its rank timeline, so the look's inputs are final.
+        """Make the sender's look at g's plan at t, right after the round's
+        burst; only g's own bursts extend its rank timeline, so the inputs
+        are final. ``handle_feedback`` decides a look with a fresh report.
         A blackout holds the plan rather than topping it up blind: the
         looks one report interval apart are walked to the first with a
         fresh report, or the plan fails at the last the deadline allows."""
@@ -494,17 +494,14 @@ class _Engine:
                 return
             t = nxt
             rep = self._latest_report(t)
-        # the rank the newest fresh report shows
-        rank = bisect_right(g.rank_ts, rep * self.fb_int)
-        if rank >= g.k:
-            g.delivered = True
-            self.metrics.fec_rounds_hist[g.attempts_used] += 1
-            return
-        act = handle_feedback(g, rank, t, overshoot=self.cfg.retx_overshoot)
-        if act.kind == "failed":
+        rank = bisect_right(g.rank_ts, rep * self.fb_int)  # as the newest fresh report shows
+        count = handle_feedback(g, rank, t, self.cfg.retx_overshoot)
+        if count:
+            heapq.heappush(self._heap, (t, g.gen_id, g, count))
+        elif g.failed:
             self._fail_plan(g, t)
         else:
-            heapq.heappush(self._heap, (t, g.gen_id, g, act.count))
+            self.metrics.fec_rounds_hist[g.attempts_used] += 1
 
     # ------------------------------------------------------------ handlers
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -46,6 +48,12 @@ def psnr_frame(reference, received) -> float:
         return PSNR_CAP_DB
     value = 10.0 * math.log10(_PEAK * _PEAK / mse)
     return min(value, PSNR_CAP_DB)
+
+
+def left_sum(xs) -> float:
+    """xs added left to right, as ``sum`` did before Python 3.12 made it
+    compensated: no output may depend on the interpreter."""
+    return functools.reduce(operator.add, xs, 0.0)
 
 
 def latency_stats(samples: Sequence[float]) -> Dict[str, float]:
@@ -161,7 +169,7 @@ class MetricsReport:
         total = self.frames_total
         if total == 0:
             return 0.0
-        return min(sum(u.psnr_sum_db for u in self.per_ue) / total, PSNR_CAP_DB)
+        return min(left_sum(u.psnr_sum_db for u in self.per_ue) / total, PSNR_CAP_DB)
 
     @property
     def latency(self) -> Dict[str, float]:

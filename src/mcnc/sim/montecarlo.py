@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..seeding import derive_seed
 from .config import ConfigError, SimConfig, cell_key, grid_cells
 from .engine import run
-from .metrics import MetricsReport
+from .metrics import MetricsReport, left_sum
 
 #: scalar metrics extracted from each run for per-cell aggregation
 SUMMARY_METRICS = ("nalu_loss", "latency_ms_mean", "psnr_db")
@@ -50,9 +50,9 @@ def summarize(reports: Sequence[MetricsReport]) -> Dict[str, Dict[str, float]]:
     for name in SUMMARY_METRICS:
         xs = [row[name] for row in rows]
         n = len(xs)
-        mean = sum(xs) / n
+        mean = left_sum(xs) / n
         if n > 1:
-            var = sum((x - mean) ** 2 for x in xs) / (n - 1)
+            var = left_sum((x - mean) ** 2 for x in xs) / (n - 1)
             ci95 = 1.96 * math.sqrt(var / n)
         else:
             ci95 = 0.0

@@ -30,7 +30,7 @@ from mcnc.gf import FieldSpec, gf_inv, gf_mul
 from mcnc.rlnc import DecoderState, Encoder, Generation, full_rank_probability
 from mcnc.sim.cli import main as cli_main
 from mcnc.sim.config import SimConfig
-from mcnc.sim.metrics import psnr_frame
+from mcnc.sim.metrics import left_sum, psnr_frame
 from mcnc.sim.montecarlo import report_samples, run_grid
 from mcnc.video.structure import LAYER_POPULATIONS, packetize
 from mcnc.video.tracegen import synthesize_trace
@@ -224,8 +224,8 @@ def _paired_margin(xs, ys) -> str:
     standard errors and how many pairs are positive."""
     d = [x - y for x, y in zip(xs, ys)]
     n = len(d)
-    mean = sum(d) / n
-    se = math.sqrt(sum((x - mean) ** 2 for x in d) / (n - 1) / n)
+    mean = left_sum(d) / n
+    se = math.sqrt(left_sum((x - mean) ** 2 for x in d) / (n - 1) / n)
     return "%+.3g SE %.2g (%.1f SE, %d/%d)" % (
         mean, se, mean / se if se else math.inf, sum(x > 0 for x in d), n)
 

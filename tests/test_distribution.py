@@ -13,7 +13,6 @@ from mcnc.distribution import (
     MAX_FEC_ATTEMPTS,
     GenerationPlan,
     PathSelector,
-    RetxAction,
     dispatch_generation,
     handle_feedback,
     initial_burst_size,
@@ -134,42 +133,34 @@ def _plan(k=4, deadline=10.0):
 
 def test_full_rank_report_delivers():
     plan = _plan(k=4)
-    assert handle_feedback(plan, report_rank=4, now=0.1) == RetxAction("delivered")
-    assert plan.delivered
-    # terminal states are sticky
-    assert handle_feedback(plan, report_rank=0, now=0.2).kind == "delivered"
+    assert handle_feedback(plan, report_rank=4, now=0.1) == 0
+    assert plan.delivered and not plan.failed
 
 
 def test_shortfall_triggers_topup_sized_to_missing_rank():
     plan = _plan(k=4)
-    action = handle_feedback(plan, report_rank=1, now=0.1)
-    assert action == RetxAction("retransmit", 3)
+    assert handle_feedback(plan, report_rank=1, now=0.1) == 3
     assert plan.attempts_used == 1
-    action = handle_feedback(plan, report_rank=3, now=0.2)
-    assert action == RetxAction("retransmit", 1)
+    assert handle_feedback(plan, report_rank=3, now=0.2) == 1
     assert plan.attempts_used == 2
 
 
 def test_overshoot_scales_topup():
     plan = _plan(k=10)
-    action = handle_feedback(plan, report_rank=6, now=0.1, overshoot=1.5)
-    assert action.count == 6  # ceil(4 * 1.5)
+    assert handle_feedback(plan, report_rank=6, now=0.1, overshoot=1.5) == 6  # ceil(4 * 1.5)
 
 
 def test_attempt_budget_exhaustion_fails_plan():
     plan = _plan(k=4)
     for i in range(MAX_FEC_ATTEMPTS):
-        action = handle_feedback(plan, report_rank=0, now=0.1 * (i + 1))
-        assert action.kind == "retransmit"
-    action = handle_feedback(plan, report_rank=0, now=9.0)
-    assert action == RetxAction("failed")
+        assert handle_feedback(plan, report_rank=0, now=0.1 * (i + 1)) == 4
+    assert handle_feedback(plan, report_rank=0, now=9.0) == 0
     assert plan.failed and plan.attempts_used == MAX_FEC_ATTEMPTS
 
 
 def test_deadline_passes_fail_immediately():
     plan = _plan(k=4, deadline=1.0)
-    action = handle_feedback(plan, report_rank=2, now=1.0)
-    assert action.kind == "failed"
+    assert handle_feedback(plan, report_rank=2, now=1.0) == 0 and plan.failed
 
 
 def test_attempts_never_exceed_budget_under_random_reports():

@@ -612,3 +612,120 @@ def test_every_check_sends_a_top_up():
                         assert n == g.attempts_used, (cell, u, g.gen_id, n)
                         attempts += n
     assert attempts  # top-ups happen, so the check is not vacuous
+
+
+def test_every_fresh_report_is_decided_by_handle_feedback(monkeypatch):
+    # handle_feedback is the one decision a look with a fresh report gets:
+    # each top-up is one call with a nonzero count, and the report that
+    # closes the plan is one more call, returning 0. Only a plan the
+    # blackout walk fails, at a look with no fresh report, closes without one
+    calls, fail_reports = {}, {}  # keyed by id(plan), cleared per cell
+    real_decide, real_fail = engine.handle_feedback, engine._Engine._fail_plan
+
+    def decide(plan, report_rank, now, overshoot=1.0):
+        count = real_decide(plan, report_rank, now, overshoot)
+        calls.setdefault(id(plan), []).append(count)
+        return count
+
+    def fail(self, g, now):
+        fail_reports[id(g)] = self._latest_report(now)
+        real_fail(self, g, now)
+
+    monkeypatch.setattr(engine, "handle_feedback", decide)
+    monkeypatch.setattr(engine._Engine, "_fail_plan", fail)
+    closes = walked = 0
+    for seed in (7, 8):
+        for cell in grid_cells(SimConfig(duration_s=3.0, seed=seed)):
+            calls.clear()
+            fail_reports.clear()
+            sessions = _sessions(cell, seed)
+            if not cell.nc_fec:
+                assert not calls  # no sender plan: nothing to decide
+                continue
+            for eng in sessions:
+                for g in (g for fr in eng.frames for g in fr.gens):
+                    assert g.delivered != g.failed, g.gen_id  # closed, once
+                    counts = calls.get(id(g), [])
+                    by_walk = g.failed and fail_reports[id(g)] < 0
+                    assert counts[:g.attempts_used] == [c for c in counts if c], g.gen_id
+                    assert counts[g.attempts_used:] == ([] if by_walk else [0]), g.gen_id
+                    closes += not by_walk
+                    walked += by_walk
+    assert closes and walked  # both kinds of close happen: neither check is vacuous
+
+
+# -- exact ties: each boundary is pinned where a float tie can land on it
+
+
+def test_a_look_landing_exactly_on_the_deadline_is_still_made():
+    # the blackout walk makes every look up to and including the deadline:
+    # a fresh report there that shows the plan complete delivers it
+    eng = _small_engine(BASE)
+    j = 40
+    eng.newest = [-1] * j + list(range(j, eng.n_reports))  # no report before slot j
+    t = eng.ul_delay + (j - 0.5) * eng.fb_int  # a look in the blackout
+    assert eng._latest_report(t) < 0 <= eng._latest_report(t + eng.fb_int)
+    g = engine._GenState(0, 1, 1, t + eng.fb_int, 0, True)
+    g.rank_ts, g.complete_at = [0.0], 0.0
+    eng._look(g, t)
+    assert g.delivered and not g.failed
+    assert eng.metrics.fec_rounds_hist[0] == 1
+
+
+def test_a_report_sent_as_the_rank_rose_shows_the_new_rank():
+    # report j describes the receiver at j * interval, arrivals at that
+    # very instant included
+    eng = _small_engine(BASE)
+    eng.newest = list(range(eng.n_reports))  # every report survives
+    j = 40
+    t = eng.ul_delay + (j + 0.5) * eng.fb_int
+    assert eng._latest_report(t) == j
+    g = engine._GenState(0, 1, 1, 10.0, 0, True)
+    g.rank_ts, g.complete_at = [j * eng.fb_int], j * eng.fb_int
+    eng._look(g, t)
+    assert g.delivered and eng._heap == []
+
+
+def test_a_generation_completing_at_its_display_instant_does_not_count():
+    # complete_at < D is the one rule: at complete_at == D a base layer
+    # does not make its frame, nor a parent its dependants
+    eng = _small_engine(dataclasses.replace(LOSSLESS, duration_s=1.0))
+    eng.run()
+    played = eng.metrics.frames_played
+    assert played == eng.n_frames  # lossless: every frame plays
+    frames = eng.frames
+    # frame 2 is a parent of frame 1 (GOP position 1 refers to 0 and 2),
+    # and frame 5's base completes exactly at its own display instant
+    for f, at in ((2, frames[1].deadline), (5, frames[5].deadline)):
+        for g in frames[f].gens:
+            if g.is_base:
+                g.complete_at = at
+    for fr in frames:
+        fr.consumed_at = None
+    eng.metrics = UEMetrics(ue_id=eng.u)
+    eng._play()
+    # frame 2 itself counts (frame 1's instant is before its own); frame 1
+    # is taken but its parent is ready only at its instant; frame 5 is lost
+    assert frames[2].consumed_at == frames[1].deadline
+    assert frames[1].consumed_at is not None and frames[5].consumed_at is None
+    assert eng.metrics.frames_played == played - 2
+    assert eng.metrics.nalus_lost == 1
+
+
+def test_a_plan_failing_on_a_generation_complete_at_its_deadline_leaves_a_notice():
+    eng = _small_engine(BASE)
+    for complete_at, notice in ((1.0, 0.5 + eng.ul_delay),
+                                (math.nextafter(1.0, 0.0), math.inf)):
+        g = engine._GenState(0, 1, 1, 1.0, 0, True)
+        g.complete_at = complete_at
+        eng._fail_plan(g, 0.5)
+        assert g.failed and g.notice_at == notice, complete_at
+
+
+def test_the_first_report_slot_already_sets_the_path():
+    # slot 0's report can have arrived from ul_delay on, and not before
+    eng = _small_engine(BASE)
+    assert BASE.multi_connectivity
+    eng.on_mmwave = [True] * len(eng.on_mmwave)
+    assert eng._current_path(eng.ul_delay) == MMWAVE
+    assert eng._current_path(math.nextafter(eng.ul_delay, 0.0)) == LTE

@@ -1,0 +1,223 @@
+#!/usr/bin/env python3
+"""A catalogue of planted faults, and a runner that checks the tests catch them.
+
+Each entry plants one fault: in one file, an exact piece of text (which
+must occur there exactly once) is replaced by another. For each entry the
+runner copies ``src/``, ``tests/``, ``pyproject.toml`` and ``README.md`` to a
+temporary directory, applies the one replacement and runs the fast test
+files there with ``-x``, once the unplanted copy has passed them. The
+mutant is killed if a test fails, errors or the run times out, and
+survives if every test passes.
+
+    python3 tools/mutants.py                 # every entry
+    python3 tools/mutants.py NAME [NAME ...]  # the named entries
+    python3 tools/mutants.py --list
+
+Each result line gives the entry, killed or survived, the first failing
+test and the time taken. The exit status is 1 if an entry marked "must
+kill" survives, 2 if an entry's text does not occur exactly once or the
+unplanted copy fails, else 0.
+
+A surviving "must kill" entry is a missing test: add the test, never
+weaken the entry. An entry that may survive says why it is equivalent on
+every input a run can reach.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple, Optional, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: the test files quick enough to run once per mutant, quickest to fail first
+FAST_TESTS = (
+    "tests/test_golden.py",
+    "tests/test_engine.py",
+    "tests/test_distribution.py",
+    "tests/test_metrics.py",
+    "tests/test_channel.py",
+    "tests/test_video.py",
+    "tests/test_config.py",
+    "tests/test_properties.py",
+)
+
+#: files the tests read besides src/ and tests/
+TREE_FILES = ("pyproject.toml", "README.md")
+
+#: a mutant whose tests run longer than this is counted as killed
+TIMEOUT_S = 900
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str  # occurs exactly once in the file
+    new: str
+    catcher: Optional[str] = None  # a test expected to kill it
+    must_kill: bool = True
+    why: str = ""  # for an entry that may survive: why it is equivalent
+
+
+ENGINE = "src/mcnc/sim/engine.py"
+T_ENGINE = "tests/test_engine.py::"
+
+MUTANTS = (
+    # the engine's ties and rules
+    Mutant("frame_tie", ENGINE,
+           "heap[0][0] < t_f:", "heap[0][0] <= t_f:",
+           T_ENGINE + "test_static_event_wins_a_tie_with_a_dynamic_one"),
+    Mutant("giveup_patiences_swapped", ENGINE,
+           "now) + self.cfg.receiver_giveup_s\n"
+           "        else:\n"
+           "            g.notice_at = now + self.cfg.receiver_giveup_empty_s",
+           "now) + self.cfg.receiver_giveup_empty_s\n"
+           "        else:\n"
+           "            g.notice_at = now + self.cfg.receiver_giveup_s"),
+    Mutant("freshness_window_off_by_one", ENGINE,
+           "last_ok > idx - scan", "last_ok >= idx - scan"),
+    Mutant("blackout_walk_deadline_tie", ENGINE,
+           "if nxt > g.deadline:", "if nxt >= g.deadline:",
+           T_ENGINE + "test_a_look_landing_exactly_on_the_deadline_is_still_made"),
+    Mutant("display_tie", ENGINE,
+           "if ready[f] < d:", "if ready[f] <= d:",
+           T_ENGINE + "test_a_generation_completing_at_its_display_instant_does_not_count"),
+    Mutant("failure_notice_tie", ENGINE,
+           "not g.complete_at < g.deadline:", "not g.complete_at <= g.deadline:",
+           T_ENGINE + "test_a_plan_failing_on_a_generation_complete_at_its_deadline_leaves_a_notice"),
+    Mutant("report_rank_bisect_left", ENGINE,
+           "from bisect import bisect_right",
+           "from bisect import bisect_left as bisect_right",
+           T_ENGINE + "test_a_report_sent_as_the_rank_rose_shows_the_new_rank"),
+    Mutant("first_report_slot_ignored", ENGINE,
+           "g >= 0 and self.on_mmwave[g]", "g > 0 and self.on_mmwave[g]",
+           T_ENGINE + "test_the_first_report_slot_already_sets_the_path"),
+    Mutant("drop_causes_swapped", ENGINE,
+           "elif attempts:", "elif not attempts:"),
+    Mutant("delivered_close_uncounted", ENGINE,
+           "        else:\n            self.metrics.fec_rounds_hist[g.attempts_used] += 1\n",
+           "        else:\n            pass\n"),
+    # the sender's plan decision
+    Mutant("deadline_decided_before_rank", "src/mcnc/distribution.py",
+           "    if report_rank >= plan.k:\n"
+           "        plan.delivered = True\n"
+           "    elif plan.attempts_used >= MAX_FEC_ATTEMPTS or now >= plan.deadline:\n"
+           "        plan.failed = True\n",
+           "    if plan.attempts_used >= MAX_FEC_ATTEMPTS or now >= plan.deadline:\n"
+           "        plan.failed = True\n"
+           "    elif report_rank >= plan.k:\n"
+           "        plan.delivered = True\n",
+           "tests/test_golden.py::test_fates_golden_digest"),
+    # path choice
+    Mutant("path_threshold_strict", "src/mcnc/distribution.py",
+           "~(snr_db >= self.outage_threshold_db)", "~(snr_db > self.outage_threshold_db)",
+           "tests/test_distribution.py::test_selector_hysteresis_band"),
+    Mutant("no_report_not_down", "src/mcnc/distribution.py",
+           "~(snr_db >= self.outage_threshold_db)", "(snr_db < self.outage_threshold_db)",
+           "tests/test_distribution.py::test_selector_treats_stale_feedback_as_unknown"),
+    Mutant("fresh_slots_without_rounding_tolerance", "src/mcnc/sim/config.py",
+           "self.feedback_interval_s - 1e-9)", "self.feedback_interval_s)"),
+    # the links
+    Mutant("report_survival_one_attempt", "src/mcnc/channel.py",
+           "ok = draws >= loss ** self.attempts_allowed", "ok = draws >= loss"),
+    Mutant("retry_delay_per_attempt", "src/mcnc/channel.py",
+           "(attempts - 1) * self.retx_delay_s", "attempts * self.retx_delay_s"),
+    # output floats summed by the interpreter's sum(), compensated since 3.12
+    Mutant("psnr_by_builtin_sum", "src/mcnc/sim/metrics.py",
+           "min(left_sum(u.psnr_sum_db", "min(sum(u.psnr_sum_db",
+           "tests/test_golden.py::test_golden_digest_under_a_compensated_sum"),
+    Mutant("summary_mean_by_builtin_sum", "src/mcnc/sim/montecarlo.py",
+           "mean = left_sum(xs) / n", "mean = sum(xs) / n",
+           "tests/test_golden.py::test_summaries_under_a_compensated_sum"),
+    Mutant("summary_variance_by_builtin_sum", "src/mcnc/sim/montecarlo.py",
+           "var = left_sum(", "var = sum(",
+           "tests/test_golden.py::test_summaries_under_a_compensated_sum"),
+)
+
+
+def occurrences(m: Mutant) -> int:
+    return (ROOT / m.path).read_text(encoding="utf-8").count(m.old)
+
+
+def _first_failure(output: str) -> str:
+    for line in output.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.split()[1]
+    return "(no test named)"
+
+
+def run_tests(m: Optional[Mutant] = None) -> Tuple[bool, str, float]:
+    """(failed, the first failing test, seconds): the fast tests on a copy
+    of the tree, with m planted in it if given."""
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tree = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, tree / name, ignore=ignore)
+        for name in TREE_FILES:
+            shutil.copy2(ROOT / name, tree / name)
+        if m is not None:
+            target = tree / m.path
+            target.write_text(target.read_text(encoding="utf-8").replace(m.old, m.new, 1),
+                              encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+               *FAST_TESTS]
+        try:
+            proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True,
+                                  timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return True, "timeout", time.perf_counter() - start
+    elapsed = time.perf_counter() - start
+    if proc.returncode == 0:
+        return False, "", elapsed
+    return True, _first_failure(proc.stdout), elapsed
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", help="entries to run (default: all)")
+    parser.add_argument("--list", action="store_true", help="list the entries and exit")
+    args = parser.parse_args(argv)
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [n for n in args.names if n not in by_name]
+    if unknown:
+        parser.error("unknown entries: " + ", ".join(unknown))
+    chosen = [by_name[n] for n in args.names] if args.names else list(MUTANTS)
+    if args.list:
+        for m in chosen:
+            print(f"{m.name:40s} {m.path}  {'must kill' if m.must_kill else 'may survive'}")
+        return 0
+    stale = [m.name for m in chosen if occurrences(m) != 1]
+    if stale:
+        print("text not found exactly once: " + ", ".join(stale), file=sys.stderr)
+        return 2
+    broken, by, seconds = run_tests()
+    if broken:
+        print(f"the unplanted tree fails its tests ({by}, {seconds:.1f} s)", file=sys.stderr)
+        return 2
+    failed = False
+    for m in chosen:
+        killed, by, seconds = run_tests(m)
+        if killed:
+            # a parametrized test fails under its id with the parameters
+            expected = m.catcher is None or by.split("[")[0] == m.catcher
+            note = "" if expected else f"  (expected {m.catcher})"
+            print(f"killed    {m.name:40s} {seconds:6.1f} s  {by}{note}", flush=True)
+        else:
+            failed = failed or m.must_kill
+            label = "SURVIVED" if m.must_kill else "survived"
+            print(f"{label:9s} {m.name:40s} {seconds:6.1f} s  {m.why}", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
