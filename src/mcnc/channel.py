@@ -238,7 +238,9 @@ class LinkModel:
         is made. Each repeat adds retx_delay_s to the delivery time but
         does not re-occupy the FIFO (the recovery round trip is
         abstracted, not re-serialized). In outage the packet is dropped
-        without consuming airtime.
+        without consuming airtime. A first attempt that gets through costs
+        one loss draw (none on a lossless state) and returns at once; only
+        a lost one enters the retry ladder, which draws once per repeat.
         """
         busy = self.busy_until
         send_start = now if now > busy else busy
@@ -262,13 +264,14 @@ class LinkModel:
             self._loss = p
         busy = send_start + size_bytes * 8.0 / rate
         self.busy_until = busy
+        if p == 0.0 or self.rng.random() >= p:
+            return _new(TxOutcome, (True, busy + self.base_delay_s, 1, send_start))
+        draw = self.rng.random
+        allowed = self.attempts_allowed
         attempts = 1
-        if p != 0.0:
-            draw = self.rng.random
-            allowed = self.attempts_allowed
-            while draw() < p:
-                if attempts == allowed:
-                    return _new(TxOutcome, (False, 0.0, attempts, send_start))
-                attempts += 1
-        deliver_at = busy + self.base_delay_s + (attempts - 1) * self.retx_delay_s
-        return _new(TxOutcome, (True, deliver_at, attempts, send_start))
+        while attempts < allowed:
+            attempts += 1
+            if draw() >= p:
+                deliver_at = busy + self.base_delay_s + (attempts - 1) * self.retx_delay_s
+                return _new(TxOutcome, (True, deliver_at, attempts, send_start))
+        return _new(TxOutcome, (False, 0.0, attempts, send_start))

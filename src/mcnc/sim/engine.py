@@ -49,9 +49,11 @@ of wall clock without changing observable behavior:
   timeline clamps such arrivals to keep rank monotone in time.
 - The send path stays per packet, with the counting and the rate done
   in bulk. Each packet of a burst still goes through
-  ``LinkModel.transmit`` on its own, but the burst is counted once
-  (``UEMetrics.count_burst``), its survivors feed the rank timeline in
-  one pass, and each link computes its rate once per channel step.
+  ``LinkModel.transmit`` on its own, but the packets are counted per
+  path once per session (``UEMetrics.count_burst``, after playback),
+  and each link computes its rate once per channel step. A burst's
+  survivors are sorted by arrival and feed the rank timeline in one
+  pass that stops at full rank.
 - Feedback is one per-slot timeline, pulled, not evented. Receiver
   reports live on a fixed grid and ride one feedback link: LTE with multi
   connectivity, else the mmWave uplink. That link presamples per-report
@@ -62,7 +64,9 @@ of wall clock without changing observable behavior:
   does the sender know at t" is one index into a per-receiver ``newest``
   table, built at init, that holds each slot's newest fresh report or
   none. The same lookup serves the plan looks, the blackout walk and
-  path choice. With multi connectivity a second table, built next to it,
+  path choice. A ``fresh_from`` table next to it gives each slot's next
+  slot with a fresh report, so the blackout walk skips the lookups of
+  the looks it knows are stale. With multi connectivity a third table
   holds the path in force after each slot: ``PathSelector`` judges the
   mmWave SNR of the slot's fresh report for outage and hysteresis once
   per slot, and a slot with none means LTE. Path choice at t is one index
@@ -99,6 +103,7 @@ import gc
 import heapq
 import math
 import random
+from array import array
 from bisect import bisect_right
 from typing import Dict, List, Optional
 
@@ -235,6 +240,14 @@ def _newest_reports(fb_ok, scan: int) -> List[int]:
     return np.where(last_ok > idx - scan, last_ok, -1).tolist()
 
 
+def _fresh_from(newest) -> array:
+    """``fresh_from[s]``: the first slot at or after s with a fresh report
+    (``newest[s] >= 0``), or ``len(newest)`` if there is none."""
+    n = len(newest)
+    slots = np.where(np.asarray(newest) >= 0, np.arange(n), n)
+    return array("l", np.minimum.accumulate(slots[::-1])[::-1].tolist())
+
+
 class _Engine:
     """One receiver's session: its links, feedback, playout clock and events."""
 
@@ -303,6 +316,7 @@ class _Engine:
         fb_ok = fb_link.control_survival(
             sent_at, np.random.default_rng(derive_seed(seed, "fb", u)))
         self.newest = _newest_reports(fb_ok, self.window)
+        self.fresh_from = _fresh_from(self.newest)
         if cfg.multi_connectivity:
             # the path in force once the sender has seen each slot's fresh
             # report, from the mmWave SNR that report carries (NaN: none)
@@ -310,8 +324,12 @@ class _Engine:
             selector = PathSelector(self.mm.outage_threshold_db, cfg.hysteresis_db)
             self.on_mmwave = selector.on_mmwave(
                 np.where(newest >= 0, self.mm.snr_at(sent_at)[newest], np.nan))
-        self.ul_delay = cfg.backhaul_delay_s + fb_link.base_delay_s + _CTRL_PROC_S
+        self.backhaul = cfg.backhaul_delay_s
+        self.ul_delay = self.backhaul + fb_link.base_delay_s + _CTRL_PROC_S
         self.metrics = UEMetrics(ue_id=u)
+        # per path: packets sent, delivered, dropped in outage, dropped
+        # with the retry ladder exhausted; counted once the session ends
+        self._tally = {MMWAVE: [0, 0, 0, 0], LTE: [0, 0, 0, 0]}
         self.metrics.feedback_sent = self.n_reports
         self.metrics.feedback_lost = int(np.count_nonzero(~fb_ok))
         self.frames: List[Optional[_FrameState]] = [None] * n_frames
@@ -358,6 +376,9 @@ class _Engine:
                     log.append(f"{t_f:.9f} frame ue={u} arg={f}")
                 on_frame(f, t_f)
             self._play()
+            for path, tally in self._tally.items():
+                if tally[0]:  # a path that sent nothing gets no entry
+                    self.metrics.count_burst(path, *tally)
         finally:
             if gc_was_on:
                 gc.enable()
@@ -400,15 +421,15 @@ class _Engine:
         """Send n packets of g on path; returns when the burst has settled.
 
         Each surviving packet feeds the receiver's rank timeline in arrival
-        order. A source packet (emission < k) adds one rank; a tail packet
-        adds one unless the Bernoulli draw says it is dependent. An arrival
-        that lands before the rank last rose is clamped to that time, so
-        the timeline stays monotone.
+        order, until the rank reaches k. A source packet (emission < k)
+        adds one rank; a tail packet adds one unless the Bernoulli draw
+        says it is dependent. An arrival that lands before an earlier burst last raised the rank
+        is clamped to that time, so the timeline stays monotone.
         """
         first = g.seq
         g.seq += n
         nbytes = self._wire[g.k]
-        backhaul = self.cfg.backhaul_delay_s
+        backhaul = self.backhaul
         link = self.mm if path == MMWAVE else self.lte
         transmit = link.transmit
         survivors = []
@@ -421,40 +442,42 @@ class _Engine:
                 exhausted += 1  # every attempt the retry ladder allows was lost
             else:
                 outage += 1  # dropped unsent: the link is in outage
-        self.metrics.count_burst(path, n, len(survivors), outage, exhausted)
+        tally = self._tally[path]
+        tally[0] += n
+        tally[1] += len(survivors)
+        tally[2] += outage
+        tally[3] += exhausted
         est = link.busy_until + link.base_delay_s + backhaul
         if now > est:
             est = now
         if not survivors:
             return est
         survivors.sort()
-        if survivors[-1][0] > est:
-            est = survivors[-1][0]
+        last = survivors[-1][0]  # no clamped arrival is later
+        if last > est:
+            est = last
+        if last > g.last_arrival:
+            g.last_arrival = last
         k = g.k
         ts = g.rank_ts
         rank = len(ts)
+        if rank == k:
+            return est
+        floor = ts[-1] if rank else -math.inf
         probs = None
-        last = g.last_arrival
         for arrival, emission in survivors:
-            if rank < k:
-                if emission < k:
-                    advanced = True  # source packet: independent by construction
-                else:
-                    if probs is None:
-                        probs = self._dep_probs(k)
-                    p = probs[rank]
-                    advanced = p == 0.0 or self._rank_rng.random() >= p
-                if advanced:
-                    if rank and arrival < ts[-1]:
-                        arrival = ts[-1]
-                    ts.append(arrival)
-                    rank += 1
-                    if rank == k:
-                        g.complete_at = arrival
-                        self.metrics.generations_delivered += 1
-            if arrival > last:
-                last = arrival
-        g.last_arrival = last
+            if emission >= k:  # a tail packet; a source packet is independent
+                if probs is None:
+                    probs = self._dep_probs(k)
+                p = probs[rank]
+                if p != 0.0 and self._rank_rng.random() < p:
+                    continue
+            ts.append(arrival if arrival > floor else floor)
+            rank += 1
+            if rank == k:
+                g.complete_at = ts[-1]
+                self.metrics.generations_delivered += 1
+                break
         return est
 
     def _arm_giveup(self, g: _GenState, now: float):
@@ -485,15 +508,27 @@ class _Engine:
         are final. ``handle_feedback`` decides a look with a fresh report.
         A blackout holds the plan rather than topping it up blind: the
         looks one report interval apart are walked to the first with a
-        fresh report, or the plan fails at the last the deadline allows."""
+        fresh report, or the plan fails at the last the deadline allows.
+
+        A look in slot s that finds no fresh report knows the next
+        ``fresh_from[s] - s - 2`` find none either: each ``t + fb_int``
+        moves the slot on by one, give or take one at a rounding edge, so
+        they all land before slot ``fresh_from[s]``. The walk makes those
+        looks' float sums and deadline tests but skips their lookups."""
         rep = self._latest_report(t)
+        due = 0  # looks to the next that may find a fresh report
         while rep < 0:
+            if not due:  # the look at t found none
+                s = math.floor((t - self.ul_delay) / self.fb_int)
+                due = max(self.fresh_from[s] - s - 1, 1) if 0 <= s < self.n_reports else 1
             nxt = t + self.fb_int  # the same float sums a look per interval makes
             if nxt > g.deadline:
                 self._fail_plan(g, t)
                 return
             t = nxt
-            rep = self._latest_report(t)
+            due -= 1
+            if not due:
+                rep = self._latest_report(t)
         rank = bisect_right(g.rank_ts, rep * self.fb_int)  # as the newest fresh report shows
         count = handle_feedback(g, rank, t, self.cfg.retx_overshoot)
         if count:

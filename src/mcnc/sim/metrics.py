@@ -117,8 +117,9 @@ class UEMetrics:
 
     def count_burst(self, path: str, sent: int, delivered: int,
                     outage: int, exhausted: int) -> None:
-        """Count ``sent`` packets on ``path``: ``delivered`` of them through,
-        ``outage`` dropped unsent and ``exhausted`` lost on every attempt.
+        """Add totals for ``path``: ``sent`` packets, ``delivered`` of them
+        through, ``outage`` dropped unsent and ``exhausted`` lost on every
+        attempt. The engine calls it once per path a session sent on.
 
         A path enters a counter only with a nonzero count: the counters
         reach ``to_dict``, so a zero entry would change the report.

@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from mcnc.channel import LTE, MMWAVE, LinkModel
+from mcnc.channel import LTE, MMWAVE, LinkModel, TxOutcome
 from mcnc.sim import engine
 from mcnc.sim.config import SimConfig, grid_cells
 from mcnc.sim.engine import TraceError, run
@@ -548,8 +548,10 @@ class _PollingEngine(engine._Engine):
     fresh or that look would pass the display deadline."""
 
     polls = 0
+    looks = 0
 
     def _look(self, g, t):
+        type(self).looks += 1
         if self._latest_report(t) >= 0:
             super()._look(g, t)
         elif t + self.fb_int > g.deadline:
@@ -580,6 +582,15 @@ def test_waiting_out_a_blackout_matches_polling_it(staleness, monkeypatch):
     # the mmWave-only FEC cells are the ones whose feedback link has
     # blackouts: resolving each in one step must change nothing at all
     monkeypatch.setattr(_PollingEngine, "polls", 0)
+    monkeypatch.setattr(_PollingEngine, "looks", 0)
+    lookups = {engine._Engine: 0, _PollingEngine: 0}
+    real_latest = engine._Engine._latest_report
+
+    def counting_latest(self, now):
+        lookups[type(self)] += 1
+        return real_latest(self, now)
+
+    monkeypatch.setattr(engine._Engine, "_latest_report", counting_latest)
     cells = [cell for cell in grid_cells(dataclasses.replace(
                  BASE, n_ues=5, feedback_staleness_s=staleness))
              if cell.nc_fec and not cell.multi_connectivity]
@@ -589,6 +600,9 @@ def test_waiting_out_a_blackout_matches_polling_it(staleness, monkeypatch):
             assert _fates(engine._Engine, cell, seed) == _fates(_PollingEngine, cell, seed), (
                 cell.coding_profile, cell.ran_retx, seed)
     assert _PollingEngine.polls  # blackouts happen, so the check is not vacuous
+    # the same looks, but the walk skips the lookups the fresh_from table
+    # shows are stale: a table that never engages would make one per look
+    assert lookups[engine._Engine] < _PollingEngine.looks
 
 
 def test_every_check_sends_a_top_up():
@@ -657,12 +671,19 @@ def test_every_fresh_report_is_decided_by_handle_feedback(monkeypatch):
 # -- exact ties: each boundary is pinned where a float tie can land on it
 
 
+def _set_newest(eng, newest):
+    """Hand-set eng's per-slot newest fresh report, and the table of the
+    next fresh slot built from it."""
+    eng.newest = newest
+    eng.fresh_from = engine._fresh_from(newest)
+
+
 def test_a_look_landing_exactly_on_the_deadline_is_still_made():
     # the blackout walk makes every look up to and including the deadline:
     # a fresh report there that shows the plan complete delivers it
     eng = _small_engine(BASE)
     j = 40
-    eng.newest = [-1] * j + list(range(j, eng.n_reports))  # no report before slot j
+    _set_newest(eng, [-1] * j + list(range(j, eng.n_reports)))  # no report before slot j
     t = eng.ul_delay + (j - 0.5) * eng.fb_int  # a look in the blackout
     assert eng._latest_report(t) < 0 <= eng._latest_report(t + eng.fb_int)
     g = engine._GenState(0, 1, 1, t + eng.fb_int, 0, True)
@@ -672,11 +693,79 @@ def test_a_look_landing_exactly_on_the_deadline_is_still_made():
     assert eng.metrics.fec_rounds_hist[0] == 1
 
 
+def test_the_blackout_walk_checks_a_look_one_sum_moves_two_slots_on():
+    # a look a few ulps below a slot boundary, in slot j, whose next look
+    # t + interval lands in slot j + 2, the first with a fresh report: the
+    # walk may skip no look here, or it walks past the only one the
+    # deadline allows
+    eng = _small_engine(BASE)
+
+    def slot(t):
+        return math.floor((t - eng.ul_delay) / eng.fb_int)
+
+    for j in range(10, eng.n_reports - 2):
+        t = eng.ul_delay + (j + 1) * eng.fb_int
+        for _ in range(8):
+            t = math.nextafter(t, 0.0)
+            if slot(t) == j and slot(t + eng.fb_int) == j + 2:
+                break
+        else:
+            continue
+        break
+    else:
+        pytest.fail("no look time one sum moves two slots on")
+    _set_newest(eng, [-1] * (j + 2) + list(range(j + 2, eng.n_reports)))
+    assert list(eng.fresh_from[j:j + 3]) == [j + 2] * 3
+    assert eng._latest_report(t) < 0 <= eng._latest_report(t + eng.fb_int)
+    g = engine._GenState(0, 1, 1, t + eng.fb_int, 0, True)
+    g.rank_ts, g.complete_at = [0.0], 0.0
+    eng._look(g, t)
+    assert g.delivered and not g.failed
+
+
+class _ScriptedLink:
+    """A link whose packets all get through, each at a scripted
+    (delivery time, attempts)."""
+
+    base_delay_s = 0.0
+    busy_until = 0.0
+
+    def __init__(self, script):
+        self.script = iter(script)
+
+    def transmit(self, size_bytes, now):
+        deliver_at, attempts = next(self.script)
+        return TxOutcome(True, deliver_at, attempts, now)
+
+
+def test_a_retried_packet_feeds_the_rank_in_arrival_order():
+    # packet 0 of a burst is lost once and retried, so it lands after
+    # packets 1 and 2, which get through at their first attempt: packet 1
+    # (a source packet) raises the rank first, packet 2's dependence draw
+    # is taken at rank 1, and packet 0 completes the generation
+    eng = _small_engine(BASE)
+    eng.mm = _ScriptedLink([(0.030, 2), (0.021, 1), (0.022, 1)])
+    g = engine._GenState(0, 2, 3, 10.0, 0, True)
+    draws = []
+
+    class _DependentDraws:
+        def random(self):
+            draws.append(list(g.rank_ts))
+            return 0.0  # every tail packet is dependent
+
+    eng._rank_rng = _DependentDraws()
+    settle = eng._send_burst(g, 3, MMWAVE, 0.0)
+    b = BASE.backhaul_delay_s
+    assert g.rank_ts == [0.021 + b, 0.030 + b]
+    assert draws == [[0.021 + b]]
+    assert g.complete_at == g.last_arrival == settle == 0.030 + b
+
+
 def test_a_report_sent_as_the_rank_rose_shows_the_new_rank():
     # report j describes the receiver at j * interval, arrivals at that
     # very instant included
     eng = _small_engine(BASE)
-    eng.newest = list(range(eng.n_reports))  # every report survives
+    _set_newest(eng, list(range(eng.n_reports)))  # every report survives
     j = 40
     t = eng.ul_delay + (j + 0.5) * eng.fb_int
     assert eng._latest_report(t) == j

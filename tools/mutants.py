@@ -101,6 +101,12 @@ MUTANTS = (
            T_ENGINE + "test_the_first_report_slot_already_sets_the_path"),
     Mutant("drop_causes_swapped", ENGINE,
            "elif attempts:", "elif not attempts:"),
+    Mutant("burst_never_sorted", ENGINE,
+           "        survivors.sort()\n", "        pass\n",
+           T_ENGINE + "test_a_retried_packet_feeds_the_rank_in_arrival_order"),
+    Mutant("blackout_skip_one_look_too_far", ENGINE,
+           "self.fresh_from[s] - s - 1", "self.fresh_from[s] - s",
+           T_ENGINE + "test_the_blackout_walk_checks_a_look_one_sum_moves_two_slots_on"),
     Mutant("delivered_close_uncounted", ENGINE,
            "        else:\n            self.metrics.fec_rounds_hist[g.attempts_used] += 1\n",
            "        else:\n            pass\n"),
@@ -129,6 +135,9 @@ MUTANTS = (
            "ok = draws >= loss ** self.attempts_allowed", "ok = draws >= loss"),
     Mutant("retry_delay_per_attempt", "src/mcnc/channel.py",
            "(attempts - 1) * self.retx_delay_s", "attempts * self.retx_delay_s"),
+    Mutant("transmit_clean_attempt_without_base_delay", "src/mcnc/channel.py",
+           "(True, busy + self.base_delay_s, 1, send_start)", "(True, busy, 1, send_start)",
+           "tests/test_channel.py::test_transmit_matches_the_reference"),
     # output floats summed by the interpreter's sum(), compensated since 3.12
     Mutant("psnr_by_builtin_sum", "src/mcnc/sim/metrics.py",
            "min(left_sum(u.psnr_sum_db", "min(sum(u.psnr_sum_db",
