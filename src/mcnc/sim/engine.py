@@ -14,25 +14,29 @@ report) walks the looks one interval apart to the first fresh one, or
 fails the plan at the last before the display deadline. With
 multi-connectivity disabled everything rides mmWave; without FEC a
 generation gets its k packets once. Everything is deterministic given (config, seed): every
-random stream is split off the master seed with a distinct label. Each
-generation is one record: the sender's ``GenerationPlan`` extended with
-the receiver's rank timeline.
+random stream is split off the master seed with a distinct label.
 
-After the loop, ``_play`` plays the receiver back in one pass over the
-frames in display order. Every input is final by then: ``complete_at``
-and the failure notice ``notice_at`` (a failed plan, heard one uplink
-delay later, or the give-up timer without FEC). One rule decides: a
-generation counts for display instant D only if ``complete_at < D``. A
-frame whose base generations all count is taken once the last completed,
-but not before the consumer moved past the frame before it; any other
-frame is lost, and the consumer moves past it at D or at its first
-notice, if earlier. A taken frame plays if its ready instant, the latest
-base completion over it and every frame it references
-(``video.structure.ready_times``), is before D; a NALU is lost if any of
-its generations does not count. At most ``playout_buffer_frames`` frames
-are ever taken but undisplayed: nothing is taken before it arrives, and
-nothing arrives earlier than one buffer depth before its display
-instant.
+Session state is columns indexed by generation id. A ``_Layout``, shared
+by every receiver, numbers the generations in frame order and holds what
+the trace fixes; each session holds what happened to them, such as
+``complete_at`` (when the rank reached k) and one flat rank timeline.
+The sender's ``GenerationPlan`` exists for FEC generations only.
+
+After the loop, ``_play`` plays the receiver back in a few array passes
+over the frames in display order. Every input is final by then:
+``complete_at`` and ``notice_at``, a failed plan heard one uplink delay
+later or, without FEC, the give-up timer, set in ``_play`` itself since a
+generation's one burst fixes it. One rule decides: a generation counts
+for display instant D only if ``complete_at < D``. A frame whose base
+generations all count is taken once the last completed, but not before
+the consumer moved past the frame before it; any other frame is lost, and
+the consumer moves past it at D or at its first notice, if earlier. A
+taken frame plays if its ready instant, the latest base completion over
+it and every frame it references (``video.structure.ready_times``), is
+before D; a NALU is lost if any of its generations does not count. At
+most ``playout_buffer_frames`` frames are ever taken but undisplayed:
+nothing is taken before it arrives, and nothing arrives earlier than one
+buffer depth before its display instant.
 
 Scale choices, made so a 60 s five-receiver session stays under a second
 of wall clock without changing observable behavior:
@@ -85,15 +89,14 @@ of wall clock without changing observable behavior:
   path has its own tests.
 - Receiver-major. Receivers share no simulated state, so each one's
   session runs alone, to its end, one after another: its own heap,
-  generation ids and random streams. Frame arrivals are fixed
+  columns and random streams. Frame arrivals are fixed
   at ``stream_start + f / fps``, so they never enter the heap: the loop
   walks the frames in order and, before each, dispatches the CHECKs due
   strictly earlier. The heap holds top-ups only.
-- The per-session object graph is acyclic: a frame holds its generations,
-  and nothing points back. Reference counting frees a session as it ends,
-  before the next one starts, so the cyclic collector is held off around
-  the event loop and playback (and restored, even when a handler raises)
-  instead of rescanning the live graph.
+- Per generation a session makes only FEC plans and heap tuples, and
+  nothing points back at them: reference counting frees a session as it
+  ends, so the cyclic collector is held off around the event loop and
+  playback (and restored, even when a handler raises).
 """
 
 from __future__ import annotations
@@ -105,7 +108,8 @@ import math
 import random
 from array import array
 from bisect import bisect_right
-from typing import Dict, List, Optional
+from itertools import accumulate
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -120,7 +124,7 @@ from ..video.playout import PlayoutBuffer
 from ..video.trace import VideoTrace, load_trace
 from ..video.tracegen import synthesize_trace
 from .config import MAX_GRID_STATES, SimConfig
-from .metrics import MetricsReport, UEMetrics, check_conservation
+from .metrics import MetricsReport, UEMetrics, check_conservation, left_sum
 
 
 class TraceError(RuntimeError):
@@ -132,50 +136,41 @@ class TraceError(RuntimeError):
 _CTRL_PROC_S = 0.0005
 
 
-class _FramePlan:
-    """Per-frame template shared by every receiver: generation cut + psnr."""
+class _Layout:
+    """The generations of a plan list, numbered in frame order and shared
+    by every receiver: frame f owns generation ids ``first[f]`` to
+    ``first[f + 1] - 1``, and generation g's rank timeline takes the k
+    slots from ``off[g]`` of its session's flat timeline.
 
-    __slots__ = ("gens", "n_nalus", "psnr_recv", "psnr_lost")
+    Built from ``frames``: per frame, its NALUs as (is_base, generation
+    sizes) pairs in order, then its PSNR received and lost.
+    """
 
-    def __init__(self, gens, n_nalus, psnr_recv, psnr_lost):
-        self.gens = gens  # tuple of (nalu_slot, is_base, k)
-        self.n_nalus = n_nalus
-        self.psnr_recv = psnr_recv
-        self.psnr_lost = psnr_lost
+    __slots__ = ("first", "k", "off", "n_packets", "n_gens", "n_nalus", "is_base",
+                 "frame_of", "frame_starts", "nalu_starts", "psnr_recv", "psnr_lost")
 
-
-class _GenState(GenerationPlan):
-    __slots__ = ("nalu_slot", "is_base", "rank_ts", "complete_at", "last_arrival",
-                 "seq", "notice_at")
-
-    def __init__(self, gen_id, k, n_initial, deadline, nalu_slot, is_base):
-        # the GenerationPlan fields, set directly: this runs once per
-        # generation, and a super().__init__ call would add a frame to each
-        self.gen_id = gen_id
-        self.k = k
-        self.n_initial = n_initial
-        self.deadline = deadline
-        self.attempts_used = 0
-        self.delivered = False
-        self.failed = False
-        self.nalu_slot = nalu_slot
-        self.is_base = is_base
-        self.rank_ts: List[float] = []  # rank_ts[i]: when the rank reached i + 1
-        self.complete_at = math.inf  # when the rank reached k
-        self.last_arrival = -1.0
-        self.seq = 0  # emissions so far; the first k are source packets
-        self.notice_at = math.inf  # when a failure notice reached the receiver
-
-
-class _FrameState:
-    __slots__ = ("gen_time", "deadline", "plan", "gens", "consumed_at")
-
-    def __init__(self, gen_time, deadline, plan):
-        self.gen_time = gen_time
-        self.deadline = deadline
-        self.plan = plan
-        self.gens: List[_GenState] = []
-        self.consumed_at: Optional[float] = None  # None: lost
+    def __init__(self, frames: Iterable[Tuple[Iterable[Tuple[bool, List[int]]], float, float]]):
+        first, ks, is_base, nalu_starts, psnr = array("l", [0]), [], [], array("l"), []
+        for nalus, recv, lost in frames:
+            for base, sizes in nalus:
+                nalu_starts.append(len(ks))
+                ks += sizes
+                is_base += [base] * len(sizes)
+            first.append(len(ks))
+            psnr.append((recv, lost))
+        self.first = first
+        self.k = ks
+        self.off = array("l", accumulate(ks, initial=0))
+        self.n_packets = self.off.pop()
+        self.n_gens = len(ks)
+        self.n_nalus = len(nalu_starts)
+        self.is_base = np.array(is_base, dtype=bool)
+        # every frame has a base NALU, and every NALU a generation, so no
+        # reduceat group below is empty
+        self.frame_of = np.repeat(np.arange(len(psnr)), np.diff(first))
+        self.frame_starts = np.array(first[:-1])
+        self.nalu_starts = np.array(nalu_starts)
+        self.psnr_recv, self.psnr_lost = np.array(psnr, dtype=float).T
 
 
 #: run inputs kept per process: enough for a grid's one trace and its two
@@ -211,50 +206,42 @@ def _obtain_trace(cfg: SimConfig) -> VideoTrace:
 
 @functools.lru_cache(maxsize=RUN_INPUT_CACHE_SIZE)
 def _frame_plans(trace: VideoTrace, n_frames: int,
-                 packet_bytes: int, k_max: int) -> List[_FramePlan]:
-    # keyed on the trace object itself, which the trace caches share; a
-    # cut repeats across frames, so each distinct one is stored once
-    plans = []
-    cuts = {}
-    for f in range(n_frames):
-        rec = trace.frames[f]
-        gens = []
-        for slot, nid in enumerate(rec.nalu_ids):
-            is_base = rec.nalu_layers[slot] == 0
-            size = trace.nalus_by_id[nid].size_bytes
-            n_pkts = len(packetize(size, packet_bytes))
-            for k in split_counts(n_pkts, k_max):
-                gens.append((slot, is_base, k))
-        gens = tuple(gens)
-        plans.append(_FramePlan(cuts.setdefault(gens, gens), len(rec.nalu_ids),
-                                rec.psnr_received, rec.psnr_lost))
-    return plans
+                 packet_bytes: int, k_max: int) -> _Layout:
+    # keyed on the trace object itself, which the trace caches share
+    return _Layout(
+        (((layer == 0, split_counts(len(packetize(trace.nalus_by_id[nid].size_bytes,
+                                                  packet_bytes)), k_max))
+          for nid, layer in zip(rec.nalu_ids, rec.nalu_layers)),
+         rec.psnr_received, rec.psnr_lost)
+        for rec in trace.frames[:n_frames])
 
 
-def _newest_reports(fb_ok, scan: int) -> List[int]:
+def _newest_reports(fb_ok, scan: int) -> np.ndarray:
     """``newest[g]``: the newest index j in (g - scan, g] with ``fb_ok[j]``,
     or -1 if there is none."""
     idx = np.arange(len(fb_ok))
     scan = min(scan, len(fb_ok) + 1)  # longer reaches back to index 0 all the same
     last_ok = np.maximum.accumulate(np.where(fb_ok, idx, -1))
-    return np.where(last_ok > idx - scan, last_ok, -1).tolist()
+    return np.where(last_ok > idx - scan, last_ok, -1)
 
 
-def _fresh_from(newest) -> array:
+def _fresh_from(newest: np.ndarray) -> array:
     """``fresh_from[s]``: the first slot at or after s with a fresh report
     (``newest[s] >= 0``), or ``len(newest)`` if there is none."""
     n = len(newest)
-    slots = np.where(np.asarray(newest) >= 0, np.arange(n), n)
-    return array("l", np.minimum.accumulate(slots[::-1])[::-1].tolist())
+    slots = np.where(newest >= 0, np.arange(n), n)
+    table = array("l")
+    table.frombytes(np.minimum.accumulate(slots[::-1])[::-1].astype("l").tobytes())
+    return table
 
 
 class _Engine:
     """One receiver's session: its links, feedback, playout clock and events."""
 
-    def __init__(self, cfg: SimConfig, seed: int, plans: List[_FramePlan],
+    def __init__(self, cfg: SimConfig, seed: int, layout: _Layout,
                  n_frames: int, log: Optional[List[str]], u: int):
         self.cfg = cfg
-        self.plans = plans
+        self.layout = layout
         self.n_frames = n_frames
         self.log = log
         self.u = u
@@ -267,7 +254,6 @@ class _Engine:
                            for path in (MMWAVE, LTE)}
         self._dep: Dict[int, List[float]] = {}
         self._rank_rng = random.Random(derive_seed(seed, "rank", u))
-        self._next_gen_id = 0
 
         self.t_end = cfg.session_end_s()
         n_steps = int(self.t_end * (1.0 / cfg.channel_step_s)) + 2
@@ -315,12 +301,12 @@ class _Engine:
         sent_at = np.arange(self.n_reports) * self.fb_int
         fb_ok = fb_link.control_survival(
             sent_at, np.random.default_rng(derive_seed(seed, "fb", u)))
-        self.newest = _newest_reports(fb_ok, self.window)
-        self.fresh_from = _fresh_from(self.newest)
+        newest = _newest_reports(fb_ok, self.window)
+        self.newest = newest.tolist()
+        self.fresh_from = _fresh_from(newest)
         if cfg.multi_connectivity:
             # the path in force once the sender has seen each slot's fresh
             # report, from the mmWave SNR that report carries (NaN: none)
-            newest = np.array(self.newest)
             selector = PathSelector(self.mm.outage_threshold_db, cfg.hysteresis_db)
             self.on_mmwave = selector.on_mmwave(
                 np.where(newest >= 0, self.mm.snr_at(sent_at)[newest], np.nan))
@@ -332,12 +318,29 @@ class _Engine:
         self._tally = {MMWAVE: [0, 0, 0, 0], LTE: [0, 0, 0, 0]}
         self.metrics.feedback_sent = self.n_reports
         self.metrics.feedback_lost = int(np.count_nonzero(~fb_ok))
-        self.frames: List[Optional[_FrameState]] = [None] * n_frames
+        self.arrival_at = self.stream_start + np.arange(n_frames) / cfg.fps
         self.buffer = PlayoutBuffer(
             self.stream_start + cfg.backhaul_delay_s + cfg.playout_buffer_frames / cfg.fps,
             fps=cfg.fps)
 
-        # pending top-ups, (t, gen_id, generation, packets), at most one per
+        # the session's columns, indexed by generation id: when the rank
+        # reached k, when a failure notice reached the receiver, the
+        # latest arrival (-1: none), emissions so far (the first k are
+        # source packets), the rank, and the sender's plan (FEC only);
+        # ts[off[g] + i] is when g's rank reached i + 1
+        n_gens = layout.n_gens
+        self.complete_at = array("d", [math.inf]) * n_gens
+        self.notice_at = array("d", [math.inf]) * n_gens
+        self.last_arrival = array("d", [-1.0]) * n_gens
+        self.seq = [0] * n_gens
+        self.rank = [0] * n_gens
+        self.plans: List[Optional[GenerationPlan]] = [None] * n_gens
+        self.ts = array("d", bytes(8 * layout.n_packets))
+        self._k = layout.k
+        self._off = layout.off
+        self.consumed_at = self.played = None  # per frame, set by _play
+
+        # pending top-ups, (t, gen_id, plan, packets), at most one per
         # generation; frames arrive on their own clock instead
         self._heap = []
 
@@ -350,27 +353,24 @@ class _Engine:
         u = self.u
         on_frame = self._on_frame
         on_check = self._on_check
-        start = self.stream_start
-        fps = self.cfg.fps
-        # the session's object graph is acyclic, so reference counting frees
-        # everything the loop drops and the cyclic collector has nothing
-        # to find; hold it off instead of letting it rescan the live graph
+        # the objects the loop makes hold nothing that points back at
+        # them, so reference counting frees everything it drops and the
+        # cyclic collector has nothing to find; hold it off instead of
+        # letting it rescan the live plans
         gc_was_on = gc.isenabled()
         gc.disable()
         try:
             # a generation has at most one top-up pending, so the heap's
             # tuples order on (t, gen_id): equal times run in generation order
-            n = self.n_frames
-            for f in range(n + 1):
-                # frame f arrives at start + f / fps; the end, after the
-                # last frame, drains the CHECKs left
-                t_f = start + f / fps if f < n else math.inf
+            arrivals = self.arrival_at.tolist()
+            arrivals.append(math.inf)  # the end, after the last frame, drains the CHECKs left
+            for f, t_f in enumerate(arrivals):
                 while heap and heap[0][0] < t_f:  # a FRAME wins a tie
-                    t, _, g, count = heappop(heap)
+                    t, gen_id, g, count = heappop(heap)
                     if log is not None:
-                        log.append(f"{t:.9f} check ue={u} arg=gen{g.gen_id}")
+                        log.append(f"{t:.9f} check ue={u} arg=gen{gen_id}")
                     on_check(g, count, t)
-                if f == n:
+                if f == self.n_frames:
                     break
                 if log is not None:
                     log.append(f"{t_f:.9f} frame ue={u} arg={f}")
@@ -417,8 +417,9 @@ class _Engine:
             self._dep[k] = probs
         return probs
 
-    def _send_burst(self, g: _GenState, n: int, path: str, now: float) -> float:
-        """Send n packets of g on path; returns when the burst has settled.
+    def _send_burst(self, gen_id: int, n: int, path: str, now: float) -> float:
+        """Send n packets of generation gen_id on path; returns when the
+        burst has settled.
 
         Each surviving packet feeds the receiver's rank timeline in arrival
         order, until the rank reaches k. A source packet (emission < k)
@@ -426,9 +427,10 @@ class _Engine:
         says it is dependent. An arrival that lands before an earlier burst last raised the rank
         is clamped to that time, so the timeline stays monotone.
         """
-        first = g.seq
-        g.seq += n
-        nbytes = self._wire[g.k]
+        first = self.seq[gen_id]
+        self.seq[gen_id] = first + n
+        k = self._k[gen_id]
+        nbytes = self._wire[k]
         backhaul = self.backhaul
         link = self.mm if path == MMWAVE else self.lte
         transmit = link.transmit
@@ -456,14 +458,14 @@ class _Engine:
         last = survivors[-1][0]  # no clamped arrival is later
         if last > est:
             est = last
-        if last > g.last_arrival:
-            g.last_arrival = last
-        k = g.k
-        ts = g.rank_ts
-        rank = len(ts)
+        if last > self.last_arrival[gen_id]:
+            self.last_arrival[gen_id] = last
+        rank = self.rank[gen_id]
         if rank == k:
             return est
-        floor = ts[-1] if rank else -math.inf
+        ts = self.ts
+        off = self._off[gen_id]
+        floor = ts[off + rank - 1] if rank else -math.inf
         probs = None
         for arrival, emission in survivors:
             if emission >= k:  # a tail packet; a source packet is independent
@@ -472,38 +474,26 @@ class _Engine:
                 p = probs[rank]
                 if p != 0.0 and self._rank_rng.random() < p:
                     continue
-            ts.append(arrival if arrival > floor else floor)
+            step = ts[off + rank] = arrival if arrival > floor else floor
             rank += 1
             if rank == k:
-                g.complete_at = ts[-1]
-                self.metrics.generations_delivered += 1
+                self.complete_at[gen_id] = step
                 break
+        self.rank[gen_id] = rank
         return est
 
-    def _arm_giveup(self, g: _GenState, now: float):
-        # receiver-side skip timer for planless operation; with reactive
-        # coding on, the sender plan plus the display deadline resolve
-        # every generation, so the timer must not race them. An empty
-        # generation reads as link loss, not repairable noise, and gets
-        # the shorter patience. Only a base generation's notice loses a frame.
-        if not g.is_base or g.complete_at < math.inf:
-            return
-        if g.last_arrival >= 0.0:
-            g.notice_at = max(g.last_arrival, now) + self.cfg.receiver_giveup_s
-        else:
-            g.notice_at = now + self.cfg.receiver_giveup_empty_s
-
-    def _fail_plan(self, g: _GenState, now: float):
+    def _fail_plan(self, g: GenerationPlan, now: float):
         # the sender gives up; the receiver hears of it one uplink delay
         # later, which can only lose the frame if this base generation
         # does not count for its display instant
         g.failed = True
         self.metrics.fec_rounds_hist[g.attempts_used] += 1
-        if g.is_base and not g.complete_at < g.deadline:
-            g.notice_at = now + self.ul_delay
+        gen_id = g.gen_id
+        if self.layout.is_base[gen_id] and not self.complete_at[gen_id] < g.deadline:
+            self.notice_at[gen_id] = now + self.ul_delay
 
-    def _look(self, g: _GenState, t: float):
-        """Make the sender's look at g's plan at t, right after the round's
+    def _look(self, g: GenerationPlan, t: float):
+        """Make the sender's look at plan g at t, right after the round's
         burst; only g's own bursts extend its rank timeline, so the inputs
         are final. ``handle_feedback`` decides a look with a fresh report.
         A blackout holds the plan rather than topping it up blind: the
@@ -529,10 +519,13 @@ class _Engine:
             due -= 1
             if not due:
                 rep = self._latest_report(t)
-        rank = bisect_right(g.rank_ts, rep * self.fb_int)  # as the newest fresh report shows
+        # the rank as the newest fresh report shows it
+        gen_id = g.gen_id
+        off = self._off[gen_id]
+        rank = bisect_right(self.ts, rep * self.fb_int, off, off + self.rank[gen_id]) - off
         count = handle_feedback(g, rank, t, self.cfg.retx_overshoot)
         if count:
-            heapq.heappush(self._heap, (t, g.gen_id, g, count))
+            heapq.heappush(self._heap, (t, gen_id, g, count))
         elif g.failed:
             self._fail_plan(g, t)
         else:
@@ -541,83 +534,85 @@ class _Engine:
     # ------------------------------------------------------------ handlers
 
     def _on_frame(self, f: int, now: float):
-        cfg = self.cfg
-        plan = self.plans[f]
-        fr = _FrameState(now, self.buffer.deadline(f), plan)
-        self.frames[f] = fr
         path = self._current_path(now)
-        nc = cfg.nc_fec
         n_initial = self._n_initial[path]
-        m = self.metrics
-        m.generations_total += len(plan.gens)
         send_burst = self._send_burst
-        gens = fr.gens
-        deadline = fr.deadline
-        gen_id = self._next_gen_id
-        self._next_gen_id += len(plan.gens)
-        for nalu_slot, is_base, k in plan.gens:
-            g = _GenState(gen_id, k, n_initial[k], deadline, nalu_slot, is_base)
-            gen_id += 1
-            gens.append(g)
-            settle = send_burst(g, g.n_initial, path, now)
-            if not nc:
-                # no sender-side plan without reactive coding: losses
-                # resolve through the receiver timer or the display clock
-                m.fec_rounds_hist[0] += 1
-                self._arm_giveup(g, now)
-                continue
+        ks = self._k
+        gen_ids = range(self.layout.first[f], self.layout.first[f + 1])
+        if not self.cfg.nc_fec:
+            # no sender-side plan without reactive coding: losses resolve
+            # through the receiver's give-up timer or the display clock
+            for gen_id in gen_ids:
+                send_burst(gen_id, n_initial[ks[gen_id]], path, now)
+            return
+        deadline = self.buffer.deadline(f)
+        guard = self.cfg.plan_check_guard_s
+        plans = self.plans
+        for gen_id in gen_ids:
+            k = ks[gen_id]
+            g = plans[gen_id] = GenerationPlan(gen_id, k, n_initial[k], deadline)
+            settle = send_burst(gen_id, g.n_initial, path, now)
             # look once the burst has settled and the report showing it can
             # have arrived; settle >= now and ul_delay > 0, so after now
-            self._look(g, settle + self.ul_delay + cfg.plan_check_guard_s)
+            self._look(g, settle + self.ul_delay + guard)
 
-    def _on_check(self, g: _GenState, count: int, now: float):
+    def _on_check(self, g: GenerationPlan, count: int, now: float):
         # send the top-up a look decided on, and look again once it settled
-        settle = self._send_burst(g, count, self._current_path(now), now)
+        settle = self._send_burst(g.gen_id, count, self._current_path(now), now)
         self._look(g, settle + self.ul_delay + self.cfg.plan_check_guard_s)
 
     # ------------------------------------------------------------ playback
 
     def _play(self):
         """Decide every frame's fate, in display order, by the one rule: a
-        generation counts for display instant D only if complete_at < D."""
-        frames = self.frames
+        generation counts for display instant D only if complete_at < D.
+        Leaves ``consumed_at`` (NaN: lost) and ``played`` per frame."""
+        cfg = self.cfg
+        lay = self.layout
         m = self.metrics
-        m.frames_total += len(frames)
-        # pass 1: when each frame's base layer completed, inf if it never
-        # did, and the NALUs with a generation that misses the display
-        base_done = []
-        for fr in frames:
-            d = fr.deadline
-            done = -math.inf
-            lost_slot = -1  # a NALU's generations are adjacent in fr.gens
-            for g in fr.gens:
-                c = g.complete_at
-                if not c < d and g.nalu_slot != lost_slot:
-                    lost_slot = g.nalu_slot
-                    m.nalus_lost += 1
-                if g.is_base and c > done:
-                    done = c
-            base_done.append(done)
-            m.nalus_total += fr.plan.n_nalus
-        # the latest base completion over each frame and every frame it
-        # references: frame f is decodable for D exactly when ready[f] < D
-        ready = ready_times(base_done)
-        # pass 2: the in-order consumer, and the display check
-        past = -math.inf  # when the consumer moved past the previous frame
-        for f, fr in enumerate(frames):
-            d = fr.deadline
-            done = base_done[f]
-            if done < d:
-                past = fr.consumed_at = max(done, past)
-                if ready[f] < d:
-                    m.frames_played += 1
-                    m.psnr_sum_db += fr.plan.psnr_recv
-                    m.latency_samples.append(past - fr.gen_time)
-                    continue
-            else:
-                # only a base generation ever carries a notice
-                past = max(past, min(d, min(g.notice_at for g in fr.gens)))
-            m.psnr_sum_db += fr.plan.psnr_lost
+        n = self.n_frames
+        complete = np.frombuffer(self.complete_at)
+        notice = np.frombuffer(self.notice_at)
+        arrival = self.arrival_at
+        deadline = self.buffer.deadline(np.arange(n))
+        if not cfg.nc_fec:
+            # the receiver's give-up timer, planless operation's only notice:
+            # a generation's one burst, at its frame's arrival, fixes its
+            # last arrival and completion. An empty generation reads as link
+            # loss, not repairable noise, and gets the shorter patience.
+            # Only a base generation's notice loses a frame.
+            m.fec_rounds_hist[0] += lay.n_gens
+            sent = arrival[lay.frame_of]
+            last = np.frombuffer(self.last_arrival)
+            late = lay.is_base & ~(complete < math.inf)
+            notice[late] = np.where(last >= 0.0,
+                                    np.maximum(last, sent) + cfg.receiver_giveup_s,
+                                    sent + cfg.receiver_giveup_empty_s)[late]
+        missed = ~(complete < deadline[lay.frame_of])
+        m.nalus_lost += int(np.count_nonzero(np.logical_or.reduceat(missed, lay.nalu_starts)))
+        # when each frame's base layer completed (inf if it never did), and
+        # the latest over it and every frame it references: frame f is
+        # decodable for D exactly when ready[f] < D
+        base_done = np.maximum.reduceat(np.where(lay.is_base, complete, -math.inf),
+                                        lay.frame_starts)
+        ready = np.array(ready_times(base_done.tolist()))
+        taken = base_done < deadline
+        # the in-order consumer moves past a taken frame once its base layer
+        # completed, past a lost one at D or its first notice, if earlier,
+        # and never back; only a base generation ever carries a notice
+        past = np.maximum.accumulate(np.where(
+            taken, base_done,
+            np.minimum(deadline, np.minimum.reduceat(notice, lay.frame_starts))))
+        played = taken & (ready < deadline)
+        self.consumed_at = np.where(taken, past, math.nan)
+        self.played = played
+        m.frames_total += n
+        m.nalus_total += lay.n_nalus
+        m.generations_total += lay.n_gens
+        m.generations_delivered += int(np.count_nonzero(complete < math.inf))
+        m.frames_played += int(np.count_nonzero(played))
+        m.psnr_sum_db += left_sum(np.where(played, lay.psnr_recv, lay.psnr_lost).tolist())
+        m.latency_samples.frombytes((past - arrival)[played].tobytes())
 
 
 def run(config: SimConfig, seed: Optional[int] = None,
@@ -644,11 +639,11 @@ def run(config: SimConfig, seed: Optional[int] = None,
                                      for rec in trace.frames[:n_frames] for i in rec.nalu_ids)
         if packets > MAX_GRID_STATES:
             raise TraceError(f"trace needs {packets} source packets, over {MAX_GRID_STATES}")
-    plans = _frame_plans(trace, n_frames, config.packet_bytes, config.generation_size)
+    layout = _frame_plans(trace, n_frames, config.packet_bytes, config.generation_size)
     # receivers share no simulated state, so each session runs alone, to
     # its end, and is freed before the next one starts
     report = MetricsReport(seed, config.duration_s, [
-        _Engine(config, seed, plans, n_frames, events_log, u).run()
+        _Engine(config, seed, layout, n_frames, log=events_log, u=u).run()
         for u in range(config.n_ues)])
     violation = check_conservation(report)
     if violation is not None:

@@ -7,15 +7,17 @@ import gc
 import heapq
 import math
 import random
+from array import array
 
 import numpy as np
 import pytest
 
 from mcnc.channel import LTE, MMWAVE, LinkModel, TxOutcome
+from mcnc.distribution import GenerationPlan
 from mcnc.sim import engine
 from mcnc.sim.config import SimConfig, grid_cells
 from mcnc.sim.engine import TraceError, run
-from mcnc.sim.metrics import MetricsReport, UEMetrics, check_conservation
+from mcnc.sim.metrics import MetricsReport, UEMetrics, check_conservation, left_sum
 from mcnc.video.tracegen import synthesize_trace
 from mcnc.video.trace import save_trace
 
@@ -293,9 +295,32 @@ def test_event_log_is_chronological():
 def _small_engine(cfg, log=None, u=0, seed=1, engine_class=engine._Engine):
     """Receiver u's session of cfg, built but not run."""
     n_frames = cfg.frame_count()
-    plans = engine._frame_plans(engine._obtain_trace(cfg), n_frames,
-                                cfg.packet_bytes, cfg.generation_size)
-    return engine_class(cfg, seed, plans, n_frames, log, u)
+    layout = engine._frame_plans(engine._obtain_trace(cfg), n_frames,
+                                 cfg.packet_bytes, cfg.generation_size)
+    return engine_class(cfg, seed, layout, n_frames, log, u)
+
+
+def _frame_gens(eng, f):
+    """The generation ids of eng's frame f."""
+    return range(eng.layout.first[f], eng.layout.first[f + 1])
+
+
+def _consumed(eng):
+    """When eng's consumer took each frame, None for a lost frame."""
+    return [None if math.isnan(c) else c for c in eng.consumed_at.tolist()]
+
+
+def _attempts_and_failed(eng, gen_id):
+    plan = eng.plans[gen_id]
+    return (plan.attempts_used, plan.failed) if plan else (0, False)
+
+
+def _set_timeline(eng, gen_id, steps):
+    """Hand-set generation gen_id's rank timeline, complete at its last step."""
+    off = eng.layout.off[gen_id]
+    eng.ts[off:off + len(steps)] = array("d", steps)
+    eng.rank[gen_id] = len(steps)
+    eng.complete_at[gen_id] = steps[-1]
 
 
 def test_static_event_wins_a_tie_with_a_dynamic_one():
@@ -305,7 +330,8 @@ def test_static_event_wins_a_tie_with_a_dynamic_one():
     log = []
     eng = _small_engine(dataclasses.replace(BASE, duration_s=0.1), log)
     t = eng.stream_start
-    heapq.heappush(eng._heap, (t, -1, engine._GenState(-1, 1, 1, t, 0, True), 1))
+    last = eng.layout.n_gens - 1
+    heapq.heappush(eng._heap, (t, last, GenerationPlan(last, eng.layout.k[last], 1, t), 1))
     eng.run()
     assert [line.split()[1] for line in log[:2]] == ["frame", "check"]
     assert log[0].split()[0] == log[1].split()[0]
@@ -319,10 +345,12 @@ def test_equal_time_checks_run_in_generation_order():
     log = []
     eng = _small_engine(dataclasses.replace(BASE, duration_s=0.1), log)
     t = eng.stream_start - 1.0
-    for gen_id in (-2, -5, -3):
-        heapq.heappush(eng._heap, (t, gen_id, engine._GenState(gen_id, 1, 1, t, 0, True), 1))
+    n = eng.layout.n_gens
+    for gen_id in (n - 2, n - 5, n - 3):
+        heapq.heappush(eng._heap, (t, gen_id, GenerationPlan(gen_id, eng.layout.k[gen_id], 1, t), 1))
     eng.run()
-    assert [line.split()[3] for line in log[:3]] == ["arg=gen-5", "arg=gen-3", "arg=gen-2"]
+    assert [line.split()[3] for line in log[:3]] == [
+        f"arg=gen{n - 5}", f"arg=gen{n - 3}", f"arg=gen{n - 2}"]
 
 
 def test_engine_starts_with_one_frame_per_receiver():
@@ -376,7 +404,7 @@ def test_latest_report_matches_the_scan(p_ok):
             fb_ok[a:a + gap] = [False] * gap
         if p_ok:
             fb_ok[n // 2] = True  # a lone survivor just past a lost run
-        eng.newest = engine._newest_reports(np.array(fb_ok), eng.window)
+        eng.newest = engine._newest_reports(np.array(fb_ok), eng.window).tolist()
         times = [-eng.fb_int, 0.0, eng.ul_delay - 1e-9, eng.ul_delay]
         # every slot boundary, one ulp either side of it, and mid-slot
         for g in range(n + 2 * min(eng.window, n)):
@@ -433,13 +461,14 @@ def test_failure_notices_name_generations_late_for_their_deadline():
     notices = spared = 0
     for cell, seed in cells:
         for eng in _sessions(cell, seed):
-            for fr in eng.frames:
-                for g in fr.gens:
-                    counts = g.complete_at < fr.deadline
-                    if g.notice_at < math.inf:
-                        assert g.is_base and not counts, g.gen_id
+            for f in range(eng.n_frames):
+                for gen_id in _frame_gens(eng, f):
+                    is_base = eng.layout.is_base[gen_id]
+                    counts = eng.complete_at[gen_id] < eng.buffer.deadline(f)
+                    if eng.notice_at[gen_id] < math.inf:
+                        assert is_base and not counts, gen_id
                         notices += 1
-                    elif g.is_base and g.failed and counts:
+                    elif is_base and _attempts_and_failed(eng, gen_id)[1] and counts:
                         spared += 1
     assert notices and spared  # both happen, so neither check is vacuous
 
@@ -448,20 +477,26 @@ def test_each_generation_gives_up_at_most_once(monkeypatch):
     # a give-up is the generation's one notice_at, so neither the receiver
     # timer nor a failed sender plan may write it over an earlier notice
     giveups = 0
-    real_arm, real_fail = engine._Engine._arm_giveup, engine._Engine._fail_plan
+    real_play, real_fail = engine._Engine._play, engine._Engine._fail_plan
 
-    def once(real, count):
-        def checked(self, g, now):
-            nonlocal giveups
-            before = g.notice_at
-            real(self, g, now)
-            if g.notice_at != before:
-                assert before == math.inf, g.gen_id
-                giveups += count
-        return checked
+    def play(self):
+        # the give-up timer is set in playback, for every generation at once
+        nonlocal giveups
+        before = list(self.notice_at)
+        real_play(self)
+        for gen_id, (was, now) in enumerate(zip(before, self.notice_at)):
+            if now != was:
+                assert was == math.inf, gen_id
+                giveups += 1
 
-    monkeypatch.setattr(engine._Engine, "_arm_giveup", once(real_arm, 1))
-    monkeypatch.setattr(engine._Engine, "_fail_plan", once(real_fail, 0))
+    def fail(self, g, now):
+        before = self.notice_at[g.gen_id]
+        real_fail(self, g, now)
+        if self.notice_at[g.gen_id] != before:
+            assert before == math.inf, g.gen_id
+
+    monkeypatch.setattr(engine._Engine, "_play", play)
+    monkeypatch.setattr(engine._Engine, "_fail_plan", fail)
     for cell in grid_cells(SimConfig(duration_s=3.0, seed=7)):
         run(cell)
     assert giveups  # give-ups happen, so the check above is not vacuous
@@ -474,16 +509,17 @@ def test_give_up_moves_the_consumer_past_a_lost_frame():
     cfg = dataclasses.replace(BASE, duration_s=3.0, nc_fec=False, n_ues=5)
     cases = 0
     for eng in _sessions(cfg):
-        frames = eng.frames
-        for f in range(1, len(frames) - 1):
-            prev, fr, nxt = frames[f - 1], frames[f], frames[f + 1]
-            notice = min(g.notice_at for g in fr.gens)
-            if not (fr.consumed_at is None and notice < fr.deadline
-                    and prev.consumed_at is not None and prev.consumed_at <= notice
-                    and nxt.consumed_at is not None):
+        consumed = _consumed(eng)
+        for f in range(1, eng.n_frames - 1):
+            prev, fr, nxt = consumed[f - 1], consumed[f], consumed[f + 1]
+            notice = min(eng.notice_at[g] for g in _frame_gens(eng, f))
+            if not (fr is None and notice < eng.buffer.deadline(f)
+                    and prev is not None and prev <= notice
+                    and nxt is not None):
                 continue
-            if max(g.complete_at for g in nxt.gens if g.is_base) < notice:
-                assert nxt.consumed_at == notice, f
+            if max(eng.complete_at[g] for g in _frame_gens(eng, f + 1)
+                   if eng.layout.is_base[g]) < notice:
+                assert nxt == notice, f
                 cases += 1
     assert cases  # the cell has such frames, so the check is not vacuous
 
@@ -573,7 +609,8 @@ def _fates(engine_class, cfg, seed):
     report = MetricsReport(seed, cfg.duration_s, [eng.metrics for eng in sessions])
     return (report.to_dict(),
             [list(ue.latency_samples) for ue in report.per_ue],
-            [[(fr.consumed_at, [g.notice_at for g in fr.gens]) for fr in eng.frames]
+            [[(c, [eng.notice_at[g] for g in _frame_gens(eng, f)])
+              for f, c in enumerate(_consumed(eng))]
              for eng in sessions])
 
 
@@ -620,11 +657,10 @@ def test_every_check_sends_a_top_up():
                     _, kind, _, arg = line.split()
                     if kind == "check":
                         checks[arg] = checks.get(arg, 0) + 1
-                for fr in eng.frames:
-                    for g in fr.gens:
-                        n = checks.get(f"arg=gen{g.gen_id}", 0)
-                        assert n == g.attempts_used, (cell, u, g.gen_id, n)
-                        attempts += n
+                for gen_id in range(eng.layout.n_gens):
+                    n = checks.get(f"arg=gen{gen_id}", 0)
+                    assert n == _attempts_and_failed(eng, gen_id)[0], (cell, u, gen_id, n)
+                    attempts += n
     assert attempts  # top-ups happen, so the check is not vacuous
 
 
@@ -657,7 +693,7 @@ def test_every_fresh_report_is_decided_by_handle_feedback(monkeypatch):
                 assert not calls  # no sender plan: nothing to decide
                 continue
             for eng in sessions:
-                for g in (g for fr in eng.frames for g in fr.gens):
+                for g in eng.plans:
                     assert g.delivered != g.failed, g.gen_id  # closed, once
                     counts = calls.get(id(g), [])
                     by_walk = g.failed and fail_reports[id(g)] < 0
@@ -675,7 +711,7 @@ def _set_newest(eng, newest):
     """Hand-set eng's per-slot newest fresh report, and the table of the
     next fresh slot built from it."""
     eng.newest = newest
-    eng.fresh_from = engine._fresh_from(newest)
+    eng.fresh_from = engine._fresh_from(np.array(newest))
 
 
 def test_a_look_landing_exactly_on_the_deadline_is_still_made():
@@ -686,8 +722,8 @@ def test_a_look_landing_exactly_on_the_deadline_is_still_made():
     _set_newest(eng, [-1] * j + list(range(j, eng.n_reports)))  # no report before slot j
     t = eng.ul_delay + (j - 0.5) * eng.fb_int  # a look in the blackout
     assert eng._latest_report(t) < 0 <= eng._latest_report(t + eng.fb_int)
-    g = engine._GenState(0, 1, 1, t + eng.fb_int, 0, True)
-    g.rank_ts, g.complete_at = [0.0], 0.0
+    g = GenerationPlan(0, 1, 1, t + eng.fb_int)
+    _set_timeline(eng, 0, [0.0])
     eng._look(g, t)
     assert g.delivered and not g.failed
     assert eng.metrics.fec_rounds_hist[0] == 1
@@ -717,8 +753,8 @@ def test_the_blackout_walk_checks_a_look_one_sum_moves_two_slots_on():
     _set_newest(eng, [-1] * (j + 2) + list(range(j + 2, eng.n_reports)))
     assert list(eng.fresh_from[j:j + 3]) == [j + 2] * 3
     assert eng._latest_report(t) < 0 <= eng._latest_report(t + eng.fb_int)
-    g = engine._GenState(0, 1, 1, t + eng.fb_int, 0, True)
-    g.rank_ts, g.complete_at = [0.0], 0.0
+    g = GenerationPlan(0, 1, 1, t + eng.fb_int)
+    _set_timeline(eng, 0, [0.0])
     eng._look(g, t)
     assert g.delivered and not g.failed
 
@@ -745,20 +781,21 @@ def test_a_retried_packet_feeds_the_rank_in_arrival_order():
     # is taken at rank 1, and packet 0 completes the generation
     eng = _small_engine(BASE)
     eng.mm = _ScriptedLink([(0.030, 2), (0.021, 1), (0.022, 1)])
-    g = engine._GenState(0, 2, 3, 10.0, 0, True)
+    gen_id = eng.layout.k.index(2)
+    off = eng.layout.off[gen_id]
     draws = []
 
     class _DependentDraws:
         def random(self):
-            draws.append(list(g.rank_ts))
+            draws.append(list(eng.ts[off:off + 2]))  # the second step is not yet written
             return 0.0  # every tail packet is dependent
 
     eng._rank_rng = _DependentDraws()
-    settle = eng._send_burst(g, 3, MMWAVE, 0.0)
+    settle = eng._send_burst(gen_id, 3, MMWAVE, 0.0)
     b = BASE.backhaul_delay_s
-    assert g.rank_ts == [0.021 + b, 0.030 + b]
-    assert draws == [[0.021 + b]]
-    assert g.complete_at == g.last_arrival == settle == 0.030 + b
+    assert list(eng.ts[off:off + 2]) == [0.021 + b, 0.030 + b] and eng.rank[gen_id] == 2
+    assert draws == [[0.021 + b, 0.0]]
+    assert eng.complete_at[gen_id] == eng.last_arrival[gen_id] == settle == 0.030 + b
 
 
 def test_a_report_sent_as_the_rank_rose_shows_the_new_rank():
@@ -769,8 +806,8 @@ def test_a_report_sent_as_the_rank_rose_shows_the_new_rank():
     j = 40
     t = eng.ul_delay + (j + 0.5) * eng.fb_int
     assert eng._latest_report(t) == j
-    g = engine._GenState(0, 1, 1, 10.0, 0, True)
-    g.rank_ts, g.complete_at = [j * eng.fb_int], j * eng.fb_int
+    g = GenerationPlan(0, 1, 1, 10.0)
+    _set_timeline(eng, 0, [j * eng.fb_int])
     eng._look(g, t)
     assert g.delivered and eng._heap == []
 
@@ -782,33 +819,34 @@ def test_a_generation_completing_at_its_display_instant_does_not_count():
     eng.run()
     played = eng.metrics.frames_played
     assert played == eng.n_frames  # lossless: every frame plays
-    frames = eng.frames
+    deadline = eng.buffer.deadline
     # frame 2 is a parent of frame 1 (GOP position 1 refers to 0 and 2),
     # and frame 5's base completes exactly at its own display instant
-    for f, at in ((2, frames[1].deadline), (5, frames[5].deadline)):
-        for g in frames[f].gens:
-            if g.is_base:
-                g.complete_at = at
-    for fr in frames:
-        fr.consumed_at = None
+    for f, at in ((2, deadline(1)), (5, deadline(5))):
+        for gen_id in _frame_gens(eng, f):
+            if eng.layout.is_base[gen_id]:
+                eng.complete_at[gen_id] = at
+    eng.consumed_at = eng.played = None
     eng.metrics = UEMetrics(ue_id=eng.u)
     eng._play()
     # frame 2 itself counts (frame 1's instant is before its own); frame 1
     # is taken but its parent is ready only at its instant; frame 5 is lost
-    assert frames[2].consumed_at == frames[1].deadline
-    assert frames[1].consumed_at is not None and frames[5].consumed_at is None
+    consumed = _consumed(eng)
+    assert consumed[2] == deadline(1)
+    assert consumed[1] is not None and consumed[5] is None
     assert eng.metrics.frames_played == played - 2
     assert eng.metrics.nalus_lost == 1
 
 
 def test_a_plan_failing_on_a_generation_complete_at_its_deadline_leaves_a_notice():
     eng = _small_engine(BASE)
+    assert eng.layout.is_base[0]
     for complete_at, notice in ((1.0, 0.5 + eng.ul_delay),
                                 (math.nextafter(1.0, 0.0), math.inf)):
-        g = engine._GenState(0, 1, 1, 1.0, 0, True)
-        g.complete_at = complete_at
+        g = GenerationPlan(0, 1, 1, 1.0)
+        eng.complete_at[0], eng.notice_at[0] = complete_at, math.inf
         eng._fail_plan(g, 0.5)
-        assert g.failed and g.notice_at == notice, complete_at
+        assert g.failed and eng.notice_at[0] == notice, complete_at
 
 
 def test_the_first_report_slot_already_sets_the_path():
@@ -818,3 +856,89 @@ def test_the_first_report_slot_already_sets_the_path():
     eng.on_mmwave = [True] * len(eng.on_mmwave)
     assert eng._current_path(eng.ul_delay) == MMWAVE
     assert eng._current_path(math.nextafter(eng.ul_delay, 0.0)) == LTE
+
+
+# -- playback on hand-built columns
+
+
+def _hand_built(frames, **changes):
+    """One receiver's session, built but not run, over a hand-built layout:
+    ``frames`` as ``engine._Layout`` takes them."""
+    cfg = dataclasses.replace(BASE, **changes)
+    return engine._Engine(cfg, 1, engine._Layout(frames), len(frames), None, 0)
+
+
+def test_a_nalu_whose_generations_both_miss_is_lost_once():
+    # frame 0: a base NALU of two generations, both short; frame 1: an
+    # enhancement NALU of two generations, one short
+    eng = _hand_built([([(True, [2, 2]), (False, [3])], 40.0, 10.0),
+                       ([(True, [2]), (False, [2, 2])], 40.0, 10.0)])
+    eng.complete_at[:] = array("d", [math.inf, math.inf, 0.0, 0.0, math.inf, 0.0])
+    eng._play()
+    assert (eng.metrics.nalus_lost, eng.metrics.nalus_total) == (2, 4)
+    assert [c is None for c in _consumed(eng)] == [True, False]
+
+
+def test_a_notice_before_the_display_instant_moves_the_consumer_past_a_lost_frame():
+    # frame 1's base never completes; frame 2's (which refers to frame 0
+    # only) completed before frame 1's display instant D, so the consumer
+    # takes it once it moved past frame 1: at the notice if one came
+    # earlier than D, else at D
+    eng = _hand_built([([(True, [2])], 40.0, 10.0)] * 3)
+    d = eng.buffer.deadline(1)
+    eng.complete_at[0], eng.complete_at[2] = 0.0, d - 0.015
+    for notice, taken_at in ((d - 0.010, d - 0.010), (math.inf, d)):
+        eng.notice_at[1] = notice
+        eng.metrics = UEMetrics(ue_id=eng.u)
+        eng._play()
+        assert _consumed(eng) == [0.0, None, taken_at], notice
+        assert eng.played.tolist() == [True, False, True]
+        assert list(eng.metrics.latency_samples) == [0.0 - eng.arrival_at[0],
+                                                     taken_at - eng.arrival_at[2]]
+
+
+def test_psnr_adds_up_in_frame_order():
+    # left to right, as the interpreter's sum did before 3.12; forty equal
+    # values are enough for a pairwise sum to round differently
+    psnr = [33.3] * 40
+    eng = _hand_built([([(True, [1])], p, 0.0) for p in psnr])
+    eng.complete_at[:] = array("d", [0.0] * len(psnr))
+    eng._play()
+    assert eng.metrics.frames_played == len(psnr)
+    assert eng.metrics.psnr_sum_db == left_sum(psnr) != float(np.sum(psnr))
+
+
+def _giveup_rule(cfg, is_base, complete_at, last_arrival, sent_at):
+    """The receiver's give-up timer, one generation at a time: a base
+    generation still short after its one burst, sent at sent_at, gives up
+    its patience after its last arrival, or the shorter one after sent_at
+    if nothing arrived."""
+    if not is_base or complete_at < math.inf:
+        return math.inf
+    if last_arrival >= 0.0:
+        return max(last_arrival, sent_at) + cfg.receiver_giveup_s
+    return sent_at + cfg.receiver_giveup_empty_s
+
+
+def test_the_give_up_mask_follows_the_per_generation_rule():
+    # per frame: an empty base generation, a late one, a completed one and
+    # a short enhancement generation, which never gives up
+    nalus = [(True, [2, 2, 2]), (False, [2])]
+    eng = _hand_built([(nalus, 40.0, 10.0)] * 2, nc_fec=False)
+    for f in range(2):
+        sent = eng.arrival_at[f]
+        gens = _frame_gens(eng, f)
+        eng.last_arrival[gens[1]] = sent + 0.004
+        eng.last_arrival[gens[2]] = eng.complete_at[gens[2]] = sent + 0.003
+        eng.last_arrival[gens[3]] = sent + 0.002
+    is_base = eng.layout.is_base.tolist()
+    expected = [_giveup_rule(eng.cfg, is_base[g], eng.complete_at[g], eng.last_arrival[g],
+                             eng.arrival_at[eng.layout.frame_of[g]])
+                for g in range(eng.layout.n_gens)]
+    eng._play()
+    assert list(eng.notice_at) == expected
+    # each kind is there: the two patiences, and no notice
+    sent = eng.arrival_at[0]
+    assert expected[:4] == [sent + BASE.receiver_giveup_empty_s,
+                            sent + 0.004 + BASE.receiver_giveup_s, math.inf, math.inf]
+    assert eng.metrics.fec_rounds_hist[0] == eng.layout.n_gens

@@ -136,27 +136,31 @@ def _fates_record(eng):
     ``attempts_used`` and ``failed``. Only values go in, so any layout of
     the session state that keeps them keeps the record.
     """
-    frames = eng.frames
-    gens = [g for fr in frames for g in fr.gens]
-    ready = ready_times([max((g.complete_at for g in fr.gens if g.is_base),
-                             default=-math.inf) for fr in frames])
-    played = [fr.consumed_at is not None and ready[f] < fr.deadline
-              for f, fr in enumerate(frames)]
-    # the played flags are the engine's own: the same count, and the same
-    # latency samples in frame order
+    first, is_base = eng.layout.first, eng.layout.is_base
+    n = eng.n_frames
+    complete, notice = list(eng.complete_at), list(eng.notice_at)
+    consumed = [None if math.isnan(c) else c for c in eng.consumed_at.tolist()]
+    deadline = [eng.buffer.deadline(f) for f in range(n)]
+    ready = ready_times([max((complete[g] for g in range(first[f], first[f + 1]) if is_base[g]),
+                             default=-math.inf) for f in range(n)])
+    played = [c is not None and ready[f] < deadline[f] for f, c in enumerate(consumed)]
+    # the played flags are the engine's own: the same flags, the same
+    # count, and the same latency samples in frame order
+    assert played == eng.played.tolist()
     assert sum(played) == eng.metrics.frames_played
     assert list(eng.metrics.latency_samples) == [
-        fr.consumed_at - fr.gen_time for fr, p in zip(frames, played) if p]
-    out = [struct.pack("<qq", len(frames), len(gens))]
-    for fr, p in zip(frames, played):
-        if fr.consumed_at is None:
+        c - (eng.stream_start + f / eng.cfg.fps)
+        for f, (c, p) in enumerate(zip(consumed, played)) if p]
+    out = [struct.pack("<qq", n, len(complete))]
+    for c, p in zip(consumed, played):
+        if c is None:
             out.append(b"L" + bytes(8))
         else:
-            out.append(b"T" + _pack_float(fr.consumed_at))
+            out.append(b"T" + _pack_float(c))
         out.append(b"\x01" if p else b"\x00")
-    for g in gens:
-        out.append(_pack_float(g.complete_at) + _pack_float(g.notice_at)
-                   + struct.pack("<q?", g.attempts_used, g.failed))
+    for c, note, plan in zip(complete, notice, eng.plans):
+        attempts, failed = (plan.attempts_used, plan.failed) if plan else (0, False)
+        out.append(_pack_float(c) + _pack_float(note) + struct.pack("<q?", attempts, failed))
     return b"".join(out)
 
 

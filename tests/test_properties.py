@@ -108,6 +108,16 @@ def _run_keeping_receivers(cfg):
     return report, sessions
 
 
+def _frames(ue):
+    """Per frame of a receiver's session: its display deadline, when the
+    consumer took it (None: lost) and when each of its base generations
+    completed."""
+    first, is_base = ue.layout.first, ue.layout.is_base
+    for f, c in enumerate(ue.consumed_at.tolist()):
+        base = [ue.complete_at[g] for g in range(first[f], first[f + 1]) if is_base[g]]
+        yield ue.buffer.deadline(f), None if math.isnan(c) else c, base
+
+
 def _peak_occupancy(ues) -> int:
     """Most frames admitted but not yet displayed at any admission instant.
 
@@ -117,9 +127,9 @@ def _peak_occupancy(ues) -> int:
     """
     peak = 0
     for ue in ues:
-        admitted = [fr for fr in ue.frames if fr.consumed_at is not None]
-        consumed = [fr.consumed_at for fr in admitted]
-        deadlines = [fr.deadline for fr in admitted]
+        admitted = [(d, c) for d, c, _ in _frames(ue) if c is not None]
+        consumed = [c for _, c in admitted]
+        deadlines = [d for d, _ in admitted]
         assert consumed == sorted(consumed), "admission out of display order"
         assert all(c <= d for c, d in zip(consumed, deadlines)), "admitted past deadline"
         for t in consumed:
@@ -133,12 +143,12 @@ def _assert_fates_settled(ues):
     base generations completed before its display instant, and not before
     the last of them completed; any other frame is lost."""
     for ue in ues:
-        for fr in ue.frames:
-            base_done = max(g.complete_at for g in fr.gens if g.is_base)
-            if fr.consumed_at is None:
-                assert base_done >= fr.deadline, "a frame complete in time was lost"
+        for deadline, consumed, base in _frames(ue):
+            base_done = max(base)
+            if consumed is None:
+                assert base_done >= deadline, "a frame complete in time was lost"
             else:
-                assert base_done <= fr.consumed_at, "frame taken before its base layer"
+                assert base_done <= consumed, "frame taken before its base layer"
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None,
@@ -174,9 +184,8 @@ def test_lost_frames_still_count_late_base_completions(profile):
     cfg = SimConfig(duration_s=10.0, seed=11, coding_profile=profile,
                     multi_connectivity=False, ran_retx=False, nc_fec=True)
     _, ues = _run_keeping_receivers(cfg)
-    late = [fr for ue in ues for fr in ue.frames
-            if fr.consumed_at is None
-            and any(g.is_base and g.complete_at < math.inf for g in fr.gens)]
+    late = [f for ue in ues for f, (_, consumed, base) in enumerate(_frames(ue))
+            if consumed is None and any(c < math.inf for c in base)]
     assert late, "the cell must lose a frame whose base layer completes later"
     _assert_fates_settled(ues)
 
