@@ -89,20 +89,14 @@ class FieldSpec:
 
     __slots__ = ("m", "poly", "order", "mul_table", "inv_table")
 
-    def __init__(self, m: int, poly: int | None = None):
+    def __init__(self, m: int):
         if m not in POLYNOMIALS:
             raise FieldSpecError(f"unsupported extension degree m={m}")
-        if poly is None:
-            poly = POLYNOMIALS[m]
-        elif poly != POLYNOMIALS[m]:
-            raise FieldSpecError(
-                f"polynomial 0x{poly:x} is not the fixed choice for m={m}"
-            )
         self.m = m
-        self.poly = poly
+        self.poly = POLYNOMIALS[m]
         self.order = 1 << m
         if m not in _TABLE_CACHE:
-            _TABLE_CACHE[m] = _build_tables(m, poly)
+            _TABLE_CACHE[m] = _build_tables(m, self.poly)
         self.mul_table, self.inv_table = _TABLE_CACHE[m]
 
     def __eq__(self, other):

@@ -17,6 +17,7 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from ..video.trace import PSNR_CAP
 from ..video.tracegen import LAYER_SIZE_FACTORS
 
 
@@ -198,8 +199,8 @@ class SimConfig:
             raise ConfigError("size_jitter must lie in [0, 1)")
         if self.spatial_layers not in (1, 2):
             raise ConfigError("spatial_layers must be 1 or 2")
-        if not 0.0 <= self.psnr_lost_db <= 99.99:
-            raise ConfigError("psnr_lost_db must lie in [0, 99.99]")
+        if not 0.0 <= self.psnr_lost_db <= PSNR_CAP:
+            raise ConfigError(f"psnr_lost_db must lie in [0, {PSNR_CAP}]")
         if self.playout_buffer_frames < 1:
             raise ConfigError("playout_buffer_frames must be at least 1")
         if self.feedback_interval_s <= 0 or self.channel_step_s <= 0:

@@ -119,7 +119,7 @@ from ..distribution import (GenerationPlan, PathSelector, handle_feedback,
 from ..gf import FieldSpec
 from ..rlnc import split_counts, wire_size
 from ..seeding import derive_seed
-from ..video.structure import packetize, ready_times
+from ..video.structure import ready_times
 from ..video.playout import PlayoutBuffer
 from ..video.trace import VideoTrace, load_trace
 from ..video.tracegen import synthesize_trace
@@ -209,8 +209,8 @@ def _frame_plans(trace: VideoTrace, n_frames: int,
                  packet_bytes: int, k_max: int) -> _Layout:
     # keyed on the trace object itself, which the trace caches share
     return _Layout(
-        (((layer == 0, split_counts(len(packetize(trace.nalus_by_id[nid].size_bytes,
-                                                  packet_bytes)), k_max))
+        (((layer == 0, split_counts(-(-trace.nalus_by_id[nid].size_bytes // packet_bytes),
+                                    k_max))
           for nid, layer in zip(rec.nalu_ids, rec.nalu_layers)),
          rec.psnr_received, rec.psnr_lost)
         for rec in trace.frames[:n_frames])
@@ -239,10 +239,10 @@ class _Engine:
     """One receiver's session: its links, feedback, playout clock and events."""
 
     def __init__(self, cfg: SimConfig, seed: int, layout: _Layout,
-                 n_frames: int, log: Optional[List[str]], u: int):
+                 log: Optional[List[str]], u: int):
         self.cfg = cfg
         self.layout = layout
-        self.n_frames = n_frames
+        self.n_frames = len(layout.first) - 1
         self.log = log
         self.u = u
 
@@ -318,7 +318,7 @@ class _Engine:
         self._tally = {MMWAVE: [0, 0, 0, 0], LTE: [0, 0, 0, 0]}
         self.metrics.feedback_sent = self.n_reports
         self.metrics.feedback_lost = int(np.count_nonzero(~fb_ok))
-        self.arrival_at = self.stream_start + np.arange(n_frames) / cfg.fps
+        self.arrival_at = self.stream_start + np.arange(self.n_frames) / cfg.fps
         self.buffer = PlayoutBuffer(
             self.stream_start + cfg.backhaul_delay_s + cfg.playout_buffer_frames / cfg.fps,
             fps=cfg.fps)
@@ -595,7 +595,7 @@ class _Engine:
         # decodable for D exactly when ready[f] < D
         base_done = np.maximum.reduceat(np.where(lay.is_base, complete, -math.inf),
                                         lay.frame_starts)
-        ready = np.array(ready_times(base_done.tolist()))
+        ready = ready_times(base_done)
         taken = base_done < deadline
         # the in-order consumer moves past a taken frame once its base layer
         # completed, past a lost one at D or its first notice, if earlier,
@@ -643,7 +643,7 @@ def run(config: SimConfig, seed: Optional[int] = None,
     # receivers share no simulated state, so each session runs alone, to
     # its end, and is freed before the next one starts
     report = MetricsReport(seed, config.duration_s, [
-        _Engine(config, seed, layout, n_frames, log=events_log, u=u).run()
+        _Engine(config, seed, layout, log=events_log, u=u).run()
         for u in range(config.n_ues)])
     violation = check_conservation(report)
     if violation is not None:

@@ -12,9 +12,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..distribution import MAX_FEC_ATTEMPTS
-
-#: Cap used in place of infinity when two frames are identical.
-PSNR_CAP_DB = 99.99
+from ..video.trace import PSNR_CAP as PSNR_CAP_DB
 
 #: Peak sample value for 8-bit video.
 _PEAK = 255.0

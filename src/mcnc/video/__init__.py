@@ -2,7 +2,6 @@ from .structure import (
     GOP_SIZE,
     LAYER_POPULATIONS,
     N_TEMPORAL_LAYERS,
-    compute_decodable,
     dyadic_parents,
     packetize,
     ready_times,
@@ -26,7 +25,6 @@ __all__ = [
     "GOP_SIZE",
     "LAYER_POPULATIONS",
     "N_TEMPORAL_LAYERS",
-    "compute_decodable",
     "dyadic_parents",
     "packetize",
     "ready_times",

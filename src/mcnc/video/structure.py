@@ -11,22 +11,21 @@ lower temporal layers, and the right parent of position 8..15 is the next
 group's key frame. A frame is decodable only if all of its base spatial
 layer NALUs arrived and every parent inside the stream is decodable, so
 it becomes decodable at its ready instant: the latest base-layer arrival
-over itself and every frame it references, directly or not.
+over itself and every frame it references, directly or not. Since every
+parent sits on a lower layer, ``ready_times`` settles the ready instants
+one temporal layer at a time, each layer in one array pass over all GOPs.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Set, Tuple
+from typing import List, Tuple
+
+import numpy as np
 
 GOP_SIZE = 16
 N_TEMPORAL_LAYERS = 5
 LAYER_POPULATIONS = (1, 1, 2, 4, 8)
-
-#: (position, distance to both parents) for every non-key GOP position,
-#: each after its parents: by temporal layer, then left to right
-_VISIT = tuple((pos, pos & -pos) for pos in (8, 4, 12, 2, 6, 10, 14,
-                                              1, 3, 5, 7, 9, 11, 13, 15))
 
 
 class OutOfRangeError(ValueError):
@@ -73,45 +72,27 @@ def packetize(size_bytes: int, packet_bytes: int) -> List[int]:
     return sizes
 
 
-def ready_times(base_times: Sequence[float]) -> List[float]:
+def ready_times(base_times: np.ndarray) -> np.ndarray:
     """``ready[f]``: the latest of ``base_times`` over frame f and every
     frame it references, directly or not, in a stream of
     ``len(base_times)`` frames.
 
     ``base_times[f]`` is when frame f's base spatial layer arrived (``inf``
     if it never did), so frame f is decodable at instant D exactly when
-    ``ready[f] < D``. One pass per GOP: a key frame has no parents, and
-    every other position is visited after both of its parents.
+    ``ready[f] < D``. The frames are laid out one GOP per row, with the
+    next GOP's key frame as a 17th column; frames past the end of the
+    stream read -inf, which no maximum picks. Layer by layer, the
+    positions ``step::2 * step`` (``step = GOP_SIZE >> layer``) then take
+    the maximum of themselves and of the positions ``step`` to their left
+    and right, their parents, whose ready instants are already final.
     """
-    ready = list(base_times)
-    n = len(ready)
-    for start in range(0, n, GOP_SIZE):
-        for pos, step in _VISIT:
-            f = start + pos
-            if f >= n:
-                continue
-            r = ready[f]
-            left = ready[f - step]
-            if left > r:
-                r = left
-            right = f + step
-            if right < n and ready[right] > r:
-                r = ready[right]
-            ready[f] = r
-    return ready
-
-
-def compute_decodable(frames: Sequence, delivered_nalus: Set[int]) -> Set[int]:
-    """The decodable frames of a whole stream, given the NALUs delivered.
-
-    ``frames`` are the stream's frames, ids 0 to ``len(frames) - 1``;
-    enhancement-layer NALUs do not gate decodability.
-    """
-    base_times = [math.inf] * len(frames)
-    for frame in frames:
-        if all(nalu_id in delivered_nalus
-               for nalu_id, slayer in zip(frame.nalu_ids, frame.nalu_layers)
-               if slayer == 0):
-            base_times[frame.frame_id] = 0.0
-    ready = ready_times(base_times)
-    return {f for f, r in enumerate(ready) if r < math.inf}
+    n = len(base_times)
+    grid = np.full((-(-n // GOP_SIZE), GOP_SIZE + 1), -math.inf)
+    grid[:, :GOP_SIZE].flat[:n] = base_times
+    grid[:-1, GOP_SIZE] = grid[1:, 0]
+    for layer in range(1, N_TEMPORAL_LAYERS):
+        step = GOP_SIZE >> layer
+        mid = grid[:, step::2 * step]
+        np.maximum(mid, grid[:, :-step:2 * step], out=mid)
+        np.maximum(mid, grid[:, 2 * step::2 * step], out=mid)
+    return grid[:, :GOP_SIZE].ravel()[:n]

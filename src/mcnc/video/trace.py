@@ -19,6 +19,7 @@ from typing import Dict, List
 
 from .structure import GOP_SIZE, LAYER_POPULATIONS, temporal_layer_of
 
+#: PSNR of a bit-exact reconstruction, in dB, used in place of infinity
 PSNR_CAP = 99.99
 
 

@@ -103,8 +103,12 @@ def main(argv=None) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"tracegen: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 3
         print(f"wrote {trace.n_frames} frames / {len(trace.nalus)} NALUs to {args.out}",
               file=sys.stderr)
     return 0

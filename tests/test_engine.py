@@ -294,10 +294,9 @@ def test_event_log_is_chronological():
 
 def _small_engine(cfg, log=None, u=0, seed=1, engine_class=engine._Engine):
     """Receiver u's session of cfg, built but not run."""
-    n_frames = cfg.frame_count()
-    layout = engine._frame_plans(engine._obtain_trace(cfg), n_frames,
+    layout = engine._frame_plans(engine._obtain_trace(cfg), cfg.frame_count(),
                                  cfg.packet_bytes, cfg.generation_size)
-    return engine_class(cfg, seed, layout, n_frames, log, u)
+    return engine_class(cfg, seed, layout, log, u)
 
 
 def _frame_gens(eng, f):
@@ -865,7 +864,42 @@ def _hand_built(frames, **changes):
     """One receiver's session, built but not run, over a hand-built layout:
     ``frames`` as ``engine._Layout`` takes them."""
     cfg = dataclasses.replace(BASE, **changes)
-    return engine._Engine(cfg, 1, engine._Layout(frames), len(frames), None, 0)
+    return engine._Engine(cfg, 1, engine._Layout(frames), None, 0)
+
+
+def _played_with_losses(n_frames, lost=(), spatial_layers=1):
+    """A hand-built session of n_frames frames, one generation per NALU,
+    played back after every generation completed at 0.0 but those of the
+    (frame, spatial layer) NALUs in lost, which never complete."""
+    eng = _hand_built([([(layer == 0, [1]) for layer in range(spatial_layers)], 40.0, 10.0)]
+                      * n_frames)
+    eng.complete_at[:] = array("d", [math.inf if (f, layer) in lost else 0.0
+                                     for f in range(n_frames)
+                                     for layer in range(spatial_layers)])
+    eng._play()
+    return eng
+
+
+def test_all_delivered_plays_every_frame():
+    eng = _played_with_losses(32, spatial_layers=2)
+    assert eng.played.tolist() == [True] * 32
+
+
+def test_a_lost_key_frame_cascades():
+    # the second GOP dies entirely; so does everything in the first GOP
+    # whose reference chain crosses the missing key frame
+    eng = _played_with_losses(32, lost={(16, 0)})
+    assert np.flatnonzero(eng.played).tolist() == [0]
+
+
+def test_a_lost_top_layer_frame_stays_isolated():
+    eng = _played_with_losses(16, lost={(5, 0)})  # odd position, top layer
+    assert np.flatnonzero(~eng.played).tolist() == [5]
+
+
+def test_a_lost_enhancement_layer_gates_nothing():
+    eng = _played_with_losses(16, lost={(f, 1) for f in range(16)}, spatial_layers=2)
+    assert eng.played.tolist() == [True] * 16
 
 
 def test_a_nalu_whose_generations_both_miss_is_lost_once():

@@ -86,9 +86,8 @@ def test_known_products_gf256():
 def test_field_spec_rejects_bad_parameters():
     with pytest.raises(FieldSpecError):
         FieldSpec(3)
-    with pytest.raises(FieldSpecError):
-        FieldSpec(8, poly=0x11D)  # a valid field, but not the fixed choice
-    spec = FieldSpec(8, poly=POLYNOMIALS[8])
+    spec = FieldSpec(8)
+    assert spec.poly == POLYNOMIALS[8]
     assert spec.order == 256
 
 

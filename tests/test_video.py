@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,6 @@ from mcnc.video.structure import (
     GOP_SIZE,
     LAYER_POPULATIONS,
     OutOfRangeError,
-    compute_decodable,
     dyadic_parents,
     packetize,
     ready_times,
@@ -95,33 +95,6 @@ def test_packetize_round_trip_random():
 # -- decodability --------------------------------------------------------
 
 
-def _delivered_sets(trace, missing_nalus=()):
-    delivered = {n.nalu_id for n in trace.nalus} - set(missing_nalus)
-    return compute_decodable(trace.frames, delivered)
-
-
-def test_all_delivered_means_all_decodable():
-    trace = synthesize_trace(32, seed=4)
-    assert _delivered_sets(trace) == set(range(32))
-
-
-def test_lost_key_frame_cascades():
-    trace = synthesize_trace(32, seed=4, spatial_layers=1)
-    key_nalu = trace.frames_by_id[16].nalu_ids[0]
-    decodable = _delivered_sets(trace, missing_nalus=[key_nalu])
-    # the second GOP dies entirely; so does everything in the first GOP
-    # whose reference chain crosses the missing key frame
-    assert 16 not in decodable
-    assert decodable == {0}
-
-
-def test_lost_top_layer_frame_is_isolated():
-    trace = synthesize_trace(16, seed=4, spatial_layers=1)
-    nalu = trace.frames_by_id[5].nalu_ids[0]  # odd position, top layer
-    decodable = _delivered_sets(trace, missing_nalus=[nalu])
-    assert decodable == set(range(16)) - {5}
-
-
 def _walked_ready_times(base_times):
     """For each frame, walk its whole reference set and take the latest
     base time over it."""
@@ -149,13 +122,8 @@ _BASE_TIMES = st.one_of(st.integers(0, 4).map(float), st.just(math.inf),
 @example([0.0] * 16 + [math.inf] + [0.0] * 14)  # the next key frame lost, GOP cut short
 @example([0.0] * 7 + [math.inf] + [0.0] * 25)  # a lost top-layer frame
 def test_ready_times_match_a_walk_over_each_reference_set(base_times):
-    assert ready_times(base_times) == _walked_ready_times(base_times)
-
-
-def test_enhancement_loss_does_not_gate_decodability():
-    trace = synthesize_trace(16, seed=4, spatial_layers=2)
-    enh = [n.nalu_id for n in trace.nalus if n.spatial_layer == 1]
-    assert _delivered_sets(trace, missing_nalus=enh) == set(range(16))
+    ready = ready_times(np.array(base_times, dtype=float))
+    assert ready.tolist() == _walked_ready_times(base_times)
 
 
 # -- trace format --------------------------------------------------------
@@ -265,6 +233,15 @@ def test_tracegen_cli_writes_a_loadable_file(tmp_path):
     trace = load_trace(out)
     assert trace.n_frames == 32
     assert len(trace.nalus) == 32
+
+
+def test_tracegen_cli_reports_an_unwritable_path(tmp_path, capsys):
+    out = tmp_path / "missing" / "gen.trace"
+    assert tracegen_main(["--frames", "16", "--out", str(out)]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"tracegen: cannot write {out}: ")
+    assert "Traceback" not in err
 
 
 def test_tracegen_cli_rejects_other_gop_lengths(tmp_path):

@@ -71,6 +71,7 @@ class Mutant(NamedTuple):
 
 
 ENGINE = "src/mcnc/sim/engine.py"
+STRUCTURE = "src/mcnc/video/structure.py"
 T_ENGINE = "tests/test_engine.py::"
 
 MUTANTS = (
@@ -125,6 +126,16 @@ MUTANTS = (
     Mutant("consumer_without_running_max", ENGINE,
            "past = np.maximum.accumulate(np.where(", "past = (np.where(",
            T_ENGINE + "test_a_notice_before_the_display_instant_moves_the_consumer_past_a_lost_frame"),
+    # frame decodability
+    Mutant("play_gates_on_enhancement", ENGINE,
+           "np.where(lay.is_base, complete, -math.inf)", "complete",
+           T_ENGINE + "test_a_lost_enhancement_layer_gates_nothing"),
+    Mutant("ready_skips_right_parent", STRUCTURE,
+           "        np.maximum(mid, grid[:, 2 * step::2 * step], out=mid)\n", "",
+           "tests/test_video.py::test_ready_times_match_a_walk_over_each_reference_set"),
+    Mutant("ready_without_next_key_frame", STRUCTURE,
+           "    grid[:-1, GOP_SIZE] = grid[1:, 0]\n", "",
+           T_ENGINE + "test_a_lost_key_frame_cascades"),
     # the sender's plan decision
     Mutant("deadline_decided_before_rank", "src/mcnc/distribution.py",
            "    if report_rank >= plan.k:\n"
