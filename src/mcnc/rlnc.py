@@ -159,26 +159,6 @@ def split_counts(n_packets: int, k_max: int) -> List[int]:
     return counts
 
 
-def split_block(
-    first_gen_id: int,
-    field: FieldSpec,
-    data: bytes,
-    packet_bytes: int,
-    k_max: int,
-) -> List[Generation]:
-    """Split a byte block into as many generations as the k cap requires."""
-    if not data:
-        raise EmptyGenerationError("no payload data")
-    n_packets = -(-len(data) // packet_bytes)
-    gens = []
-    offset = 0
-    for i, k in enumerate(split_counts(n_packets, k_max)):
-        chunk = data[offset : offset + k * packet_bytes]
-        gens.append(Generation.from_block(first_gen_id + i, field, chunk, packet_bytes))
-        offset += k * packet_bytes
-    return gens
-
-
 @dataclass(frozen=True)
 class CodedPacket:
     """One emission: ``coeffs`` holds its k coefficient symbols, one per byte."""

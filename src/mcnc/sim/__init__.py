@@ -1,20 +1,2 @@
-from .config import ConfigError, SimConfig, grid_cells, load_config
-from .engine import TraceError, run
-from .metrics import DimensionMismatchError, MetricsReport, psnr_frame
-from .montecarlo import monte_carlo
-from .results import emit_results, validate_aggregate
-
-__all__ = [
-    "ConfigError",
-    "SimConfig",
-    "grid_cells",
-    "load_config",
-    "TraceError",
-    "run",
-    "DimensionMismatchError",
-    "MetricsReport",
-    "psnr_frame",
-    "monte_carlo",
-    "emit_results",
-    "validate_aggregate",
-]
+"""The simulator: scenario config, the streaming engine, run metrics, the
+Monte-Carlo harness, result files and the ``mcnc-sim`` command line."""

@@ -53,11 +53,11 @@ of wall clock without changing observable behavior:
   timeline clamps such arrivals to keep rank monotone in time.
 - The send path stays per packet, with the counting and the rate done
   in bulk. Each packet of a burst still goes through
-  ``LinkModel.transmit`` on its own, but the packets are counted per
-  path once per session (``UEMetrics.count_burst``, after playback),
-  and each link computes its rate once per channel step. A burst's
-  survivors are sorted by arrival and feed the rank timeline in one
-  pass that stops at full rank.
+  ``LinkModel.transmit`` on its own, but a burst adds its counts to its
+  path's entry of ``UEMetrics.packets`` once, and each link computes
+  its rate once per channel step. A burst's survivors are sorted by
+  arrival and feed the rank timeline in one pass that stops at full
+  rank.
 - Feedback is one per-slot timeline, pulled, not evented. Receiver
   reports live on a fixed grid and ride one feedback link: LTE with multi
   connectivity, else the mmWave uplink. That link presamples per-report
@@ -313,9 +313,7 @@ class _Engine:
         self.backhaul = cfg.backhaul_delay_s
         self.ul_delay = self.backhaul + fb_link.base_delay_s + _CTRL_PROC_S
         self.metrics = UEMetrics(ue_id=u)
-        # per path: packets sent, delivered, dropped in outage, dropped
-        # with the retry ladder exhausted; counted once the session ends
-        self._tally = {MMWAVE: [0, 0, 0, 0], LTE: [0, 0, 0, 0]}
+        self.metrics.packets = {MMWAVE: [0, 0, 0, 0], LTE: [0, 0, 0, 0]}
         self.metrics.feedback_sent = self.n_reports
         self.metrics.feedback_lost = int(np.count_nonzero(~fb_ok))
         self.arrival_at = self.stream_start + np.arange(self.n_frames) / cfg.fps
@@ -376,9 +374,6 @@ class _Engine:
                     log.append(f"{t_f:.9f} frame ue={u} arg={f}")
                 on_frame(f, t_f)
             self._play()
-            for path, tally in self._tally.items():
-                if tally[0]:  # a path that sent nothing gets no entry
-                    self.metrics.count_burst(path, *tally)
         finally:
             if gc_was_on:
                 gc.enable()
@@ -444,11 +439,11 @@ class _Engine:
                 exhausted += 1  # every attempt the retry ladder allows was lost
             else:
                 outage += 1  # dropped unsent: the link is in outage
-        tally = self._tally[path]
-        tally[0] += n
-        tally[1] += len(survivors)
-        tally[2] += outage
-        tally[3] += exhausted
+        counts = self.metrics.packets[path]
+        counts[0] += n
+        counts[1] += len(survivors)
+        counts[2] += outage
+        counts[3] += exhausted
         est = link.busy_until + link.base_delay_s + backhaul
         if now > est:
             est = now

@@ -78,7 +78,13 @@ def latency_stats(samples: Sequence[float]) -> Dict[str, float]:
 
 @dataclass
 class UEMetrics:
-    """Per-receiver accounting for one run."""
+    """Per-receiver accounting for one run.
+
+    ``packets`` maps each path to ``[sent, delivered, outage, exhausted]``:
+    packets handed to the link, delivered through it, dropped unsent with
+    the link in outage, and lost on every attempt the retry ladder allows.
+    The engine adds to it as it sends.
+    """
 
     ue_id: int
     frames_total: int = 0
@@ -90,11 +96,7 @@ class UEMetrics:
     latency_samples: array = field(default_factory=lambda: array("d"))
     # index = extra FEC rounds spent on a generation (0 = initial burst only)
     fec_rounds_hist: List[int] = field(default_factory=lambda: [0] * (MAX_FEC_ATTEMPTS + 1))
-    packets_sent: Dict[str, int] = field(default_factory=dict)
-    packets_delivered: Dict[str, int] = field(default_factory=dict)
-    # drops by cause: the link in outage, or its retry ladder run out
-    packets_outage: Dict[str, int] = field(default_factory=dict)
-    packets_exhausted: Dict[str, int] = field(default_factory=dict)
+    packets: Dict[str, List[int]] = field(default_factory=dict)
     generations_total: int = 0
     generations_delivered: int = 0
     feedback_sent: int = 0
@@ -112,24 +114,6 @@ class UEMetrics:
             return 0.0
         # accumulation noise must not push the mean past the sentinel cap
         return min(self.psnr_sum_db / self.frames_total, PSNR_CAP_DB)
-
-    def count_burst(self, path: str, sent: int, delivered: int,
-                    outage: int, exhausted: int) -> None:
-        """Add totals for ``path``: ``sent`` packets, ``delivered`` of them
-        through, ``outage`` dropped unsent and ``exhausted`` lost on every
-        attempt. The engine calls it once per path a session sent on.
-
-        A path enters a counter only with a nonzero count: the counters
-        reach ``to_dict``, so a zero entry would change the report.
-        """
-        if sent:
-            self.packets_sent[path] = self.packets_sent.get(path, 0) + sent
-        if delivered:
-            self.packets_delivered[path] = self.packets_delivered.get(path, 0) + delivered
-        if outage:
-            self.packets_outage[path] = self.packets_outage.get(path, 0) + outage
-        if exhausted:
-            self.packets_exhausted[path] = self.packets_exhausted.get(path, 0) + exhausted
 
 
 @dataclass
@@ -188,14 +172,17 @@ class MetricsReport:
         return out
 
     def packet_totals(self) -> Dict[str, Dict[str, int]]:
+        """Packets sent, delivered and dropped per path, over all receivers;
+        both drop causes pool into "dropped". A path enters a total only
+        with a nonzero count: the totals reach ``to_dict``, so a zero entry
+        would change the report."""
         out: Dict[str, Dict[str, int]] = {"sent": {}, "delivered": {}, "dropped": {}}
         for u in self.per_ue:
-            for name, src in (("sent", u.packets_sent),
-                              ("delivered", u.packets_delivered),
-                              ("dropped", u.packets_outage),
-                              ("dropped", u.packets_exhausted)):
-                for path, n in src.items():
-                    out[name][path] = out[name].get(path, 0) + n
+            for path, (sent, delivered, outage, exhausted) in u.packets.items():
+                for name, n in (("sent", sent), ("delivered", delivered),
+                                ("dropped", outage + exhausted)):
+                    if n:
+                        out[name][path] = out[name].get(path, 0) + n
         return out
 
     def to_dict(self) -> dict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..seeding import derive_seed
 from .config import ConfigError, SimConfig, cell_key, grid_cells
@@ -23,12 +23,12 @@ from .metrics import MetricsReport, left_sum
 SUMMARY_METRICS = ("nalu_loss", "latency_ms_mean", "psnr_db")
 
 
-def run_seeds(cfg: SimConfig, runs: Optional[int] = None) -> List[int]:
-    """Master seed for each run index, derived from the scenario seed."""
-    n = cfg.runs if runs is None else runs
-    if n < 1:
+def run_seeds(cfg: SimConfig) -> List[int]:
+    """Master seed for each of ``cfg.runs`` run indices, derived from the
+    scenario seed."""
+    if cfg.runs < 1:
         raise ConfigError("runs must be at least 1")
-    return [derive_seed(cfg.seed, "run", i) for i in range(n)]
+    return [derive_seed(cfg.seed, "run", i) for i in range(cfg.runs)]
 
 
 def report_samples(report: MetricsReport) -> Dict[str, float]:
@@ -76,19 +76,18 @@ def _execute(tasks: List[Tuple[SimConfig, int]], workers: int) -> List[MetricsRe
 
 def monte_carlo(
     config: SimConfig,
-    runs: Optional[int] = None,
     workers: int = 1,
 ) -> Tuple[Dict[str, Dict[str, float]], List[MetricsReport]]:
-    """Run one configuration `runs` times; return (summary, per-run reports)."""
+    """Run one configuration ``config.runs`` times; return (summary, per-run
+    reports)."""
     config.validate()
-    tasks = [(config, seed) for seed in run_seeds(config, runs)]
+    tasks = [(config, seed) for seed in run_seeds(config)]
     reports = _execute(tasks, workers)
     return summarize(reports), reports
 
 
 def run_grid(
     base: SimConfig,
-    runs: Optional[int] = None,
     workers: int = 1,
 ) -> Dict[Tuple[str, str, str], Tuple[Dict[str, Dict[str, float]], List[MetricsReport]]]:
     """Run the full 16-cell grid.
@@ -100,7 +99,7 @@ def run_grid(
     """
     base.validate()
     cells = grid_cells(base)
-    seeds = run_seeds(base, runs)
+    seeds = run_seeds(base)
     tasks = [(cell, seed) for cell in cells for seed in seeds]
     reports = _execute(tasks, workers)
     out = {}

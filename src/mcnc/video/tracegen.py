@@ -27,7 +27,6 @@ def synthesize_trace(
     base_bytes: int = 2000,
     enh_bytes: int = 2000,
     jitter: float = 0.3,
-    psnr_received: float = PSNR_CAP,
     psnr_lost: float = 12.0,
     spatial_layers: int = 2,
 ) -> VideoTrace:
@@ -57,7 +56,7 @@ def synthesize_trace(
                 gop_index=gop_index,
                 temporal_layer=tlayer,
                 spatial_layer=spatial_layers - 1,
-                psnr_received=psnr_received,
+                psnr_received=PSNR_CAP,
                 psnr_lost=psnr_lost,
             )
         )

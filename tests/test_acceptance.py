@@ -208,7 +208,7 @@ def test_criterion_5_psnr_unit():
 @pytest.fixture(scope="module")
 def desk_grid():
     start = time.perf_counter()
-    results = run_grid(SimConfig(), runs=GRID_RUNS, workers=1)
+    results = run_grid(SimConfig(runs=GRID_RUNS), workers=1)
     elapsed = time.perf_counter() - start
     means = {
         key: {name: cell[0][name]["mean"] for name in cell[0]}

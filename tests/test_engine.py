@@ -92,7 +92,8 @@ def test_permanent_outage_loses_everything_without_fallback():
     assert totals["delivered"] == {}
     assert totals["sent"].get("lte", 0) == 0
     for ue in rep.per_ue:  # every drop is the outage's, none the retry ladder's
-        assert ue.packets_outage == ue.packets_sent and ue.packets_exhausted == {}
+        for sent, _, outage, exhausted in ue.packets.values():
+            assert outage == sent and exhausted == 0
 
 
 def test_permanent_outage_rides_lte_with_multi_connectivity():
@@ -112,7 +113,8 @@ def test_residual_loss_without_error_control_on_lte():
     assert 0.0 < rep.nalu_loss_ratio < 0.5
     assert check_conservation(rep) is None
     for ue in rep.per_ue:  # LTE is never in outage: its drops are lost attempts
-        assert ue.packets_exhausted["lte"] > 0 and "lte" not in ue.packets_outage
+        _, _, outage, exhausted = ue.packets[LTE]
+        assert exhausted > 0 and outage == 0
 
 
 def test_lossy_mmwave_only_cells_order_sanely():
@@ -219,12 +221,13 @@ def test_run_input_caches_stay_bounded():
 
 
 def test_broken_packet_count_fails_the_run(monkeypatch):
-    def count_sent_twice(self, path, sent, delivered, outage, exhausted):
-        real_count(self, path, sent, delivered, outage, exhausted)
-        self.packets_sent[path] += 1
+    # playback runs after every send, so the extra count is the last one
+    def play_then_count_one_more(self):
+        real_play(self)
+        self.metrics.packets[MMWAVE][0] += 1
 
-    real_count = UEMetrics.count_burst
-    monkeypatch.setattr(UEMetrics, "count_burst", count_sent_twice)
+    real_play = engine._Engine._play
+    monkeypatch.setattr(engine._Engine, "_play", play_then_count_one_more)
     with pytest.raises(RuntimeError, match="conservation violated: path"):
         run(dataclasses.replace(BASE, duration_s=0.5), seed=1)
 

@@ -48,8 +48,8 @@ CODEC_SHA256 = "0e2eb0d45d73e7611a6e2fe8ea94c48c7784db908f0b39fff30dd75285f8cbd8
 def _grid_digests(tmp_path):
     """The results.csv and reports digests of the golden grid."""
     cfg = SimConfig(duration_s=3.0, runs=2, seed=7)
-    out = run_grid(cfg, runs=2)
-    csv_path, _ = emit_results(out, run_seeds(cfg, 2), cfg.seed, str(tmp_path))
+    out = run_grid(cfg)
+    csv_path, _ = emit_results(out, run_seeds(cfg), cfg.seed, str(tmp_path))
     with open(csv_path, "rb") as fh:
         csv_digest = hashlib.sha256(fh.read()).hexdigest()
     reports = [

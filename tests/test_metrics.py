@@ -120,11 +120,9 @@ def test_report_pools_ues():
 
 
 def test_packet_counting_and_conservation():
-    u = _ue()
-    u.count_burst("mmwave", sent=4, delivered=4, outage=0, exhausted=0)
-    u.count_burst("mmwave", sent=2, delivered=1, outage=0, exhausted=1)
-    u.count_burst("mmwave", sent=3, delivered=0, outage=3, exhausted=0)
-    u.count_burst("lte", sent=1, delivered=1, outage=0, exhausted=0)
+    # [sent, delivered, outage, exhausted]: three mmWave bursts (4 through;
+    # 1 of 2 through, 1 exhausted; 3 in outage) and one LTE packet
+    u = _ue(packets={"mmwave": [9, 5, 3, 1], "lte": [1, 1, 0, 0]})
     report = MetricsReport(seed=0, duration_s=1.0, per_ue=[u])
     totals = report.packet_totals()
     assert totals["sent"] == {"mmwave": 9, "lte": 1}
@@ -135,26 +133,23 @@ def test_packet_counting_and_conservation():
 
 
 def test_burst_counts_make_no_zero_entries():
-    # the counters reach to_dict: a path with nothing to count stays out
-    u = _ue()
-    u.count_burst("lte", sent=3, delivered=2, outage=0, exhausted=1)
-    u.count_burst("mmwave", sent=2, delivered=0, outage=2, exhausted=0)
-    u.count_burst("mmwave", sent=0, delivered=0, outage=0, exhausted=0)
-    assert u.packets_sent == {"lte": 3, "mmwave": 2}
-    assert u.packets_delivered == {"lte": 2}
-    assert u.packets_outage == {"mmwave": 2}
-    assert u.packets_exhausted == {"lte": 1}
+    # the totals reach to_dict: a path with nothing to count stays out,
+    # including every path of a receiver that sent nothing
+    u = _ue(packets={"lte": [3, 2, 0, 1], "mmwave": [2, 0, 2, 0]})
+    idle = _ue(1, packets={"mmwave": [0, 0, 0, 0], "lte": [0, 0, 0, 0]})
+    totals = MetricsReport(seed=0, duration_s=1.0, per_ue=[u, idle]).packet_totals()
+    assert totals["sent"] == {"lte": 3, "mmwave": 2}
+    assert totals["delivered"] == {"lte": 2}
+    assert totals["dropped"] == {"lte": 1, "mmwave": 2}
 
 
 def test_conservation_flags_violations():
     for counts in (
-        {"packets_sent": 5, "packets_delivered": 3, "packets_outage": 1},  # one unaccounted for
-        {"packets_sent": 5, "packets_delivered": 3, "packets_exhausted": 3},  # one too many
-        {"packets_delivered": 1},  # delivered, never sent
+        [5, 3, 1, 0],  # one unaccounted for
+        [5, 3, 0, 3],  # one too many
+        [0, 1, 0, 0],  # delivered, never sent
     ):
-        u = _ue()
-        for name, n in counts.items():
-            getattr(u, name)["mmwave"] = n
+        u = _ue(packets={"mmwave": counts})
         report = MetricsReport(seed=0, duration_s=1.0, per_ue=[u])
         assert "mmwave" in check_conservation(report), counts
 

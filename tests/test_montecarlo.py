@@ -34,7 +34,7 @@ def test_run_seeds_are_stable_and_distinct():
     seeds = run_seeds(FAST)
     assert seeds == run_seeds(FAST)
     assert len(set(seeds)) == len(seeds) == 3
-    assert run_seeds(FAST, runs=5)[:3] == seeds  # prefix property
+    assert run_seeds(dataclasses.replace(FAST, runs=5))[:3] == seeds  # prefix property
     assert run_seeds(dataclasses.replace(FAST, seed=1)) != seeds
 
 
@@ -71,10 +71,10 @@ def test_monte_carlo_runs_requested_count():
 
 @pytest.mark.parametrize("runs", [0, -1])
 def test_no_runs_is_a_config_error(runs):
-    # validate() checks cfg.runs, not the count a caller passes
+    # run_seeds checks the count itself: it is called without validate()
     for call in (run_seeds, monte_carlo, run_grid):
         with pytest.raises(ConfigError, match="runs must be at least 1"):
-            call(FAST, runs=runs)
+            call(dataclasses.replace(FAST, runs=runs))
 
 
 def test_worker_count_does_not_change_results():

@@ -23,7 +23,6 @@ from mcnc.rlnc import (
     deserialize,
     full_rank_probability,
     serialize,
-    split_block,
     split_counts,
     symbols_per_packet,
     wire_size,
@@ -61,15 +60,6 @@ def test_split_counts():
     assert split_counts(40, 40) == [40]
     assert split_counts(1, 40) == [1]
     assert split_counts(80, 40) == [40, 40]
-
-
-def test_split_block_covers_data_exactly():
-    rng = random.Random(5)
-    data = rng.randbytes(103 * 10 - 4)
-    gens = split_block(100, GF256, data, 10, 40)
-    assert [g.k for g in gens] == [40, 40, 23]
-    assert [g.gen_id for g in gens] == [100, 101, 102]
-    assert sum(g.payload_bytes for g in gens) == len(data)
 
 
 @pytest.mark.parametrize("m", [1, 4, 8])

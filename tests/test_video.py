@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,6 +251,21 @@ def test_tracegen_cli_reports_an_unwritable_path(tmp_path, capsys):
 def test_tracegen_cli_rejects_other_gop_lengths(tmp_path):
     with pytest.raises(SystemExit):
         tracegen_main(["--frames", "16", "--gop", "8", "--out", str(tmp_path / "x")])
+
+
+def test_tracegen_runs_as_a_module_once(tmp_path):
+    # the package must not import the module -m runs: runpy would warn that
+    # it is already loaded, and its code would run twice
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = tmp_path / "gen.trace"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "mcnc.video.tracegen",
+         "--frames", "16", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert load_trace(out).n_frames == 16
 
 
 # -- display clock -------------------------------------------------------

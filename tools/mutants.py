@@ -164,6 +164,16 @@ MUTANTS = (
     Mutant("transmit_clean_attempt_without_base_delay", "src/mcnc/channel.py",
            "(True, busy + self.base_delay_s, 1, send_start)", "(True, busy, 1, send_start)",
            "tests/test_channel.py::test_transmit_matches_the_reference"),
+    # the report's packet totals
+    Mutant("packet_total_zero_entry", "src/mcnc/sim/metrics.py",
+           "                    if n:\n", "                    if True:\n",
+           "tests/test_metrics.py::test_burst_counts_make_no_zero_entries"),
+    Mutant("drop_pooled_as_delivered", "src/mcnc/sim/metrics.py",
+           '(("sent", sent), ("delivered", delivered),\n'
+           '                                ("dropped", outage + exhausted))',
+           '(("sent", sent), ("delivered", delivered + outage),\n'
+           '                                ("dropped", exhausted))',
+           "tests/test_metrics.py::test_packet_counting_and_conservation"),
     # output floats summed by the interpreter's sum(), compensated since 3.12
     Mutant("psnr_by_builtin_sum", "src/mcnc/sim/metrics.py",
            "min(left_sum(u.psnr_sum_db", "min(sum(u.psnr_sum_db",
