@@ -25,10 +25,13 @@ of stepping the chain with per-step flip probability 1 - exp(-dt/sojourn).
 Each transmission looks the state up at its own send start; a link never
 presampled holds its initial state at every time.
 
+A link reads every parameter from the run's ``SimConfig``: the shared
+channel fields, and the ``mmwave_*`` or the ``lte_*`` ones by its kind.
 The LTE link reuses the same machinery in degenerate form: transition
-rates zero, no shadowing, a fixed SNR, and a small constant loss
-probability. It is in outage throughout when that SNR lies below its
-threshold, and never otherwise.
+rates zero, no shadowing, a fixed SNR, one loss probability in both
+modes, and an even share of the cell bandwidth per receiver. It is in
+outage throughout when that SNR lies below its threshold, and never
+otherwise.
 
 Receiver reports are too small to queue behind data: ``control_survival``
 decides each one's fate from the state at its send time, by the same
@@ -39,9 +42,12 @@ from __future__ import annotations
 
 import math
 import random
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .sim.config import SimConfig
 
 MMWAVE = "mmwave"
 LTE = "lte"
@@ -62,7 +68,11 @@ _new = tuple.__new__
 
 
 class LinkModel:
-    """One directed radio link with its own fading trajectory and FIFO."""
+    """One directed radio link with its own fading trajectory and FIFO.
+
+    ``kind`` picks the ``cfg`` fields it reads, ``initial_mode`` is the mode
+    it starts in, and ``rng`` draws its initial shadowing and its losses.
+    """
 
     __slots__ = (
         "kind", "bandwidth_hz", "efficiency", "base_delay_s",
@@ -72,46 +82,37 @@ class LinkModel:
         "_rate_step", "_rate", "_loss",
     )
 
-    def __init__(
-        self,
-        kind: str = MMWAVE,
-        bandwidth_hz: float = 1e9,
-        efficiency: float = 0.6,
-        base_delay_s: float = 0.0005,
-        sojourn_s=(2.0, 1.0),
-        snr_mean_db=(20.0, -2.0),
-        snr_sigma_db: float = 4.0,
-        shadow_corr_s: float = 0.25,
-        loss_prob=(0.01, 0.5),
-        outage_threshold_db: float = -5.0,
-        ran_retx: bool = True,
-        max_attempts: int = 3,
-        retx_delay_s: float = 0.004,
-        initial_mode: int = LOS,
-        rng: random.Random | None = None,
-    ):
-        if sojourn_s[0] <= 0 or sojourn_s[1] <= 0:
-            raise ValueError("sojourn times must be positive")
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
+    def __init__(self, cfg: SimConfig, kind: str, initial_mode: int,
+                 rng: random.Random):
         self.kind = kind
-        self.bandwidth_hz = bandwidth_hz
-        self.efficiency = efficiency
-        self.base_delay_s = base_delay_s
-        self.sojourn_s = tuple(sojourn_s)
-        self.snr_mean_db = tuple(snr_mean_db)
-        self.snr_sigma_db = snr_sigma_db
-        self.shadow_corr_s = shadow_corr_s
-        self.loss_prob = tuple(loss_prob)
-        self.outage_threshold_db = outage_threshold_db
-        # the retry ladder: max_attempts tries with RAN retransmissions, else one
-        self.attempts_allowed = max_attempts if ran_retx else 1
-        self.retx_delay_s = retx_delay_s
-        self.rng = rng if rng is not None else random.Random()
+        self.efficiency = cfg.efficiency
+        self.outage_threshold_db = cfg.outage_threshold_db
+        # the retry ladder: ran_max_attempts tries with RAN retransmissions, else one
+        self.attempts_allowed = cfg.ran_max_attempts if cfg.ran_retx else 1
+        self.retx_delay_s = cfg.ran_retx_delay_s
+        if kind == MMWAVE:
+            self.bandwidth_hz = cfg.mmwave_bandwidth_hz
+            self.base_delay_s = cfg.mmwave_base_delay_s
+            self.sojourn_s = (cfg.mmwave_sojourn_los_s, cfg.mmwave_sojourn_nlos_s)
+            self.snr_mean_db = (cfg.mmwave_snr_los_db, cfg.mmwave_snr_nlos_db)
+            self.snr_sigma_db = cfg.mmwave_snr_sigma_db
+            self.shadow_corr_s = cfg.mmwave_shadow_corr_s
+            self.loss_prob = (cfg.mmwave_loss_los, cfg.mmwave_loss_nlos)
+        else:
+            # one state that never changes; the cell rate is shared evenly
+            # among receivers by static split
+            self.bandwidth_hz = cfg.lte_bandwidth_hz / cfg.n_ues
+            self.base_delay_s = cfg.lte_base_delay_s
+            self.sojourn_s = (math.inf, math.inf)
+            self.snr_mean_db = (cfg.lte_snr_db, cfg.lte_snr_db)
+            self.snr_sigma_db = 0.0
+            self.shadow_corr_s = 0.0
+            self.loss_prob = (cfg.lte_loss, cfg.lte_loss)
+        self.rng = rng
         # drawn even where presample replaces it: later loss draws follow it on rng
         snr = self.snr_mean_db[initial_mode]
-        if snr_sigma_db != 0.0:
-            snr = self.rng.gauss(snr, snr_sigma_db)
+        if self.snr_sigma_db != 0.0:
+            snr = rng.gauss(snr, self.snr_sigma_db)
         # a one-step trajectory (inv_step 0 maps every time onto it)
         self.modes = [initial_mode]
         self.snrs_db = [snr]
@@ -122,38 +123,6 @@ class LinkModel:
         self._rate_step = -1
         self._rate = 0.0
         self._loss = 0.0
-
-    @classmethod
-    def lte(
-        cls,
-        bandwidth_hz: float = 20e6,
-        snr_db: float = -3.0,
-        loss_prob: float = 1e-3,
-        base_delay_s: float = 0.0015,
-        ran_retx: bool = True,
-        max_attempts: int = 3,
-        retx_delay_s: float = 0.004,
-        efficiency: float = 0.6,
-        outage_threshold_db: float = -5.0,
-        rng: random.Random | None = None,
-    ) -> "LinkModel":
-        """Always-on cellular fallback; the degenerate LOS-like state."""
-        return cls(
-            kind=LTE,
-            bandwidth_hz=bandwidth_hz,
-            efficiency=efficiency,
-            base_delay_s=base_delay_s,
-            sojourn_s=(math.inf, math.inf),
-            snr_mean_db=(snr_db, snr_db),
-            snr_sigma_db=0.0,
-            loss_prob=(loss_prob, loss_prob),
-            outage_threshold_db=outage_threshold_db,
-            ran_retx=ran_retx,
-            max_attempts=max_attempts,
-            retx_delay_s=retx_delay_s,
-            initial_mode=LOS,
-            rng=rng,
-        )
 
     # -- fading --------------------------------------------------------
 

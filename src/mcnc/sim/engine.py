@@ -262,36 +262,9 @@ class _Engine:
         self.window = cfg.fresh_slots()
 
         self.stream_start = u * cfg.stagger_step_s
-        self.mm = LinkModel(
-            kind=MMWAVE,
-            bandwidth_hz=cfg.mmwave_bandwidth_hz,
-            efficiency=cfg.efficiency,
-            base_delay_s=cfg.mmwave_base_delay_s,
-            sojourn_s=(cfg.mmwave_sojourn_los_s, cfg.mmwave_sojourn_nlos_s),
-            snr_mean_db=(cfg.mmwave_snr_los_db, cfg.mmwave_snr_nlos_db),
-            snr_sigma_db=cfg.mmwave_snr_sigma_db,
-            shadow_corr_s=cfg.mmwave_shadow_corr_s,
-            loss_prob=(cfg.mmwave_loss_los, cfg.mmwave_loss_nlos),
-            outage_threshold_db=cfg.outage_threshold_db,
-            ran_retx=cfg.ran_retx,
-            max_attempts=cfg.ran_max_attempts,
-            retx_delay_s=cfg.ran_retx_delay_s,
-            initial_mode=LOS if u < cfg.ues_los else NLOS,
-            rng=random.Random(derive_seed(seed, "mmloss", u)),
-        )
-        # the cell rate is shared evenly among receivers by static split
-        self.lte = LinkModel.lte(
-            bandwidth_hz=cfg.lte_bandwidth_hz / cfg.n_ues,
-            snr_db=cfg.lte_snr_db,
-            loss_prob=cfg.lte_loss,
-            base_delay_s=cfg.lte_base_delay_s,
-            ran_retx=cfg.ran_retx,
-            max_attempts=cfg.ran_max_attempts,
-            retx_delay_s=cfg.ran_retx_delay_s,
-            efficiency=cfg.efficiency,
-            outage_threshold_db=cfg.outage_threshold_db,
-            rng=random.Random(derive_seed(seed, "lteloss", u)),
-        )
+        self.mm = LinkModel(cfg, MMWAVE, LOS if u < cfg.ues_los else NLOS,
+                            random.Random(derive_seed(seed, "mmloss", u)))
+        self.lte = LinkModel(cfg, LTE, LOS, random.Random(derive_seed(seed, "lteloss", u)))
         self.mm.presample(n_steps, cfg.channel_step_s,
                           np.random.default_rng(derive_seed(seed, "chan", u)))
         # feedback rides the fallback path when there is one, else the
@@ -307,7 +280,7 @@ class _Engine:
         if cfg.multi_connectivity:
             # the path in force once the sender has seen each slot's fresh
             # report, from the mmWave SNR that report carries (NaN: none)
-            selector = PathSelector(self.mm.outage_threshold_db, cfg.hysteresis_db)
+            selector = PathSelector(cfg.outage_threshold_db, cfg.hysteresis_db)
             self.on_mmwave = selector.on_mmwave(
                 np.where(newest >= 0, self.mm.snr_at(sent_at)[newest], np.nan))
         self.backhaul = cfg.backhaul_delay_s
@@ -604,7 +577,6 @@ class _Engine:
         m.frames_total += n
         m.nalus_total += lay.n_nalus
         m.generations_total += lay.n_gens
-        m.generations_delivered += int(np.count_nonzero(complete < math.inf))
         m.frames_played += int(np.count_nonzero(played))
         m.psnr_sum_db += left_sum(np.where(played, lay.psnr_recv, lay.psnr_lost).tolist())
         m.latency_samples.frombytes((past - arrival)[played].tobytes())

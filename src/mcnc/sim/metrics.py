@@ -98,7 +98,6 @@ class UEMetrics:
     fec_rounds_hist: List[int] = field(default_factory=lambda: [0] * (MAX_FEC_ATTEMPTS + 1))
     packets: Dict[str, List[int]] = field(default_factory=dict)
     generations_total: int = 0
-    generations_delivered: int = 0
     feedback_sent: int = 0
     feedback_lost: int = 0
 
@@ -216,8 +215,6 @@ def check_conservation(report: MetricsReport) -> Optional[str]:
         if closed != u.generations_total:
             return "ue %d: %d plans closed for %d generations" % (
                 u.ue_id, closed, u.generations_total)
-        if u.generations_delivered > u.generations_total:
-            return "ue %d: more generations delivered than sent" % u.ue_id
         if u.nalus_lost > u.nalus_total:
             return "ue %d: more NALUs lost than sent" % u.ue_id
         if u.frames_played > u.frames_total:

@@ -275,6 +275,26 @@ def test_trace_file_packets_are_capped(tmp_path):
         run(cfg, seed=1)
 
 
+def test_a_trace_file_may_need_exactly_the_packet_cap(tmp_path, monkeypatch):
+    # the cap is the most source packets a run may send: a trace file
+    # needing exactly that many runs, and one packet more is refused
+    cfg = dataclasses.replace(LOSSLESS, n_ues=1, ues_los=1)
+    trace = synthesize_trace(cfg.frame_count(), seed=9)  # whole GOPs: a few frames more
+    packets = sum(-(-trace.nalus_by_id[i].size_bytes // cfg.packet_bytes)
+                  for rec in trace.frames[:cfg.frame_count()] for i in rec.nalu_ids)
+    monkeypatch.setattr(engine, "MAX_GRID_STATES", packets)
+    exact, longer = tmp_path / "exact.trace", tmp_path / "longer.trace"
+    save_trace(trace, exact)
+    lines = exact.read_text(encoding="utf-8").splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("N,"))
+    head, size = lines[i].rsplit(",", 1)
+    lines[i] = f"{head},{int(size) + cfg.packet_bytes}"
+    longer.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    run(dataclasses.replace(cfg, trace_file=str(exact)), seed=1)
+    with pytest.raises(TraceError, match=f"needs {packets + 1} source packets"):
+        run(dataclasses.replace(cfg, trace_file=str(longer)), seed=1)
+
+
 def test_short_trace_rejected(tmp_path):
     trace = synthesize_trace(16, seed=9)
     path = tmp_path / "short.trace"
@@ -858,6 +878,22 @@ def test_the_first_report_slot_already_sets_the_path():
     eng.on_mmwave = [True] * len(eng.on_mmwave)
     assert eng._current_path(eng.ul_delay) == MMWAVE
     assert eng._current_path(math.nextafter(eng.ul_delay, 0.0)) == LTE
+
+
+def test_report_slot_0_is_a_report():
+    # report 0, sent at time 0, counts like any other: with every report
+    # surviving, each lookup of the newest fresh report finds it in slot 0
+    eng = _small_engine(LOSSLESS)
+    assert LOSSLESS.multi_connectivity and eng.newest[:2] == [0, 1]
+    assert list(eng.fresh_from[:2]) == [0, 1]
+    assert eng._latest_report(eng.ul_delay) == 0
+    # the path table judges report 0's mmWave SNR, 20 dB in either mode
+    assert eng.on_mmwave[0] is True
+    # a look that finds report 0 decides on it at once, without a walk
+    k = eng.layout.k[0]
+    g = GenerationPlan(0, k, k, 1.0)
+    eng._look(g, eng.ul_delay)
+    assert eng._heap == [(eng.ul_delay, 0, g, k)]
 
 
 # -- playback on hand-built columns

@@ -159,18 +159,17 @@ def test_conservation_flags_violations():
     )
 
 
-def _closed(generations_total, hist, delivered=0):
-    u = _ue(generations_total=generations_total, generations_delivered=delivered)
+def _closed(generations_total, hist):
+    u = _ue(generations_total=generations_total)
     u.fec_rounds_hist[:len(hist)] = hist
     return check_conservation(MetricsReport(seed=0, duration_s=1.0, per_ue=[u]))
 
 
 def test_conservation_closes_each_plan_once():
     # every generation's plan closes exactly once, in one histogram bin
-    assert _closed(3, [2, 1], delivered=3) is None
+    assert _closed(3, [2, 1]) is None
     assert "3 plans closed for 2" in _closed(2, [2, 1])  # one closed twice
     assert "1 plans closed for 2" in _closed(2, [0, 1])  # one never closed
-    assert "delivered" in _closed(2, [2], delivered=3)
 
 
 def test_fec_hist_sums_across_ues():

@@ -73,6 +73,7 @@ class Mutant(NamedTuple):
 ENGINE = "src/mcnc/sim/engine.py"
 STRUCTURE = "src/mcnc/video/structure.py"
 T_ENGINE = "tests/test_engine.py::"
+LINK_FIELDS = "tests/test_channel.py::test_links_read_their_own_fields"
 
 MUTANTS = (
     # the engine's ties and rules
@@ -104,6 +105,21 @@ MUTANTS = (
     Mutant("first_report_slot_ignored", ENGINE,
            "g >= 0 and self.on_mmwave[g]", "g > 0 and self.on_mmwave[g]",
            T_ENGINE + "test_the_first_report_slot_already_sets_the_path"),
+    Mutant("fresh_from_skips_report_0", ENGINE,
+           "np.where(newest >= 0, np.arange(n), n)", "np.where(newest > 0, np.arange(n), n)",
+           T_ENGINE + "test_report_slot_0_is_a_report"),
+    Mutant("path_table_skips_report_0", ENGINE,
+           "np.where(newest >= 0, self.mm.snr_at", "np.where(newest > 0, self.mm.snr_at",
+           T_ENGINE + "test_report_slot_0_is_a_report"),
+    Mutant("latest_report_skips_slot_0", ENGINE,
+           "        if g < 0:\n            return -1", "        if g <= 0:\n            return -1",
+           T_ENGINE + "test_report_slot_0_is_a_report"),
+    Mutant("look_walks_past_report_0", ENGINE,
+           "while rep < 0:", "while rep <= 0:",
+           T_ENGINE + "test_report_slot_0_is_a_report"),
+    Mutant("trace_packet_cap_exclusive", ENGINE,
+           "if packets > MAX_GRID_STATES:", "if packets >= MAX_GRID_STATES:",
+           T_ENGINE + "test_a_trace_file_may_need_exactly_the_packet_cap"),
     Mutant("drop_causes_swapped", ENGINE,
            "elif attempts:", "elif not attempts:"),
     Mutant("burst_never_sorted", ENGINE,
@@ -157,6 +173,15 @@ MUTANTS = (
     Mutant("fresh_slots_without_rounding_tolerance", "src/mcnc/sim/config.py",
            "self.feedback_interval_s - 1e-9)", "self.feedback_interval_s)"),
     # the links
+    Mutant("lte_base_delay_from_mmwave", "src/mcnc/channel.py",
+           "self.base_delay_s = cfg.lte_base_delay_s",
+           "self.base_delay_s = cfg.mmwave_base_delay_s", LINK_FIELDS),
+    Mutant("mmwave_loss_pair_swapped", "src/mcnc/channel.py",
+           "(cfg.mmwave_loss_los, cfg.mmwave_loss_nlos)",
+           "(cfg.mmwave_loss_nlos, cfg.mmwave_loss_los)", LINK_FIELDS),
+    Mutant("lte_bandwidth_unsplit", "src/mcnc/channel.py",
+           "cfg.lte_bandwidth_hz / cfg.n_ues", "cfg.lte_bandwidth_hz",
+           LINK_FIELDS),
     Mutant("report_survival_one_attempt", "src/mcnc/channel.py",
            "ok = draws >= loss ** self.attempts_allowed", "ok = draws >= loss"),
     Mutant("retry_delay_per_attempt", "src/mcnc/channel.py",
