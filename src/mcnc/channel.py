@@ -22,8 +22,9 @@ sojourn lengths are drawn exponentially and quantized onto the grid, and
 the autoregression runs as one pass over Python floats that restarts at
 each sojourn. Sampling the sojourn directly is the continuous-time form
 of stepping the chain with per-step flip probability 1 - exp(-dt/sojourn).
-Each transmission looks the state up at its own send start; a link never
-presampled holds its initial state at every time.
+Each transmission looks the state up at its own send start, on the step
+``steps`` gives; a link never presampled holds its initial state at every
+time.
 
 A link reads every parameter from the run's ``SimConfig``: the shared
 channel fields, and the ``mmwave_*`` or the ``lte_*`` ones by its kind.
@@ -175,10 +176,19 @@ class LinkModel:
 
     # -- state lookup --------------------------------------------------
 
+    def steps(self, times: np.ndarray) -> np.ndarray:
+        """The trajectory step in force at each of ``times``: ``int(t *
+        inv_step)``, clamped to the last step.
+
+        The product is a float that truncates, so an instant on a step
+        boundary can read the step before it: 0.29 * 100 is
+        28.999999999999996, which reads step 28.
+        """
+        return np.minimum((times * self.inv_step).astype(np.int64), len(self.modes) - 1)
+
     def snr_at(self, times: np.ndarray) -> np.ndarray:
         """SNR of the trajectory state in force at each of ``times``."""
-        snrs = np.asarray(self.snrs_db)
-        return snrs[np.minimum((times * self.inv_step).astype(np.int64), len(snrs) - 1)]
+        return np.asarray(self.snrs_db)[self.steps(times)]
 
     def control_survival(self, send_times: np.ndarray,
                          rng: np.random.Generator) -> np.ndarray:
@@ -190,11 +200,10 @@ class LinkModel:
         ``rng``.
         """
         draws = rng.random(len(send_times))
-        snrs = np.asarray(self.snrs_db)
-        idx = np.minimum((send_times * self.inv_step).astype(np.int64), len(snrs) - 1)
+        idx = self.steps(send_times)
         loss = np.asarray(self.loss_prob)[np.asarray(self.modes)[idx]]
         ok = draws >= loss ** self.attempts_allowed
-        ok[snrs[idx] < self.outage_threshold_db] = False
+        ok[np.asarray(self.snrs_db)[idx] < self.outage_threshold_db] = False
         return ok
 
     # -- data path -----------------------------------------------------
@@ -213,7 +222,7 @@ class LinkModel:
         """
         busy = self.busy_until
         send_start = now if now > busy else busy
-        i = int(send_start * self.inv_step)
+        i = int(send_start * self.inv_step)  # the rule steps() defines, inlined per packet
         # a state holds for a whole step, and so do its rate and loss: the
         # cached step is one a packet last went out on, so it is not in outage
         if i == self._rate_step:

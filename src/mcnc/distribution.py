@@ -50,7 +50,7 @@ class PathSelector:
 
     __slots__ = ("outage_threshold_db", "hysteresis_db")
 
-    def __init__(self, outage_threshold_db: float = -5.0, hysteresis_db: float = 3.0):
+    def __init__(self, outage_threshold_db: float, hysteresis_db: float):
         self.outage_threshold_db = outage_threshold_db
         self.hysteresis_db = hysteresis_db
 

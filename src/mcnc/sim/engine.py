@@ -62,8 +62,8 @@ of wall clock without changing observable behavior:
   reports live on a fixed grid and ride one feedback link: LTE with multi
   connectivity, else the mmWave uplink. That link presamples per-report
   survival (``LinkModel.control_survival``). At time t the newest report
-  slot that can have arrived is g = floor((t - ul_delay) / interval), and
-  a surviving report j is fresh while g - j < W, the
+  slot that can have arrived is g = ``_Engine._slot(t)``, and a surviving
+  report j is fresh while g - j < W, the
   ``SimConfig.fresh_slots()`` window, ceil(staleness / interval). "What
   does the sender know at t" is one index into a per-receiver ``newest``
   table, built at init, that holds each slot's newest fresh report or
@@ -354,11 +354,17 @@ class _Engine:
 
     # ----------------------------------------------------------- feedback
 
+    def _slot(self, t: float) -> int:
+        """The newest report slot that can have arrived by t, negative
+        before the first. The quotient is a float that floors, so t exactly
+        one uplink delay after a report can read the slot before it."""
+        return math.floor((t - self.ul_delay) / self.fb_int)
+
     def _latest_report(self, now: float) -> int:
         """The newest surviving report fresh at now, or -1: fresh means
         fewer than ``window`` slots older than the newest report slot that
         can have arrived by now."""
-        g = math.floor((now - self.ul_delay) / self.fb_int)
+        g = self._slot(now)
         if g < 0:
             return -1
         if g < self.n_reports:
@@ -370,7 +376,7 @@ class _Engine:
         # paths are chosen before the session's end, inside the report grid
         if not self.cfg.multi_connectivity:
             return MMWAVE
-        g = math.floor((now - self.ul_delay) / self.fb_int)
+        g = self._slot(now)
         return MMWAVE if g >= 0 and self.on_mmwave[g] else LTE
 
     # -------------------------------------------------------- transmission
@@ -470,14 +476,14 @@ class _Engine:
 
         A look in slot s that finds no fresh report knows the next
         ``fresh_from[s] - s - 2`` find none either: each ``t + fb_int``
-        moves the slot on by one, give or take one at a rounding edge, so
+        moves ``_slot`` on by one, give or take one at a rounding edge, so
         they all land before slot ``fresh_from[s]``. The walk makes those
         looks' float sums and deadline tests but skips their lookups."""
         rep = self._latest_report(t)
         due = 0  # looks to the next that may find a fresh report
         while rep < 0:
             if not due:  # the look at t found none
-                s = math.floor((t - self.ul_delay) / self.fb_int)
+                s = self._slot(t)
                 due = max(self.fresh_from[s] - s - 1, 1) if 0 <= s < self.n_reports else 1
             nxt = t + self.fb_int  # the same float sums a look per interval makes
             if nxt > g.deadline:

@@ -11,7 +11,7 @@ from __future__ import annotations
 class PlayoutBuffer:
     __slots__ = ("start_time", "fps")
 
-    def __init__(self, start_time: float, fps: float = 50.0):
+    def __init__(self, start_time: float, fps: float):
         self.start_time = start_time
         self.fps = fps
 

@@ -201,6 +201,36 @@ def test_transmit_reads_state_at_its_send_start():
     assert not link.transmit(100, now=1e6).delivered
 
 
+def test_transmit_reads_the_step_that_steps_gives():
+    # transmit spells steps() out for one time: the two agree at every
+    # frame and report instant of a default session
+    cfg = SimConfig()
+    link = _los_link()  # never in outage, so every packet takes its step's rate
+    t_end = cfg.session_end_s()
+    _presampled(link, int(t_end * (1.0 / cfg.channel_step_s)) + 2, cfg.channel_step_s)
+    frames = [u * cfg.stagger_step_s + np.arange(cfg.frame_count()) / cfg.fps
+              for u in range(cfg.n_ues)]
+    reports = np.arange(int(t_end / cfg.feedback_interval_s) + 2) * cfg.feedback_interval_s
+    for times in frames + [reports]:
+        read = []
+        for t in times.tolist():
+            link.busy_until = 0.0  # an empty FIFO: the packet starts at t
+            link._rate_step = -1  # nothing cached: transmit finds its own step
+            link.transmit(1000, t)
+            read.append(link._rate_step)
+        assert read == link.steps(times).tolist()
+    # today's rule, which a boundary fix re-pins: every frame instant and
+    # every second report instant lies on a step boundary, where the float
+    # product can land just below it and read the step before
+    assert frames[0][29] == 0.58 and link.steps(frames[0][29:30]).tolist() == [57]
+    early = []
+    for times in frames + [reports[::2]]:
+        on_grid = np.rint(times * link.inv_step)
+        assert np.abs(times * link.inv_step - on_grid).max() < 1e-6
+        early.append(int(np.count_nonzero(link.steps(times) < on_grid)))
+    assert early == [144, 219, 436, 312, 609, 89]
+
+
 # -- transmission --------------------------------------------------------
 
 

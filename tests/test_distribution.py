@@ -24,11 +24,13 @@ from mcnc.rlnc import Encoder, Generation
 # -- path selection ------------------------------------------------------
 
 
-def _paths(snr_db, **kwargs):
+def _paths(snr_db, outage_threshold_db=-5.0, hysteresis_db=3.0):
     """The path after each report slot, given each slot's reported SNR
-    (None: no fresh report)."""
+    (None: no fresh report), at the threshold and hysteresis the tests
+    below are written for."""
     snr = np.array([math.nan if x is None else x for x in snr_db])
-    return [MMWAVE if up else LTE for up in PathSelector(**kwargs).on_mmwave(snr)]
+    selector = PathSelector(outage_threshold_db, hysteresis_db)
+    return [MMWAVE if up else LTE for up in selector.on_mmwave(snr)]
 
 
 def test_selector_stays_on_mmwave_while_healthy():

@@ -757,15 +757,11 @@ def test_the_blackout_walk_checks_a_look_one_sum_moves_two_slots_on():
     # walk may skip no look here, or it walks past the only one the
     # deadline allows
     eng = _small_engine(BASE)
-
-    def slot(t):
-        return math.floor((t - eng.ul_delay) / eng.fb_int)
-
     for j in range(10, eng.n_reports - 2):
         t = eng.ul_delay + (j + 1) * eng.fb_int
         for _ in range(8):
             t = math.nextafter(t, 0.0)
-            if slot(t) == j and slot(t + eng.fb_int) == j + 2:
+            if eng._slot(t) == j and eng._slot(t + eng.fb_int) == j + 2:
                 break
         else:
             continue
@@ -779,6 +775,23 @@ def test_the_blackout_walk_checks_a_look_one_sum_moves_two_slots_on():
     _set_timeline(eng, 0, [0.0])
     eng._look(g, t)
     assert g.delivered and not g.failed
+
+
+def test_a_report_slot_is_the_floored_float_quotient():
+    # today's rule at each report's arrival instant and one ulp either
+    # side: the quotient can land just below j, so an arrival can read the
+    # slot before its own, as report 1's at 0.011 + 0.005 s reads slot 0.
+    # A rule that puts boundaries in the later slot re-pins these values.
+    eng = _small_engine(SimConfig())
+    early = 0
+    for j in range(eng.n_reports):
+        t = eng.ul_delay + j * eng.fb_int
+        for x in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)):
+            assert eng._slot(x) == math.floor((x - eng.ul_delay) / eng.fb_int), (j, x)
+        early += eng._slot(t) == j - 1
+    assert (eng.ul_delay, eng.fb_int) == (0.011000000000000001, 0.005)
+    assert eng._slot(eng.ul_delay + eng.fb_int) == 0
+    assert (early, eng.n_reports) == (612, 12315)
 
 
 class _ScriptedLink:

@@ -17,7 +17,9 @@ depend on. The codec digest pins
 the real payload codec the simulator never runs: systematic ("guarded")
 emissions, their wire bytes, every decoder step and the recovered
 payloads. An intentional behaviour change
-re-pins the affected value and says why in CHANGES.md.
+re-pins the affected value and says why in CHANGES.md. A failing digest
+names the Python and numpy versions the digests were pinned on next to
+the running ones.
 """
 
 from __future__ import annotations
@@ -25,8 +27,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import platform
 import random
 import struct
+
+import numpy as np
 
 from mcnc.gf import FieldSpec
 from mcnc.rlnc import DecoderState, Encoder, Generation, serialize
@@ -43,6 +48,17 @@ REPORTS_SHA256 = "fb5064202068a9086c5cf3433d9162487626125904eab58481603c126058d9
 EVENTS_LOG_SHA256 = "afaaf7102936d4b1117c904acfd54b090a70b91b589cd5d44317bc43a600b288"
 FATES_SHA256 = "688ce9ad4f39ae957fa5ee85781ef7527f54d82e6f5577eec2a247c8b06fb4c0"
 CODEC_SHA256 = "0e2eb0d45d73e7611a6e2fe8ea94c48c7784db908f0b39fff30dd75285f8cbd8"
+
+#: the versions every digest above was pinned on: under others a digest can
+#: move with their floats or random streams, not with this code
+PINNED_ON = "Python 3.11.7, numpy 2.4.6"
+
+
+def _pinned(got=""):
+    """A failed digest's message: what it got, the versions the digests
+    were pinned on and the running ones."""
+    return (f"{got} (digests pinned on {PINNED_ON}; running Python "
+            f"{platform.python_version()}, numpy {np.__version__})").lstrip()
 
 
 def _grid_digests(tmp_path):
@@ -61,7 +77,7 @@ def _grid_digests(tmp_path):
 
 def test_golden_digest(tmp_path):
     # one tuple, so a deliberate re-pin shows both new values in one run
-    assert _grid_digests(tmp_path) == (RESULTS_CSV_SHA256, REPORTS_SHA256)
+    assert _grid_digests(tmp_path) == (RESULTS_CSV_SHA256, REPORTS_SHA256), _pinned()
 
 
 def _neumaier_sum(iterable, start=0):
@@ -96,7 +112,7 @@ def test_golden_digest_under_a_compensated_sum(tmp_path, monkeypatch):
     # hold whichever way the interpreter's own sum() adds floats
     for module in (metrics, montecarlo):
         monkeypatch.setattr(module, "sum", _neumaier_sum, raising=False)
-    assert _grid_digests(tmp_path) == (RESULTS_CSV_SHA256, REPORTS_SHA256)
+    assert _grid_digests(tmp_path) == (RESULTS_CSV_SHA256, REPORTS_SHA256), _pinned()
 
 
 def test_summaries_under_a_compensated_sum(monkeypatch):
@@ -121,7 +137,7 @@ def test_events_log_golden_digest():
         engine.run(cell, events_log=log)
         for line in log:
             h.update(line.encode("utf-8") + b"\n")
-    assert h.hexdigest() == EVENTS_LOG_SHA256, h.hexdigest()
+    assert h.hexdigest() == EVENTS_LOG_SHA256, _pinned(h.hexdigest())
 
 
 def _pack_float(x):
@@ -180,7 +196,7 @@ def test_fates_golden_digest(monkeypatch):
         for eng in sessions:
             h.update(_fates_record(eng))
         sessions.clear()
-    assert h.hexdigest() == FATES_SHA256, h.hexdigest()
+    assert h.hexdigest() == FATES_SHA256, _pinned(h.hexdigest())
 
 
 def test_codec_golden_digest():
@@ -205,4 +221,4 @@ def test_codec_golden_digest():
         payloads = dec.extract()
         assert b"".join(payloads) == data
         h.update(b"".join(payloads))
-    assert h.hexdigest() == CODEC_SHA256, h.hexdigest()
+    assert h.hexdigest() == CODEC_SHA256, _pinned(h.hexdigest())

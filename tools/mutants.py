@@ -125,6 +125,10 @@ MUTANTS = (
     Mutant("burst_never_sorted", ENGINE,
            "        survivors.sort()\n", "        pass\n",
            T_ENGINE + "test_a_retried_packet_feeds_the_rank_in_arrival_order"),
+    Mutant("report_slot_shifted", ENGINE,
+           "math.floor((t - self.ul_delay) / self.fb_int)",
+           "math.floor((t - self.ul_delay) / self.fb_int + 1e-9)",
+           T_ENGINE + "test_a_report_slot_is_the_floored_float_quotient"),
     Mutant("blackout_skip_one_look_too_far", ENGINE,
            "self.fresh_from[s] - s - 1", "self.fresh_from[s] - s",
            T_ENGINE + "test_the_blackout_walk_checks_a_look_one_sum_moves_two_slots_on"),
@@ -182,6 +186,9 @@ MUTANTS = (
     Mutant("lte_bandwidth_unsplit", "src/mcnc/channel.py",
            "cfg.lte_bandwidth_hz / cfg.n_ues", "cfg.lte_bandwidth_hz",
            LINK_FIELDS),
+    Mutant("transmit_step_diverges_from_steps", "src/mcnc/channel.py",
+           "i = int(send_start * self.inv_step)", "i = int(send_start * self.inv_step + 1e-9)",
+           "tests/test_channel.py::test_transmit_reads_the_step_that_steps_gives"),
     Mutant("report_survival_one_attempt", "src/mcnc/channel.py",
            "ok = draws >= loss ** self.attempts_allowed", "ok = draws >= loss"),
     Mutant("retry_delay_per_attempt", "src/mcnc/channel.py",
