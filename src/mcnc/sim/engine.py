@@ -68,13 +68,10 @@ of wall clock without changing observable behavior:
   does the sender know at t" is one index into a per-receiver ``newest``
   table, built at init, that holds each slot's newest fresh report or
   none. The same lookup serves the plan looks, the blackout walk and
-  path choice. A ``fresh_from`` table next to it gives each slot's next
-  slot with a fresh report, so the blackout walk skips the lookups of
-  the looks it knows are stale. With multi connectivity a third table
-  holds the path in force after each slot: ``PathSelector`` judges the
-  mmWave SNR of the slot's fresh report for outage and hysteresis once
-  per slot, and a slot with none means LTE. Path choice at t is one index
-  into it.
+  path choice. With multi connectivity a second table holds the path in
+  force after each slot: ``PathSelector`` judges the mmWave SNR of the
+  slot's fresh report for outage and hysteresis once per slot, and a
+  slot with none means LTE. Path choice at t is one index into it.
 - Decoding is rank-sampled. Payloads are never materialized here, and the
   transmit side is systematic: a generation's first k emissions are its
   source packets, with unit coefficient vectors, so each of them that
@@ -225,16 +222,6 @@ def _newest_reports(fb_ok, scan: int) -> np.ndarray:
     return np.where(last_ok > idx - scan, last_ok, -1)
 
 
-def _fresh_from(newest: np.ndarray) -> array:
-    """``fresh_from[s]``: the first slot at or after s with a fresh report
-    (``newest[s] >= 0``), or ``len(newest)`` if there is none."""
-    n = len(newest)
-    slots = np.where(newest >= 0, np.arange(n), n)
-    table = array("l")
-    table.frombytes(np.minimum.accumulate(slots[::-1])[::-1].astype("l").tobytes())
-    return table
-
-
 class _Engine:
     """One receiver's session: its links, feedback, playout clock and events."""
 
@@ -276,7 +263,6 @@ class _Engine:
             sent_at, np.random.default_rng(derive_seed(seed, "fb", u)))
         newest = _newest_reports(fb_ok, self.window)
         self.newest = newest.tolist()
-        self.fresh_from = _fresh_from(newest)
         if cfg.multi_connectivity:
             # the path in force once the sender has seen each slot's fresh
             # report, from the mmWave SNR that report carries (NaN: none)
@@ -472,27 +458,15 @@ class _Engine:
         are final. ``handle_feedback`` decides a look with a fresh report.
         A blackout holds the plan rather than topping it up blind: the
         looks one report interval apart are walked to the first with a
-        fresh report, or the plan fails at the last the deadline allows.
-
-        A look in slot s that finds no fresh report knows the next
-        ``fresh_from[s] - s - 2`` find none either: each ``t + fb_int``
-        moves ``_slot`` on by one, give or take one at a rounding edge, so
-        they all land before slot ``fresh_from[s]``. The walk makes those
-        looks' float sums and deadline tests but skips their lookups."""
+        fresh report, or the plan fails at the last the deadline allows."""
         rep = self._latest_report(t)
-        due = 0  # looks to the next that may find a fresh report
         while rep < 0:
-            if not due:  # the look at t found none
-                s = self._slot(t)
-                due = max(self.fresh_from[s] - s - 1, 1) if 0 <= s < self.n_reports else 1
-            nxt = t + self.fb_int  # the same float sums a look per interval makes
+            nxt = t + self.fb_int
             if nxt > g.deadline:
                 self._fail_plan(g, t)
                 return
             t = nxt
-            due -= 1
-            if not due:
-                rep = self._latest_report(t)
+            rep = self._latest_report(t)
         # the rank as the newest fresh report shows it
         gen_id = g.gen_id
         off = self._off[gen_id]

@@ -41,6 +41,8 @@ def synthesize_trace(
         raise ValueError("spatial_layers must be 1 or 2")
     if not 0.0 <= jitter < 1.0:
         raise ValueError("jitter must be in [0, 1)")
+    if base_bytes < 1 or enh_bytes < 1:
+        raise ValueError("base_bytes and enh_bytes must be at least 1")
     n = -(-frames // GOP_SIZE) * GOP_SIZE
     rng = random.Random(seed)
     frame_records = []
@@ -68,16 +70,24 @@ def synthesize_trace(
 
 
 def main(argv=None) -> int:
+    from ..sim.config import SimConfig  # here: config imports this module
+
+    defaults = SimConfig()  # the trace a default run synthesizes
     parser = argparse.ArgumentParser(
         prog="tracegen", description="Generate a synthetic scalable-video trace."
     )
     parser.add_argument("--frames", type=int, required=True, help="frame count (rounded up to whole GOPs)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--base-bytes", type=int, default=2000, help="mean base-layer NALU size")
-    parser.add_argument("--enh-bytes", type=int, default=2000, help="mean enhancement NALU size")
-    parser.add_argument("--jitter", type=float, default=0.3, help="uniform size jitter fraction")
-    parser.add_argument("--psnr-lost", type=float, default=12.0, help="concealment PSNR for lost frames")
-    parser.add_argument("--spatial-layers", type=int, default=2, choices=(1, 2))
+    parser.add_argument("--seed", type=int, default=defaults.trace_seed)
+    parser.add_argument("--base-bytes", type=int, default=defaults.base_nalu_bytes,
+                        help="mean base-layer NALU size")
+    parser.add_argument("--enh-bytes", type=int, default=defaults.enh_nalu_bytes,
+                        help="mean enhancement NALU size")
+    parser.add_argument("--jitter", type=float, default=defaults.size_jitter,
+                        help="uniform size jitter fraction")
+    parser.add_argument("--psnr-lost", type=float, default=defaults.psnr_lost_db,
+                        help="concealment PSNR for lost frames")
+    parser.add_argument("--spatial-layers", type=int, default=defaults.spatial_layers,
+                        choices=(1, 2))
     parser.add_argument("--out", default="-", help="output path, '-' for stdout")
     args = parser.parse_args(argv)
 

@@ -18,7 +18,7 @@ from mcnc.sim import engine
 from mcnc.sim.config import SimConfig, grid_cells
 from mcnc.sim.engine import TraceError, run
 from mcnc.sim.metrics import MetricsReport, UEMetrics, check_conservation, left_sum
-from mcnc.video.tracegen import synthesize_trace
+from mcnc.video.tracegen import main as tracegen_main, synthesize_trace
 from mcnc.video.trace import save_trace
 
 # short sessions keep every test here under a second
@@ -190,6 +190,18 @@ def test_trace_file_feeds_the_run(tmp_path):
     rep = run(cfg, seed=1)
     assert rep.frames_total == 200  # duration bounds the session, not the trace
     assert rep.nalu_loss_ratio == 0.0
+
+
+def test_tracegen_writes_the_trace_a_default_run_synthesizes(tmp_path):
+    # a lossy cell, so the concealment PSNR of lost frames shows in the
+    # report: tracegen's defaults are the run's, or the two reports differ
+    cfg = dataclasses.replace(SimConfig(), duration_s=5.0, multi_connectivity=False,
+                              nc_fec=False, ran_retx=False)
+    path = tmp_path / "default.trace"
+    assert tracegen_main(["--frames", str(cfg.frame_count()), "--out", str(path)]) == 0
+    synthetic = run(cfg, seed=3)
+    assert synthetic.nalu_loss_ratio > 0
+    assert run(dataclasses.replace(cfg, trace_file=str(path)), seed=3).to_dict() == synthetic.to_dict()
 
 
 def test_trace_file_is_loaded_once_across_fps(tmp_path, monkeypatch):
@@ -606,10 +618,8 @@ class _PollingEngine(engine._Engine):
     fresh or that look would pass the display deadline."""
 
     polls = 0
-    looks = 0
 
     def _look(self, g, t):
-        type(self).looks += 1
         if self._latest_report(t) >= 0:
             super()._look(g, t)
         elif t + self.fb_int > g.deadline:
@@ -641,15 +651,6 @@ def test_waiting_out_a_blackout_matches_polling_it(staleness, monkeypatch):
     # the mmWave-only FEC cells are the ones whose feedback link has
     # blackouts: resolving each in one step must change nothing at all
     monkeypatch.setattr(_PollingEngine, "polls", 0)
-    monkeypatch.setattr(_PollingEngine, "looks", 0)
-    lookups = {engine._Engine: 0, _PollingEngine: 0}
-    real_latest = engine._Engine._latest_report
-
-    def counting_latest(self, now):
-        lookups[type(self)] += 1
-        return real_latest(self, now)
-
-    monkeypatch.setattr(engine._Engine, "_latest_report", counting_latest)
     cells = [cell for cell in grid_cells(dataclasses.replace(
                  BASE, n_ues=5, feedback_staleness_s=staleness))
              if cell.nc_fec and not cell.multi_connectivity]
@@ -659,9 +660,6 @@ def test_waiting_out_a_blackout_matches_polling_it(staleness, monkeypatch):
             assert _fates(engine._Engine, cell, seed) == _fates(_PollingEngine, cell, seed), (
                 cell.coding_profile, cell.ran_retx, seed)
     assert _PollingEngine.polls  # blackouts happen, so the check is not vacuous
-    # the same looks, but the walk skips the lookups the fresh_from table
-    # shows are stale: a table that never engages would make one per look
-    assert lookups[engine._Engine] < _PollingEngine.looks
 
 
 def test_every_check_sends_a_top_up():
@@ -730,10 +728,8 @@ def test_every_fresh_report_is_decided_by_handle_feedback(monkeypatch):
 
 
 def _set_newest(eng, newest):
-    """Hand-set eng's per-slot newest fresh report, and the table of the
-    next fresh slot built from it."""
+    """Hand-set eng's per-slot newest fresh report."""
     eng.newest = newest
-    eng.fresh_from = engine._fresh_from(np.array(newest))
 
 
 def test_a_look_landing_exactly_on_the_deadline_is_still_made():
@@ -754,8 +750,8 @@ def test_a_look_landing_exactly_on_the_deadline_is_still_made():
 def test_the_blackout_walk_checks_a_look_one_sum_moves_two_slots_on():
     # a look a few ulps below a slot boundary, in slot j, whose next look
     # t + interval lands in slot j + 2, the first with a fresh report: the
-    # walk may skip no look here, or it walks past the only one the
-    # deadline allows
+    # walk must make that look, or it walks past the only one the deadline
+    # allows
     eng = _small_engine(BASE)
     for j in range(10, eng.n_reports - 2):
         t = eng.ul_delay + (j + 1) * eng.fb_int
@@ -769,7 +765,6 @@ def test_the_blackout_walk_checks_a_look_one_sum_moves_two_slots_on():
     else:
         pytest.fail("no look time one sum moves two slots on")
     _set_newest(eng, [-1] * (j + 2) + list(range(j + 2, eng.n_reports)))
-    assert list(eng.fresh_from[j:j + 3]) == [j + 2] * 3
     assert eng._latest_report(t) < 0 <= eng._latest_report(t + eng.fb_int)
     g = GenerationPlan(0, 1, 1, t + eng.fb_int)
     _set_timeline(eng, 0, [0.0])
@@ -898,7 +893,6 @@ def test_report_slot_0_is_a_report():
     # surviving, each lookup of the newest fresh report finds it in slot 0
     eng = _small_engine(LOSSLESS)
     assert LOSSLESS.multi_connectivity and eng.newest[:2] == [0, 1]
-    assert list(eng.fresh_from[:2]) == [0, 1]
     assert eng._latest_report(eng.ul_delay) == 0
     # the path table judges report 0's mmWave SNR, 20 dB in either mode
     assert eng.on_mmwave[0] is True

@@ -226,6 +226,14 @@ def test_synthesize_jitter_range_checked():
         synthesize_trace(0)
     with pytest.raises(ValueError):
         synthesize_trace(16, spatial_layers=3)
+    # a mean NALU size below one byte, which SimConfig rejects too
+    for sizes in ({"base_bytes": 0}, {"base_bytes": -5}, {"enh_bytes": -1}):
+        with pytest.raises(ValueError):
+            synthesize_trace(16, **sizes)
+    for flag, size in (("--base-bytes", "-5"), ("--base-bytes", "0"), ("--enh-bytes", "-1")):
+        with pytest.raises(SystemExit) as exc:
+            tracegen_main(["--frames", "16", flag, size])
+        assert exc.value.code == 2, flag
 
 
 def test_tracegen_cli_writes_a_loadable_file(tmp_path):

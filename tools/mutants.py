@@ -72,6 +72,7 @@ class Mutant(NamedTuple):
 
 ENGINE = "src/mcnc/sim/engine.py"
 STRUCTURE = "src/mcnc/video/structure.py"
+TRACEGEN = "src/mcnc/video/tracegen.py"
 T_ENGINE = "tests/test_engine.py::"
 LINK_FIELDS = "tests/test_channel.py::test_links_read_their_own_fields"
 
@@ -105,9 +106,6 @@ MUTANTS = (
     Mutant("first_report_slot_ignored", ENGINE,
            "g >= 0 and self.on_mmwave[g]", "g > 0 and self.on_mmwave[g]",
            T_ENGINE + "test_the_first_report_slot_already_sets_the_path"),
-    Mutant("fresh_from_skips_report_0", ENGINE,
-           "np.where(newest >= 0, np.arange(n), n)", "np.where(newest > 0, np.arange(n), n)",
-           T_ENGINE + "test_report_slot_0_is_a_report"),
     Mutant("path_table_skips_report_0", ENGINE,
            "np.where(newest >= 0, self.mm.snr_at", "np.where(newest > 0, self.mm.snr_at",
            T_ENGINE + "test_report_slot_0_is_a_report"),
@@ -130,7 +128,8 @@ MUTANTS = (
            "math.floor((t - self.ul_delay) / self.fb_int + 1e-9)",
            T_ENGINE + "test_a_report_slot_is_the_floored_float_quotient"),
     Mutant("blackout_skip_one_look_too_far", ENGINE,
-           "self.fresh_from[s] - s - 1", "self.fresh_from[s] - s",
+           "            t = nxt\n            rep = self._latest_report(t)\n",
+           "            t = nxt\n            rep = self._latest_report(t) if rep == -2 else -2\n",
            T_ENGINE + "test_the_blackout_walk_checks_a_look_one_sum_moves_two_slots_on"),
     Mutant("delivered_close_uncounted", ENGINE,
            "        else:\n            self.metrics.fec_rounds_hist[g.attempts_used] += 1\n",
@@ -196,6 +195,16 @@ MUTANTS = (
     Mutant("transmit_clean_attempt_without_base_delay", "src/mcnc/channel.py",
            "(True, busy + self.base_delay_s, 1, send_start)", "(True, busy, 1, send_start)",
            "tests/test_channel.py::test_transmit_matches_the_reference"),
+    # the trace tracegen writes
+    Mutant("tracegen_seed_default_not_the_runs", TRACEGEN,
+           "default=defaults.trace_seed", "default=0",
+           T_ENGINE + "test_tracegen_writes_the_trace_a_default_run_synthesizes"),
+    Mutant("tracegen_psnr_lost_default_not_the_runs", TRACEGEN,
+           "default=defaults.psnr_lost_db", "default=12.0",
+           T_ENGINE + "test_tracegen_writes_the_trace_a_default_run_synthesizes"),
+    Mutant("tracegen_accepts_a_zero_byte_mean", TRACEGEN,
+           "if base_bytes < 1 or enh_bytes < 1:", "if base_bytes < 0 or enh_bytes < 0:",
+           "tests/test_video.py::test_synthesize_jitter_range_checked"),
     # the report's packet totals
     Mutant("packet_total_zero_entry", "src/mcnc/sim/metrics.py",
            "                    if n:\n", "                    if True:\n",
