@@ -10,7 +10,13 @@ polynomial per field size:
 
 Only these (m, poly) pairs are accepted. Multiplication and inversion go
 through precomputed tables; the tables are built once per field size and
-shared between FieldSpec instances.
+shared between FieldSpec instances. Multiplication by a symbol is linear
+over GF(2), so the product table is built by whole rows: row 2^i, every
+symbol times x^i, is row 2^(i-1) doubled, one shift-and-reduce over a
+vector of all q symbols, and any other row a is the XOR of the rows of a's
+lowest set bit and of the rest of a. The inverse of a is the one column
+where row a holds 1; a row with no such column, or more, means ``poly`` is
+reducible.
 """
 
 from __future__ import annotations
@@ -47,32 +53,26 @@ class FieldMismatchError(ValueError):
     """Raised when operands belong to different fields."""
 
 
-def _mul_raw(a: int, b: int, m: int, poly: int) -> int:
-    # Shift-and-add carry-less product with reduction folded into each shift,
-    # so intermediate values never exceed m bits.
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        a <<= 1
-        if a & (1 << m):
-            a ^= poly
-        b >>= 1
-    return acc
-
-
 def _build_tables(m: int, poly: int) -> Tuple[np.ndarray, np.ndarray]:
     q = 1 << m
     mul = np.zeros((q, q), dtype=np.uint8)
-    for a in range(q):
-        for b in range(a, q):
-            p = _mul_raw(a, b, m, poly)
-            mul[a, b] = p
-            mul[b, a] = p
+    # row 2^i: every symbol times x^i, by one doubling per step: shift
+    # left within the field's bits, and where the top bit fell out, add
+    # the reduction polynomial's low bits
+    top = q - 1
+    x = np.arange(q, dtype=np.uint8)
+    for i in range(m):
+        mul[1 << i] = x
+        x = ((x << 1) & top) ^ ((x >> (m - 1)) * (poly & top))
+    # multiplication is linear, so row a is the row of its lowest set bit
+    # XOR the row of the rest, both already built
+    for a in range(3, q):
+        low = a & -a
+        if low != a:
+            np.bitwise_xor(mul[low], mul[a ^ low], out=mul[a])
     inv = np.zeros(q, dtype=np.uint8)
     for a in range(1, q):
-        row = mul[a]
-        hits = np.nonzero(row == 1)[0]
+        hits = np.nonzero(mul[a] == 1)[0]
         if len(hits) != 1:
             raise FieldSpecError(f"0x{poly:x} does not define a field for m={m}")
         inv[a] = hits[0]

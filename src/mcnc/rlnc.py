@@ -23,8 +23,8 @@ plane is the one before doubled, with word-wide shifts and masks over eight
 symbols at a time, so building them takes no table lookup. A coded payload
 is then one XOR-reduce of the planes its coefficient bits select.
 :meth:`DecoderState.extract` builds the same planes of the received payloads,
-recovers each source payload by one such XOR-reduce, and packs all k at
-once.
+recovers each source payload by one such XOR-reduce (a plain copy where
+it selects one plane row), and packs all k at once.
 
 Coefficient draw modes
     guarded       systematic: emission i < k is source packet i as it is,
@@ -247,8 +247,8 @@ class DecoderState:
     every other one. The multipliers that reduce an arrival are then its own
     entries at the pivot columns, so one batched gather over all pivot rows
     reduces it, and one more clears a new pivot's column from the older
-    rows. Each row sits in the slot of the packet that made it and holds
-    three blocks:
+    rows that hold a nonzero entry there. Each row sits in the slot of the
+    packet that made it and holds three blocks:
 
     R  its coefficients (k wide).
     T  its echelon coordinates (k wide): its combination, indexed by pivot
@@ -268,14 +268,17 @@ class DecoderState:
     Payloads are not reduced on arrival: each innovative one is kept as
     received. At full rank R is a permutation of the identity, so
     :meth:`extract` recovers source packet i as the combination of the raw
-    payloads that S gives the row with pivot i. Nothing is back-substituted,
-    and a second call returns the same bytes.
+    payloads that S gives the row with pivot i: one XOR-reduce of the plane
+    rows its bits select, or, for the rows that select one plane row (every
+    source packet received as is), one gather copying them all. Nothing is
+    back-substituted, and a second call returns the same bytes.
 
     Memory: k rows of 2k coefficient bytes (k without payloads) plus the k
     raw payloads, padded to 64-bit words: 20 kB and 100 kB for k=100
     GF(2^8) rows of 1000 symbols. ``extract`` adds, for the length of the
     call, the m bit planes of the raw payloads, m * k * symbol_size bytes
-    (0.8 MB there), the k solved rows (100 kB) and one 8-byte plane index
+    (0.8 MB there), the k solved rows (100 kB), a copy of the single-row
+    slots' plane rows (at most as much again) and one 8-byte plane index
     per set bit of S: k of them after a loss-free systematic delivery, at
     most m * k * k (640 kB there).
     """
@@ -389,11 +392,12 @@ class DecoderState:
             red[k + rank] = 1
         new = rows[rank]
         mul[self.field.inv_table[c]].take(red, out=new)
-        # clear the new pivot column from the older rows; their entry there
-        # turns from an R entry into the same T entry
+        # clear the new pivot column from the older rows that hold a nonzero
+        # entry there; that entry turns from an R entry into the same T entry
         f = rows[:rank, lead]
-        if np.count_nonzero(f):
-            rows[:rank] ^= _gather(mul, f, new)
+        hit = f.nonzero()[0]
+        if hit.size:
+            rows[hit] ^= _gather(mul, f[hit], new)
         self._free[lead] = False
         self._leads[rank] = lead
         self.rank = rank + 1
@@ -412,16 +416,20 @@ class DecoderState:
         bits = _coeff_bits(field, self._rows[:, k : 2 * k]).reshape(k, -1)
         picks = np.flatnonzero(bits)
         picks %= bits.shape[1]
-        ends = np.count_nonzero(bits, axis=1).cumsum().tolist()
+        counts = np.count_nonzero(bits, axis=1)
         del bits
+        ends = counts.cumsum()
         planes = _planes(field, self._raw)
         planes = planes.reshape(-1, planes.shape[-1])  # one row per (bit, slot)
         words = np.empty((k, planes.shape[-1]), dtype=np.uint64)
-        start = 0
-        for lead, end in zip(self._leads.tolist(), ends):
+        # a slot that selects one plane row is a copy of it: all in one gather
+        one = counts == 1
+        words[self._leads[one]] = planes[picks[ends[one] - 1]]
+        many = ~one
+        for lead, start, end in zip(self._leads[many].tolist(),
+                                    (ends - counts)[many].tolist(), ends[many].tolist()):
             np.bitwise_xor.reduce(planes.take(picks[start:end], axis=0),
                                   axis=0, out=words[lead])
-            start = end
         del planes  # the largest array here; gone before the payloads are packed
         # an XOR of in-field planes stays in the field: pack with no check
         data = pack_symbols(field, words.view(np.uint8)[:, :size]).tobytes()

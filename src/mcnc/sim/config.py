@@ -17,8 +17,7 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ..video.trace import PSNR_CAP
-from ..video.tracegen import LAYER_SIZE_FACTORS
+from ..video.trace import LAYER_SIZE_FACTORS, PSNR_CAP
 
 
 class ConfigError(ValueError):

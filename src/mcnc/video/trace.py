@@ -22,6 +22,10 @@ from .structure import GOP_SIZE, LAYER_POPULATIONS, temporal_layer_of
 #: PSNR of a bit-exact reconstruction, in dB, used in place of infinity
 PSNR_CAP = 99.99
 
+#: Relative NALU size per temporal layer of a synthetic trace; key frames
+#: dominate.
+LAYER_SIZE_FACTORS = (2.5, 1.4, 1.1, 0.9, 0.7)
+
 
 class ParseError(ValueError):
     def __init__(self, line: int, reason: str):

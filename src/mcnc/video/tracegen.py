@@ -13,11 +13,9 @@ import argparse
 import random
 import sys
 
+from ..sim.config import SimConfig
 from .structure import GOP_SIZE, temporal_layer_of
-from .trace import PSNR_CAP, FrameRecord, NaluRecord, VideoTrace, dumps
-
-#: Relative NALU size per temporal layer; key frames dominate.
-LAYER_SIZE_FACTORS = (2.5, 1.4, 1.1, 0.9, 0.7)
+from .trace import LAYER_SIZE_FACTORS, PSNR_CAP, FrameRecord, NaluRecord, VideoTrace, dumps
 
 
 def synthesize_trace(
@@ -70,8 +68,6 @@ def synthesize_trace(
 
 
 def main(argv=None) -> int:
-    from ..sim.config import SimConfig  # here: config imports this module
-
     defaults = SimConfig()  # the trace a default run synthesizes
     parser = argparse.ArgumentParser(
         prog="tracegen", description="Generate a synthetic scalable-video trace."

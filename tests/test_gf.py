@@ -15,6 +15,7 @@ from mcnc.gf import (
     LengthMismatchError,
     SymbolVector,
     ZeroInverseError,
+    _build_tables,
     gf_inv,
     gf_mul,
     pack_symbols,
@@ -57,6 +58,39 @@ def test_axioms_random_triples_gf256():
         assert gf_mul(spec, a, 1) == a and gf_mul(spec, a, 0) == 0
         if a:
             assert gf_mul(spec, a, gf_inv(spec, a)) == 1
+
+
+def _mul_raw(a, b, m, poly):
+    """Scalar reference product: shift-and-add, with the reduction folded
+    into each shift so intermediate values never exceed m bits."""
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        a <<= 1
+        if a & (1 << m):
+            a ^= poly
+        b >>= 1
+    return acc
+
+
+@pytest.mark.parametrize("m", [1, 4, 8])
+def test_tables_match_the_scalar_reference(m):
+    spec = FieldSpec(m)
+    q = spec.order
+    expected = [[_mul_raw(a, b, m, spec.poly) for b in range(q)] for a in range(q)]
+    assert spec.mul_table.dtype == np.uint8 and spec.mul_table.shape == (q, q)
+    assert spec.mul_table.tolist() == expected
+    # the one b with a * b == 1, by the reference; zero maps to zero
+    expected_inv = [0] + [expected[a].index(1) for a in range(1, q)]
+    assert spec.inv_table.tolist() == expected_inv
+    assert not spec.mul_table.flags.writeable and not spec.inv_table.flags.writeable
+
+
+def test_tables_refuse_a_reducible_polynomial():
+    # x^4 + x^2 + 1 = (x^2 + x + 1)^2: x^2 + x + 1 has no inverse
+    with pytest.raises(FieldSpecError, match="0x15 does not define a field for m=4"):
+        _build_tables(4, 0b10101)
 
 
 def test_nonzero_rows_are_permutations():

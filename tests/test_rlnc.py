@@ -18,6 +18,7 @@ from mcnc.rlnc import (
     GenerationMismatchError,
     RankDeficientError,
     WIRE_HEADER,
+    _coeff_bits,
     _planes,
     _word_rows,
     deserialize,
@@ -457,6 +458,95 @@ def test_decoder_matches_echelon_reference(mode, m, k):
     assert full.extract() == expected
     assert full.extract() == expected  # extract leaves the decoder unchanged
     assert b"".join(expected) == data
+
+
+def _assert_rows_match_echelon(dec, ref, kept):
+    """Row for row, the decoder's blocks against the echelon reference: R
+    with its own 1 is the reference's echelon row at its pivot plus T times
+    the echelon rows at the other pivots, and S times the coefficients of
+    the innovative packets ``kept`` so far gives R again."""
+    k, mul = dec.k, dec.field.mul_table
+    assert sorted(dec._leads[: dec.rank].tolist()) == sorted(ref.rows)
+    raw = np.array([np.frombuffer(p.coeffs, np.uint8) for p in kept]).reshape(-1, k)
+    for slot in range(dec.rank):
+        lead, row = int(dec._leads[slot]), dec._rows[slot]
+        r = np.where(dec._free, row[:k], 0)
+        r[lead] = 1
+        via_t = ref.rows[lead][:k].copy()
+        for col in ref.rows:
+            if col != lead:
+                via_t ^= mul[row[col]].take(ref.rows[col][:k])
+        assert r.tolist() == via_t.tolist(), (slot, lead)
+        via_s = np.zeros(k, dtype=np.uint8)
+        for c, coeffs in zip(row[k : k + len(kept)], raw):
+            via_s ^= mul[c].take(coeffs)
+        assert r.tolist() == via_s.tolist(), (slot, lead)
+        assert not row[k + len(kept):].any()
+
+
+def _single_row_slots(dec):
+    """How many slots select one plane row in ``extract``: their raw-packet
+    coordinates hold one nonzero entry, a power of two."""
+    bits = _coeff_bits(dec.field, dec._rows[:, dec.k :]).reshape(dec.k, -1)
+    return int(np.count_nonzero(np.count_nonzero(bits, axis=1) == 1))
+
+
+@pytest.mark.parametrize("m,k", [(8, 100), (4, 40)])
+def test_column_clear_touches_the_rows_with_an_entry_there(m, k):
+    # source packets first, some lost, then coded ones: each coded pivot
+    # lands in a column where the older coded pivot rows hold an entry and
+    # the source rows hold none, so a clear reaches some older rows only
+    field = FieldSpec(m)
+    rng = random.Random(100 * m + k)
+    gen, data = _random_generation(rng, field, k, packet_bytes=8)
+    enc = Encoder(gen, seed=rng.randrange(2**32), mode="guarded")
+    lost = set(rng.sample(range(k), k // 4))
+    ref, dec, kept = _EchelonDecoder(gen), DecoderState(gen), []
+    some_not_all = 0
+    while not dec.delivered:
+        pkt = enc.next_packet()
+        if pkt.seq in lost:
+            continue
+        older = dec._rows[: dec.rank, : k].copy()
+        got = ref.consume(pkt.coeffs, pkt.payload)
+        assert dec.consume(pkt) == got
+        assert (dec.rank, dec.row_ops, dec.last_consume_row_ops) == (
+            ref.rank, ref.row_ops, ref.last_consume_row_ops)
+        if got:
+            kept.append(pkt)
+            held = np.count_nonzero(older[:, int(dec._leads[dec.rank - 1])])
+            some_not_all += 0 < held < len(older)
+        _assert_rows_match_echelon(dec, ref, kept)
+    assert some_not_all == len(lost) - 1  # every coded pivot after the first
+    assert dec.extract() == ref.extract()
+    assert b"".join(dec.extract()) == data
+
+
+def _delivered(gen, mode, lost=()):
+    enc, dec = Encoder(gen, seed=3, mode=mode), DecoderState(gen)
+    while not dec.delivered:
+        pkt = enc.next_packet()
+        if pkt.seq not in lost:
+            dec.consume(pkt)
+    return dec
+
+
+@pytest.mark.parametrize("m", [1, 4, 8])
+def test_extract_copies_single_row_slots_byte_exact(m):
+    # every slot a single plane row (loss-free systematic delivery), none
+    # (unrestricted draws) and a mix (systematic with losses): each extract
+    # returns the source bytes exactly
+    field = FieldSpec(m)
+    rng = random.Random(m)
+    k = 24
+    gen, data = _random_generation(rng, field, k, packet_bytes=13)
+    expected = [data[i : i + 13] for i in range(0, len(data), 13)]
+    cases = ((_delivered(gen, "guarded"), k, k),
+             (_delivered(gen, "unrestricted"), 0, 0),
+             (_delivered(gen, "guarded", lost={0, 5, 6, 17}), 1, k - 1))
+    for dec, fewest, most in cases:
+        assert fewest <= _single_row_slots(dec) <= most
+        assert dec.extract() == expected
 
 
 # -- dependence statistics ---------------------------------------------

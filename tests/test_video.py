@@ -262,17 +262,21 @@ def test_tracegen_cli_rejects_other_gop_lengths(tmp_path):
 
 
 def test_tracegen_runs_as_a_module_once(tmp_path):
-    # the package must not import the module -m runs: runpy would warn that
-    # it is already loaded, and its code would run twice
+    # no module may import the one -m runs: its code would run a second
+    # time, and runpy warns only if the import came before it started
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = tmp_path / "gen.trace"
     proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "mcnc.video.tracegen",
-         "--frames", "16", "--out", str(out)],
+        [sys.executable, "-W", "error::RuntimeWarning", "-X", "importtime",
+         "-m", "mcnc.video.tracegen", "--frames", "16", "--out", str(out)],
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "mcnc.sim.config" in imported  # the listing is there to read
+    assert "mcnc.video.tracegen" not in imported
     assert load_trace(out).n_frames == 16
 
 

@@ -44,6 +44,8 @@ ROOT = Path(__file__).resolve().parent.parent
 #: the test files quick enough to run once per mutant, quickest to fail first
 FAST_TESTS = (
     "tests/test_golden.py",
+    "tests/test_gf.py",
+    "tests/test_rlnc.py",
     "tests/test_engine.py",
     "tests/test_distribution.py",
     "tests/test_metrics.py",
@@ -73,6 +75,8 @@ class Mutant(NamedTuple):
 ENGINE = "src/mcnc/sim/engine.py"
 STRUCTURE = "src/mcnc/video/structure.py"
 TRACEGEN = "src/mcnc/video/tracegen.py"
+RLNC = "src/mcnc/rlnc.py"
+T_RLNC = "tests/test_rlnc.py::"
 T_ENGINE = "tests/test_engine.py::"
 LINK_FIELDS = "tests/test_channel.py::test_links_read_their_own_fields"
 
@@ -195,6 +199,16 @@ MUTANTS = (
     Mutant("transmit_clean_attempt_without_base_delay", "src/mcnc/channel.py",
            "(True, busy + self.base_delay_s, 1, send_start)", "(True, busy, 1, send_start)",
            "tests/test_channel.py::test_transmit_matches_the_reference"),
+    # the codec: product tables, the decoder's column clear, extract's copies
+    Mutant("table_build_one_shift_short", "src/mcnc/gf.py",
+           "    for i in range(m):\n", "    for i in range(m - 1):\n",
+           "tests/test_gf.py::test_tables_match_the_scalar_reference"),
+    Mutant("column_clear_skips_its_first_row", RLNC,
+           "hit = f.nonzero()[0]", "hit = f.nonzero()[0][1:]",
+           T_RLNC + "test_column_clear_touches_the_rows_with_an_entry_there"),
+    Mutant("single_row_copy_reads_the_wrong_pick", RLNC,
+           "planes[picks[ends[one] - 1]]", "planes[picks[ends[one] - 2]]",
+           T_RLNC + "test_extract_copies_single_row_slots_byte_exact"),
     # the trace tracegen writes
     Mutant("tracegen_seed_default_not_the_runs", TRACEGEN,
            "default=defaults.trace_seed", "default=0",
