@@ -12,15 +12,18 @@ next look at the plan (``_Engine._look``) is made, its inputs all final:
 or sizing the top-up whose CHECK the look pushes. A blackout (no fresh
 report) walks the looks one interval apart to the first fresh one, or
 fails the plan at the last before the display deadline. With
-multi-connectivity disabled everything rides mmWave; without FEC a
-generation gets its k packets once. Everything is deterministic given (config, seed): every
-random stream is split off the master seed with a distinct label.
+multi-connectivity disabled everything rides mmWave. Without FEC there is
+no plan and no look: a generation's one burst, its k source packets,
+decides it and feeds no rank timeline. Everything is deterministic given
+(config, seed): every random stream is split off the master seed with a
+distinct label.
 
 Session state is columns indexed by generation id. A ``_Layout``, shared
 by every receiver, numbers the generations in frame order and holds what
 the trace fixes; each session holds what happened to them, such as
 ``complete_at`` (when the rank reached k) and one flat rank timeline.
-The sender's ``GenerationPlan`` exists for FEC generations only.
+The sender's ``GenerationPlan``, and with it the rank timeline its looks
+read, exists for FEC generations only.
 
 After the loop, ``_play`` plays the receiver back in a few array passes
 over the frames in display order. Every input is final by then:
@@ -55,9 +58,12 @@ of wall clock without changing observable behavior:
   in bulk. Each packet of a burst still goes through
   ``LinkModel.transmit`` on its own, but a burst adds its counts to its
   path's entry of ``UEMetrics.packets`` once, and each link computes
-  its rate once per channel step. A burst's survivors are sorted by
-  arrival and feed the rank timeline in one pass that stops at full
-  rank.
+  its rate once per channel step. ``_send_burst`` serves the FEC plans:
+  a burst's survivors are sorted by arrival and feed the rank timeline
+  in one pass that stops at full rank. A planless generation's burst
+  (no FEC) skips the timeline: it completes at its latest arrival iff
+  all k source packets arrive, and ``_on_frame`` keeps just that
+  maximum and the counts.
 - Feedback is one per-slot timeline, pulled, not evented. Receiver
   reports live on a fixed grid and ride one feedback link: LTE with multi
   connectivity, else the mmWave uplink. That link presamples per-report
@@ -282,9 +288,9 @@ class _Engine:
 
         # the session's columns, indexed by generation id: when the rank
         # reached k, when a failure notice reached the receiver, the
-        # latest arrival (-1: none), emissions so far (the first k are
-        # source packets), the rank, and the sender's plan (FEC only);
-        # ts[off[g] + i] is when g's rank reached i + 1
+        # latest arrival (-1: none), and for FEC only emissions so far
+        # (the first k are source packets), the rank and the sender's
+        # plan; ts[off[g] + i] is when g's rank reached i + 1
         n_gens = layout.n_gens
         self.complete_at = array("d", [math.inf]) * n_gens
         self.notice_at = array("d", [math.inf]) * n_gens
@@ -378,8 +384,8 @@ class _Engine:
         return probs
 
     def _send_burst(self, gen_id: int, n: int, path: str, now: float) -> float:
-        """Send n packets of generation gen_id on path; returns when the
-        burst has settled.
+        """Send n packets of FEC generation gen_id on path; returns when
+        the burst has settled.
 
         Each surviving packet feeds the receiver's rank timeline in arrival
         order, until the rank reaches k. A source packet (emission < k)
@@ -483,16 +489,45 @@ class _Engine:
 
     def _on_frame(self, f: int, now: float):
         path = self._current_path(now)
-        n_initial = self._n_initial[path]
-        send_burst = self._send_burst
         ks = self._k
         gen_ids = range(self.layout.first[f], self.layout.first[f + 1])
         if not self.cfg.nc_fec:
-            # no sender-side plan without reactive coding: losses resolve
-            # through the receiver's give-up timer or the display clock
+            # no plan without FEC, so no look reads a rank timeline: a
+            # generation's one burst, its k source packets, completes it at
+            # the latest arrival iff all k arrive. Losses resolve through
+            # the receiver's give-up timer or the display clock.
+            transmit = (self.mm if path == MMWAVE else self.lte).transmit
+            counts = self.metrics.packets[path]
+            backhaul = self.backhaul
+            wire = self._wire
+            last_arrival, complete_at = self.last_arrival, self.complete_at
             for gen_id in gen_ids:
-                send_burst(gen_id, n_initial[ks[gen_id]], path, now)
+                k = ks[gen_id]
+                nbytes = wire[k]
+                got = unsent = 0
+                last = -math.inf
+                for _ in range(k):
+                    delivered, deliver_at, attempts, _ = transmit(nbytes, now)
+                    if delivered:
+                        got += 1
+                        if deliver_at > last:
+                            last = deliver_at
+                    elif not attempts:
+                        unsent += 1  # the link is in outage
+                counts[0] += k
+                counts[1] += got
+                counts[2] += unsent
+                counts[3] += k - got - unsent
+                if got:
+                    # rounding is monotone, so this is the latest of the
+                    # per-packet sums
+                    arrived = last + backhaul
+                    last_arrival[gen_id] = arrived
+                    if got == k:
+                        complete_at[gen_id] = arrived
             return
+        n_initial = self._n_initial[path]
+        send_burst = self._send_burst
         deadline = self.buffer.deadline(f)
         guard = self.cfg.plan_check_guard_s
         plans = self.plans

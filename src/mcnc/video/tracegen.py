@@ -21,14 +21,16 @@ from .trace import LAYER_SIZE_FACTORS, PSNR_CAP, FrameRecord, NaluRecord, VideoT
 def synthesize_trace(
     frames: int,
     fps: float = 50.0,
-    seed: int = 0,
-    base_bytes: int = 2000,
-    enh_bytes: int = 2000,
-    jitter: float = 0.3,
-    psnr_lost: float = 12.0,
-    spatial_layers: int = 2,
+    seed: int = SimConfig.trace_seed,
+    base_bytes: int = SimConfig.base_nalu_bytes,
+    enh_bytes: int = SimConfig.enh_nalu_bytes,
+    jitter: float = SimConfig.size_jitter,
+    psnr_lost: float = SimConfig.psnr_lost_db,
+    spatial_layers: int = SimConfig.spatial_layers,
 ) -> VideoTrace:
-    """Build a trace of ``frames`` frames, rounded up to whole GOPs.
+    """Build a trace of ``frames`` frames, rounded up to whole GOPs. The
+    defaults are a default run's, so ``synthesize_trace(n)`` is the trace
+    that run synthesizes.
 
     A trace carries no timing, so ``fps`` is accepted and unused: the
     session's frame rate places the frames.

@@ -134,6 +134,60 @@ def test_runs_alternate_which_side_goes_first():
                      (3, "base"), (3, "head")]
 
 
+def _held_out_trees(tmp_path):
+    """Two empty trees for a fake runner, the head with the benchmark spec."""
+    for side in ("base", "head"):
+        (tmp_path / side).mkdir()
+    shutil.copy2(ROOT / "BENCHMARK.json", tmp_path / "head" / "BENCHMARK.json")
+    return tmp_path / "base", tmp_path / "head"
+
+
+def test_the_held_out_pair_runs_after_the_round_and_stays_out_of_its_statistics(tmp_path):
+    # the head is 10 % faster in the round and twice as fast on the
+    # held-out seed, whose pair must not move the round's figures
+    calls = []
+
+    def fake(tree, workload, seed, seconds):
+        calls.append((seed, tree.name))
+        rate = 100.0 + seed if tree.name == "base" else 110.0 + 1.1 * seed
+        if seed == 4242:
+            rate = 100.0 if tree.name == "base" else 200.0
+        return json.loads(_line(source_mb_per_s=rate))
+
+    record = bench_compare.compare(*_held_out_trees(tmp_path), "grid_paper", [1, 2, 3], 1,
+                                   run=fake, log=None, held_out=4242)
+    assert calls[-2:] == [(4242, "head"), (4242, "base")]  # even: the head goes first
+    assert len(calls) == 8 and record["seeds"] == [1, 2, 3]
+    rate = record["metrics"]["source_mb_per_s"]
+    assert rate["pairs"] == 3 and rate["wins"] == 3
+    assert rate["base"]["values"] == [101.0, 102.0, 103.0]
+    assert rate["rel_change"] == pytest.approx(0.1) and rate["spread"] < 0.02
+    held = record["held_out"]
+    assert held["seed"] == 4242 and held["failed"] == {"base": 0, "head": 0}
+    assert (held["base"]["source_mb_per_s"], held["head"]["source_mb_per_s"]) == (100.0, 200.0)
+    assert held["metrics"]["source_mb_per_s"] == {"rel_change": 1.0, "ahead": True}
+    assert held["metrics"]["setup_s"] == {"rel_change": 0.0, "ahead": False}
+    assert [s["seed"] for s in record["per_seed"]] == [1, 2, 3]
+    assert bench_compare.verdict(record) == 0
+
+
+def test_a_failed_held_out_run_fails_the_comparison(tmp_path):
+    def fake(tree, workload, seed, seconds):
+        if seed == 4242 and tree.name == "head":
+            return None  # exited non-zero or printed no result
+        return json.loads(_line())
+
+    record = bench_compare.compare(*_held_out_trees(tmp_path), "grid_paper", [1, 2], 1,
+                                   run=fake, log=None, held_out=4242)
+    assert record["failed"] == {"base": 0, "head": 0}
+    assert record["held_out"]["failed"] == {"base": 0, "head": 1}
+    assert record["held_out"]["head"] is None and record["held_out"]["metrics"] == {}
+    assert bench_compare.verdict(record) == 1
+    # without the held-out pair the same round passes
+    del record["held_out"]
+    assert bench_compare.verdict(record) == 0
+
+
 def test_directory_against_directory(tmp_path):
     # two copies of this tree, one short codec run each side: every
     # end-to-end metric gets its pair, and the record names both sources

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import heapq
+import itertools
 import math
 import random
 from array import array
@@ -244,10 +245,12 @@ def test_broken_packet_count_fails_the_run(monkeypatch):
         run(dataclasses.replace(BASE, duration_s=0.5), seed=1)
 
 
-def test_every_packet_is_one_transmit_call(monkeypatch):
+@pytest.mark.parametrize("nc_fec", [True, False])
+def test_every_packet_is_one_transmit_call(monkeypatch, nc_fec):
     # the benchmark counts transmit calls and outcomes per link through a
     # wrapper like this one, so the engine must push each packet through
-    # LinkModel.transmit on its own; the report's per-path counts must match
+    # LinkModel.transmit on its own, with FEC or without; the report's
+    # per-path counts must match
     calls = {MMWAVE: 0, LTE: 0}
     delivered = {MMWAVE: 0, LTE: 0}
     real_transmit = LinkModel.transmit
@@ -259,7 +262,7 @@ def test_every_packet_is_one_transmit_call(monkeypatch):
         return out
 
     monkeypatch.setattr(LinkModel, "transmit", counting_transmit)
-    cfg = dataclasses.replace(BASE, multi_connectivity=True, nc_fec=True)
+    cfg = dataclasses.replace(BASE, multi_connectivity=True, nc_fec=nc_fec)
     totals = run(cfg, seed=3).packet_totals()
     assert calls[MMWAVE] > 0 and calls[LTE] > 0, "the cell must use both links"
     for kind in (MMWAVE, LTE):
@@ -660,6 +663,45 @@ def test_waiting_out_a_blackout_matches_polling_it(staleness, monkeypatch):
             assert _fates(engine._Engine, cell, seed) == _fates(_PollingEngine, cell, seed), (
                 cell.coding_profile, cell.ran_retx, seed)
     assert _PollingEngine.polls  # blackouts happen, so the check is not vacuous
+
+
+class _BurstPerGenerationEngine(engine._Engine):
+    """The engine with a planless frame sent as it once was: one
+    ``_send_burst`` per generation, feeding the rank timeline that no look
+    reads without FEC."""
+
+    def _on_frame(self, f, now):
+        if self.cfg.nc_fec:
+            return super()._on_frame(f, now)
+        path = self._current_path(now)
+        for gen_id in _frame_gens(self, f):
+            self._send_burst(gen_id, self._n_initial[path][self._k[gen_id]], path, now)
+
+
+def test_a_planless_frame_sends_as_one_burst_per_generation_did():
+    # every no-FEC cell of the grid, one receiver in LOS and one in NLOS:
+    # the same completions, last arrivals, counts and link states, down to
+    # each link's loss stream
+    cells = [cell for cell in grid_cells(dataclasses.replace(BASE, ues_los=1))
+             if not cell.nc_fec]
+    assert len(cells) == 8
+    drops = [0, 0]  # outage, retries exhausted: both kinds occur
+    partial = 0  # generations with some but not all packets in
+    for cell, seed in itertools.product(cells, (1, 2, 3)):
+        for new, ref in zip(_sessions(cell, seed), _sessions(cell, seed, _BurstPerGenerationEngine)):
+            where = (cell.coding_profile, cell.connectivity_label, cell.ran_retx, seed, new.u)
+            assert new.complete_at == ref.complete_at, where
+            assert new.last_arrival == ref.last_arrival, where
+            assert new.metrics.packets == ref.metrics.packets, where
+            for a, b in ((new.mm, ref.mm), (new.lte, ref.lte)):
+                assert a.busy_until == b.busy_until, (where, a.kind)
+                assert a.rng.getstate() == b.rng.getstate(), (where, a.kind)
+            for counts in new.metrics.packets.values():
+                drops[0] += counts[2]
+                drops[1] += counts[3]
+            partial += sum(c == math.inf and a >= 0.0
+                           for c, a in zip(new.complete_at, new.last_arrival))
+    assert min(drops) > 0 and partial > 0
 
 
 def test_every_check_sends_a_top_up():

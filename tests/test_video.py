@@ -14,6 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mcnc.sim import engine
+from mcnc.sim.config import SimConfig
 from mcnc.video.playout import PlayoutBuffer
 from mcnc.video.structure import (
     GOP_SIZE,
@@ -202,6 +204,14 @@ def test_synthesize_rounds_up_to_whole_gops():
     assert synthesize_trace(1).n_frames == 16
     assert synthesize_trace(17).n_frames == 32
     assert synthesize_trace(48).n_frames == 48
+
+
+def test_synthesize_defaults_are_a_default_runs():
+    # a caller that leaves every setting out gets the trace a default run
+    # synthesizes, concealment PSNR included (a short one, so that a
+    # failure's diff stays short)
+    cfg = SimConfig(duration_s=1.0)
+    assert dumps(synthesize_trace(cfg.frame_count())) == dumps(engine._obtain_trace(cfg))
 
 
 def test_synthesize_is_seed_deterministic():

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Compare the benchmark on two revisions in alternated pairs, and keep the record.
 
-    python3 tools/bench_compare.py --base REV [--head REV] --workload W --seeds 1-10 [--seconds 10]
+    python3 tools/bench_compare.py --base REV [--head REV] --workload W --seeds 1-10 \
+        [--held-out SEED] [--seconds 10]
 
 Each revision is checked out with ``git worktree add --detach`` in a
 temporary directory, removed and pruned on exit; without ``--head`` the
@@ -17,15 +18,19 @@ holds the host, the Python and numpy versions, each tree's
 ``src_sha256`` as its runs' reports give it, every seed's values on both
 sides, and for each end-to-end metric of ``BENCHMARK.json`` the medians,
 quartiles, wins and relative change of the head against the base, next
-to the metric's bound and direction. A working-tree head is labelled
+to the metric's bound and direction. With ``--held-out SEED`` one more
+alternated pair runs after the round, on a seed the round did not use, and
+the record keeps it under ``held_out``: both sides' values and, per
+end-to-end metric, the head's relative change and whether it is ahead.
+It enters no median, win count or spread. A working-tree head is labelled
 ``<HEAD>-src<first 8 hex digits of its src_sha256>``, so records of
 different working trees do not overwrite each other. A metric is
 unresolved when either side's quartile spread, relative to its median,
 is wider than the bound, unless every head run beats every base run. A
 run fails if it exits non-zero, prints no result or reports a failed op.
-The exit status is 1 if a run failed or a metric's head median is worse
-than the base's by more than its bound, else 0; an unresolved metric is
-reported, not failed.
+The exit status is 1 if a run failed, the held-out pair's included, or a
+metric's head median is worse than the base's by more than its bound,
+else 0; an unresolved metric is reported, not failed.
 """
 
 from __future__ import annotations
@@ -201,10 +206,21 @@ def summarize(spec: dict, seeds: List[int], results: dict) -> dict:
     }
 
 
+def held_out_pair(spec: dict, seed: int, results: dict) -> dict:
+    """The held-out pair's record: both sides' values, the failed runs,
+    and per end-to-end metric the head's relative change and whether it
+    is ahead, when both sides ran."""
+    summary = summarize(spec, [seed], results)
+    return {**summary["per_seed"][0], "failed": summary["failed"], "metrics": {
+        name: {"rel_change": m["rel_change"], "ahead": m["wins"] == 1}
+        for name, m in summary["metrics"].items() if m["pairs"]}}
+
+
 def verdict(summary: dict) -> int:
-    """1 if a run failed, a metric has no pair, or a metric is worse than
-    its bound; else 0."""
-    if any(summary["failed"].values()):
+    """1 if a run failed (the held-out pair's included), a metric has no
+    pair, or a metric is worse than its bound; else 0."""
+    held_out = summary.get("held_out")
+    if any(summary["failed"].values()) or (held_out and any(held_out["failed"].values())):
         return 1
     for entry in summary["metrics"].values():
         if not entry["pairs"] or entry["worse_than_bound"]:
@@ -222,8 +238,9 @@ def host_info() -> dict:
 
 
 def compare(base: Path, head: Path, workload: str, seeds: List[int], seconds: int,
-            run: Callable = run_once, log=sys.stderr) -> dict:
-    """The record of one comparison of two prepared trees."""
+            run: Callable = run_once, log=sys.stderr, held_out: Optional[int] = None) -> dict:
+    """The record of one comparison of two prepared trees, with the
+    held-out pair after the round if a held-out seed is given."""
     with open(head / "BENCHMARK.json", encoding="utf-8") as fh:
         spec = json.load(fh)
     results = run_pairs(base, head, workload, seeds, seconds, run, log)
@@ -235,6 +252,9 @@ def compare(base: Path, head: Path, workload: str, seeds: List[int], seconds: in
         "src_sha256": sources(results),
     }
     record.update(summarize(spec, seeds, results))
+    if held_out is not None:
+        pair = run_pairs(base, head, workload, [held_out], seconds, run, log)
+        record["held_out"] = held_out_pair(spec, held_out, pair)
     return record
 
 
@@ -270,15 +290,20 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True,
                         choices=("grid_paper", "stream_hd", "codec_roundtrip"))
     parser.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 1-10")
+    parser.add_argument("--held-out", type=int, metavar="SEED",
+                        help="one more pair after the round, kept out of its statistics")
     parser.add_argument("--seconds", type=int, default=10)
     args = parser.parse_args(argv)
+    if args.held_out in args.seeds:
+        parser.error("the held-out seed %d is in the round" % args.held_out)
     base_label = _git("rev-parse", "--short", args.base)
     with contextlib.ExitStack() as stack:
         tmp = Path(stack.enter_context(tempfile.TemporaryDirectory(prefix="bench-")))
         base = stack.enter_context(worktree(args.base, tmp / "base"))
         head = stack.enter_context(worktree(args.head, tmp / "head")) if args.head else ROOT
         use_benchmark_of(head, base)
-        record = compare(base, head, args.workload, args.seeds, args.seconds)
+        record = compare(base, head, args.workload, args.seeds, args.seconds,
+                         held_out=args.held_out)
     if args.head:
         head_label = _git("rev-parse", "--short", args.head)
     else:
@@ -297,6 +322,13 @@ def main(argv=None) -> int:
                       m["wins"], m["pairs"], 100 * m["spread"], 100 * m["bound"],
                       "  WORSE THAN BOUND" if m["worse_than_bound"] else "",
                       "  UNRESOLVED" if m["unresolved"] else ""))
+    held_out = record.get("held_out")
+    if held_out:
+        for name, m in held_out["metrics"].items():
+            print("%-16s held-out seed %d: base %10.5g  head %10.5g  %+7.2f %%" % (
+                name, held_out["seed"], held_out["base"][name], held_out["head"][name],
+                100 * m["rel_change"]))
+        print("failed held-out runs: base %(base)d, head %(head)d" % held_out["failed"])
     print("failed runs: base %(base)d, head %(head)d" % record["failed"])
     print("record %s" % out.relative_to(ROOT))
     return verdict(record)

@@ -79,6 +79,7 @@ RLNC = "src/mcnc/rlnc.py"
 T_RLNC = "tests/test_rlnc.py::"
 T_ENGINE = "tests/test_engine.py::"
 LINK_FIELDS = "tests/test_channel.py::test_links_read_their_own_fields"
+PLANLESS = T_ENGINE + "test_a_planless_frame_sends_as_one_burst_per_generation_did"
 
 MUTANTS = (
     # the engine's ties and rules
@@ -135,6 +136,14 @@ MUTANTS = (
            "            t = nxt\n            rep = self._latest_report(t)\n",
            "            t = nxt\n            rep = self._latest_report(t) if rep == -2 else -2\n",
            T_ENGINE + "test_the_blackout_walk_checks_a_look_one_sum_moves_two_slots_on"),
+    # a planless generation's one burst
+    Mutant("planless_completion_one_arrival_short", ENGINE,
+           "if got == k:", "if got >= k - 1:", PLANLESS),
+    Mutant("planless_last_arrival_without_backhaul", ENGINE,
+           "last_arrival[gen_id] = arrived", "last_arrival[gen_id] = last", PLANLESS),
+    Mutant("planless_drop_causes_swapped", ENGINE,
+           "counts[2] += unsent\n                counts[3] += k - got - unsent",
+           "counts[2] += k - got - unsent\n                counts[3] += unsent", PLANLESS),
     Mutant("delivered_close_uncounted", ENGINE,
            "        else:\n            self.metrics.fec_rounds_hist[g.attempts_used] += 1\n",
            "        else:\n            pass\n"),
