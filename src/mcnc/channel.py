@@ -43,7 +43,8 @@ from __future__ import annotations
 
 import math
 import random
-from typing import TYPE_CHECKING, NamedTuple
+from operator import itemgetter
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -57,15 +58,22 @@ LOS = 0
 NLOS = 1
 
 
-class TxOutcome(NamedTuple):
-    delivered: bool
-    deliver_at: float  # meaningless when not delivered
-    attempts: int
-    send_start: float
+class TxOutcome(tuple):
+    """One packet's fate: the 4-tuple (delivered, deliver_at, attempts,
+    send_start), built as ``TxOutcome((...))``.
 
+    It equals and unpacks like that plain tuple, which is how the engine
+    reads it; the names serve callers that read one field. With no
+    ``__new__`` of its own it is built by tuple's constructor directly,
+    at less cost per packet than a ``NamedTuple``.
+    """
 
-# builds a TxOutcome from a tuple without the generated __new__, as _make does
-_new = tuple.__new__
+    __slots__ = ()
+
+    delivered = property(itemgetter(0), doc="whether the packet got through")
+    deliver_at = property(itemgetter(1), doc="when it arrived; 0.0 when not delivered")
+    attempts = property(itemgetter(2), doc="attempts made; 0 for an outage drop")
+    send_start = property(itemgetter(3), doc="when it began to air; now for an outage drop")
 
 
 class LinkModel:
@@ -219,6 +227,11 @@ class LinkModel:
         without consuming airtime. A first attempt that gets through costs
         one loss draw (none on a lossless state) and returns at once; only
         a lost one enters the retry ladder, which draws once per repeat.
+
+        Returns the packet's ``TxOutcome``: an outage drop is ``(False,
+        0.0, 0, now)``, a delivery ``(True, deliver_at, attempts,
+        send_start)`` and a packet whose every allowed attempt was lost
+        ``(False, 0.0, attempts, send_start)``.
         """
         busy = self.busy_until
         send_start = now if now > busy else busy
@@ -234,7 +247,7 @@ class LinkModel:
                 i = len(snrs) - 1
             snr = snrs[i]
             if snr < self.outage_threshold_db:
-                return _new(TxOutcome, (False, 0.0, 0, now))
+                return TxOutcome((False, 0.0, 0, now))
             rate = self.efficiency * self.bandwidth_hz * math.log2(1.0 + 10.0 ** (snr / 10.0))
             p = self.loss_prob[self.modes[i]]
             self._rate_step = i
@@ -243,7 +256,7 @@ class LinkModel:
         busy = send_start + size_bytes * 8.0 / rate
         self.busy_until = busy
         if p == 0.0 or self.rng.random() >= p:
-            return _new(TxOutcome, (True, busy + self.base_delay_s, 1, send_start))
+            return TxOutcome((True, busy + self.base_delay_s, 1, send_start))
         draw = self.rng.random
         allowed = self.attempts_allowed
         attempts = 1
@@ -251,5 +264,5 @@ class LinkModel:
             attempts += 1
             if draw() >= p:
                 deliver_at = busy + self.base_delay_s + (attempts - 1) * self.retx_delay_s
-                return _new(TxOutcome, (True, deliver_at, attempts, send_start))
-        return _new(TxOutcome, (False, 0.0, attempts, send_start))
+                return TxOutcome((True, deliver_at, attempts, send_start))
+        return TxOutcome((False, 0.0, attempts, send_start))

@@ -3,33 +3,35 @@
 One run couples the layers end to end. Trace frames are cut into
 generations at the sender (one NALU never shares a generation with
 another), coded bursts ride the per-receiver radio links, and feedback
-steers path choice and top-up rounds. Only the sender is evented, and
-only where it touches a link: a FRAME sends a frame's initial bursts, a
-CHECK sends a generation's top-up. At equal times a FRAME runs first,
-and CHECKs run in generation order. Right after each burst, the sender's
-next look at the plan (``_Engine._look``) is made, its inputs all final:
-``handle_feedback`` decides a look with a fresh report, closing the plan
-or sizing the top-up whose CHECK the look pushes. A blackout (no fresh
-report) walks the looks one interval apart to the first fresh one, or
-fails the plan at the last before the display deadline. With
-multi-connectivity disabled everything rides mmWave. Without FEC there is
-no plan and no look: a generation's one burst, its k source packets,
-decides it and feeds no rank timeline. Everything is deterministic given
-(config, seed): every random stream is split off the master seed with a
-distinct label.
+steers path choice and top-up rounds. A session runs one of two loops,
+by whether it codes FEC. With FEC only the sender is evented, and only
+where it touches a link: a FRAME sends each of a frame's generations its
+initial burst, a CHECK sends a generation's top-up. At equal times a
+FRAME runs first, and CHECKs run in generation order. Right after each
+burst, the sender's next look at the plan (``_Engine._look``) is made,
+its inputs all final: ``handle_feedback`` decides a look with a fresh
+report, closing the plan or sizing the top-up whose CHECK the look
+pushes. A blackout (no fresh report) walks the looks one interval apart
+to the first fresh one, or fails the plan at the last before the display
+deadline. Without FEC there is no plan, no look and no event: every
+generation's one burst, its k source packets at its frame's arrival,
+decides it and feeds no rank timeline, so ``_send_planless`` sends the
+frames in order in one pass. With multi-connectivity disabled everything
+rides mmWave. Everything is deterministic given (config, seed): every
+random stream is split off the master seed with a distinct label.
 
 Session state is columns indexed by generation id. A ``_Layout``, shared
 by every receiver, numbers the generations in frame order and holds what
 the trace fixes; each session holds what happened to them, such as
-``complete_at`` (when the rank reached k) and one flat rank timeline.
-The sender's ``GenerationPlan``, and with it the rank timeline its looks
-read, exists for FEC generations only.
+``complete_at`` (when the rank reached k). An FEC session alone builds
+the sender's state: the ``GenerationPlan`` per generation, the flat rank
+timeline its looks read, the rank stream and the heap of top-ups.
 
-After the loop, ``_play`` plays the receiver back in a few array passes
+After the sends, ``_play`` plays the receiver back in a few array passes
 over the frames in display order. Every input is final by then:
 ``complete_at`` and ``notice_at``, a failed plan heard one uplink delay
-later or, without FEC, the give-up timer, set in ``_play`` itself since a
-generation's one burst fixes it. One rule decides: a generation counts
+later or, without FEC, the give-up timer, set once the planless sends are
+done since a generation's one burst fixes it. One rule decides: a generation counts
 for display instant D only if ``complete_at < D``. A frame whose base
 generations all count is taken once the last completed, but not before
 the consumer moved past the frame before it; any other frame is lost, and
@@ -62,8 +64,9 @@ of wall clock without changing observable behavior:
   a burst's survivors are sorted by arrival and feed the rank timeline
   in one pass that stops at full rank. A planless generation's burst
   (no FEC) skips the timeline: it completes at its latest arrival iff
-  all k source packets arrive, and ``_on_frame`` keeps just that
-  maximum and the counts.
+  all k source packets arrive, and ``_send_planless`` keeps just that
+  maximum and the counts. Each call's ``TxOutcome`` is a lean tuple
+  subclass that the loops unpack.
 - Feedback is one per-slot timeline, pulled, not evented. Receiver
   reports live on a fixed grid and ride one feedback link: LTE with multi
   connectivity, else the mmWave uplink. That link presamples per-report
@@ -91,14 +94,16 @@ of wall clock without changing observable behavior:
   Byte counts use the padded wire size, and the codec's real elimination
   path has its own tests.
 - Receiver-major. Receivers share no simulated state, so each one's
-  session runs alone, to its end, one after another: its own heap,
-  columns and random streams. Frame arrivals are fixed
-  at ``stream_start + f / fps``, so they never enter the heap: the loop
+  session runs alone, to its end, one after another: its own columns,
+  random streams and, with FEC, heap. Frame arrivals are fixed at
+  ``stream_start + f / fps``, so they never enter the heap: the FEC loop
   walks the frames in order and, before each, dispatches the CHECKs due
-  strictly earlier. The heap holds top-ups only.
+  strictly earlier, then sends the frame's bursts in place, with the
+  display deadlines computed once per session. The heap holds top-ups
+  only.
 - Per generation a session makes only FEC plans and heap tuples, and
   nothing points back at them: reference counting frees a session as it
-  ends, so the cyclic collector is held off around the event loop and
+  ends, so the cyclic collector is held off around the sends and
   playback (and restored, even when a handler raises).
 """
 
@@ -243,10 +248,6 @@ class _Engine:
         # per-k tables, indexed by generation size k in [0, generation_size]
         ks = range(cfg.generation_size + 1)
         self._wire = [wire_size(self.field, k, cfg.packet_bytes) for k in ks]
-        self._n_initial = {path: [initial_burst_size(k, path, cfg.nc_fec) for k in ks]
-                           for path in (MMWAVE, LTE)}
-        self._dep: Dict[int, List[float]] = {}
-        self._rank_rng = random.Random(derive_seed(seed, "rank", u))
 
         self.t_end = cfg.session_end_s()
         n_steps = int(self.t_end * (1.0 / cfg.channel_step_s)) + 2
@@ -287,22 +288,28 @@ class _Engine:
             fps=cfg.fps)
 
         # the session's columns, indexed by generation id: when the rank
-        # reached k, when a failure notice reached the receiver, the
-        # latest arrival (-1: none), and for FEC only emissions so far
-        # (the first k are source packets), the rank and the sender's
-        # plan; ts[off[g] + i] is when g's rank reached i + 1
+        # reached k, when a failure notice reached the receiver and the
+        # latest arrival (-1: none)
         n_gens = layout.n_gens
         self.complete_at = array("d", [math.inf]) * n_gens
         self.notice_at = array("d", [math.inf]) * n_gens
         self.last_arrival = array("d", [-1.0]) * n_gens
+        self._k = layout.k
+        self.consumed_at = self.played = None  # per frame, set by _play
+        if not cfg.nc_fec:
+            return
+        # the sender's state, FEC only: per generation its emissions so far
+        # (the first k are source packets), the rank and its plan;
+        # ts[off[g] + i] is when g's rank reached i + 1
         self.seq = [0] * n_gens
         self.rank = [0] * n_gens
         self.plans: List[Optional[GenerationPlan]] = [None] * n_gens
         self.ts = array("d", bytes(8 * layout.n_packets))
-        self._k = layout.k
         self._off = layout.off
-        self.consumed_at = self.played = None  # per frame, set by _play
-
+        self._n_initial = {path: [initial_burst_size(k, path, True) for k in ks]
+                           for path in (MMWAVE, LTE)}
+        self._dep: Dict[int, List[float]] = {}
+        self._rank_rng = random.Random(derive_seed(seed, "rank", u))
         # pending top-ups, (t, gen_id, plan, packets), at most one per
         # generation; frames arrive on their own clock instead
         self._heap = []
@@ -310,39 +317,65 @@ class _Engine:
     # --------------------------------------------------------- event loop
 
     def run(self) -> UEMetrics:
-        heap = self._heap
-        heappop = heapq.heappop
-        log = self.log
-        u = self.u
-        on_frame = self._on_frame
-        on_check = self._on_check
-        # the objects the loop makes hold nothing that points back at
+        # the objects a session makes hold nothing that points back at
         # them, so reference counting frees everything it drops and the
         # cyclic collector has nothing to find; hold it off instead of
         # letting it rescan the live plans
         gc_was_on = gc.isenabled()
         gc.disable()
         try:
-            # a generation has at most one top-up pending, so the heap's
-            # tuples order on (t, gen_id): equal times run in generation order
-            arrivals = self.arrival_at.tolist()
-            arrivals.append(math.inf)  # the end, after the last frame, drains the CHECKs left
-            for f, t_f in enumerate(arrivals):
-                while heap and heap[0][0] < t_f:  # a FRAME wins a tie
-                    t, gen_id, g, count = heappop(heap)
-                    if log is not None:
-                        log.append(f"{t:.9f} check ue={u} arg=gen{gen_id}")
-                    on_check(g, count, t)
-                if f == self.n_frames:
-                    break
-                if log is not None:
-                    log.append(f"{t_f:.9f} frame ue={u} arg={f}")
-                on_frame(f, t_f)
+            if self.cfg.nc_fec:
+                self._run_plans()
+            else:
+                self._send_planless()
             self._play()
         finally:
             if gc_was_on:
                 gc.enable()
         return self.metrics
+
+    def _run_plans(self):
+        """The FEC event loop: each frame's initial bursts at its arrival,
+        the top-ups in between, and a look right after each burst."""
+        heap = self._heap
+        heappop = heapq.heappop
+        log = self.log
+        u = self.u
+        on_check = self._on_check
+        send_burst = self._send_burst
+        look = self._look
+        current_path = self._current_path
+        n_initial = self._n_initial
+        ks = self._k
+        first = self.layout.first
+        plans = self.plans
+        ul_delay = self.ul_delay
+        guard = self.cfg.plan_check_guard_s
+        deadlines = self.buffer.deadline(np.arange(self.n_frames)).tolist()
+        # a generation has at most one top-up pending, so the heap's
+        # tuples order on (t, gen_id): equal times run in generation order
+        arrivals = self.arrival_at.tolist()
+        arrivals.append(math.inf)  # the end, after the last frame, drains the CHECKs left
+        for f, t_f in enumerate(arrivals):
+            while heap and heap[0][0] < t_f:  # a FRAME wins a tie
+                t, gen_id, g, count = heappop(heap)
+                if log is not None:
+                    log.append(f"{t:.9f} check ue={u} arg=gen{gen_id}")
+                on_check(g, count, t)
+            if f == self.n_frames:
+                break
+            if log is not None:
+                log.append(f"{t_f:.9f} frame ue={u} arg={f}")
+            path = current_path(t_f)
+            sizes = n_initial[path]
+            deadline = deadlines[f]
+            for gen_id in range(first[f], first[f + 1]):
+                k = ks[gen_id]
+                g = plans[gen_id] = GenerationPlan(gen_id, k, sizes[k], deadline)
+                settle = send_burst(gen_id, g.n_initial, path, t_f)
+                # look once the burst has settled and the report showing it
+                # can have arrived; settle >= t_f and ul_delay > 0, so after t_f
+                look(g, settle + ul_delay + guard)
 
     # ----------------------------------------------------------- feedback
 
@@ -487,21 +520,31 @@ class _Engine:
 
     # ------------------------------------------------------------ handlers
 
-    def _on_frame(self, f: int, now: float):
-        path = self._current_path(now)
+    def _send_planless(self):
+        """Send every frame's generations without FEC, in frame order.
+
+        There is no plan, so no look reads a rank timeline: a generation's
+        one burst, its k source packets at its frame's arrival, completes
+        it at the latest arrival iff all k arrive. Losses resolve through
+        the receiver's give-up timer or the display clock.
+        """
+        log = self.log
+        u = self.u
+        current_path = self._current_path
+        transmits = {MMWAVE: self.mm.transmit, LTE: self.lte.transmit}
+        packets = self.metrics.packets
+        backhaul = self.backhaul
+        wire = self._wire
         ks = self._k
-        gen_ids = range(self.layout.first[f], self.layout.first[f + 1])
-        if not self.cfg.nc_fec:
-            # no plan without FEC, so no look reads a rank timeline: a
-            # generation's one burst, its k source packets, completes it at
-            # the latest arrival iff all k arrive. Losses resolve through
-            # the receiver's give-up timer or the display clock.
-            transmit = (self.mm if path == MMWAVE else self.lte).transmit
-            counts = self.metrics.packets[path]
-            backhaul = self.backhaul
-            wire = self._wire
-            last_arrival, complete_at = self.last_arrival, self.complete_at
-            for gen_id in gen_ids:
+        first = self.layout.first
+        last_arrival, complete_at = self.last_arrival, self.complete_at
+        for f, now in enumerate(self.arrival_at.tolist()):
+            if log is not None:
+                log.append(f"{now:.9f} frame ue={u} arg={f}")
+            path = current_path(now)
+            transmit = transmits[path]
+            counts = packets[path]
+            for gen_id in range(first[f], first[f + 1]):
                 k = ks[gen_id]
                 nbytes = wire[k]
                 got = unsent = 0
@@ -525,19 +568,26 @@ class _Engine:
                     last_arrival[gen_id] = arrived
                     if got == k:
                         complete_at[gen_id] = arrived
-            return
-        n_initial = self._n_initial[path]
-        send_burst = self._send_burst
-        deadline = self.buffer.deadline(f)
-        guard = self.cfg.plan_check_guard_s
-        plans = self.plans
-        for gen_id in gen_ids:
-            k = ks[gen_id]
-            g = plans[gen_id] = GenerationPlan(gen_id, k, n_initial[k], deadline)
-            settle = send_burst(gen_id, g.n_initial, path, now)
-            # look once the burst has settled and the report showing it can
-            # have arrived; settle >= now and ul_delay > 0, so after now
-            self._look(g, settle + self.ul_delay + guard)
+        self._give_up_timers()
+
+    def _give_up_timers(self):
+        """Close every planless generation after its one burst: it counts
+        as settled in its first round, and a base one still short of rank
+        gets the receiver's give-up timer, planless operation's only
+        notice. The burst went out at its frame's arrival and fixed the
+        generation's last arrival and completion. An empty generation
+        reads as link loss, not repairable noise, and gets the shorter
+        patience. Only a base generation's notice loses a frame."""
+        cfg = self.cfg
+        lay = self.layout
+        self.metrics.fec_rounds_hist[0] += lay.n_gens
+        sent = self.arrival_at[lay.frame_of]
+        last = np.frombuffer(self.last_arrival)
+        late = lay.is_base & ~(np.frombuffer(self.complete_at) < math.inf)
+        np.frombuffer(self.notice_at)[late] = np.where(
+            last >= 0.0,
+            np.maximum(last, sent) + cfg.receiver_giveup_s,
+            sent + cfg.receiver_giveup_empty_s)[late]
 
     def _on_check(self, g: GenerationPlan, count: int, now: float):
         # send the top-up a look decided on, and look again once it settled
@@ -550,7 +600,6 @@ class _Engine:
         """Decide every frame's fate, in display order, by the one rule: a
         generation counts for display instant D only if complete_at < D.
         Leaves ``consumed_at`` (NaN: lost) and ``played`` per frame."""
-        cfg = self.cfg
         lay = self.layout
         m = self.metrics
         n = self.n_frames
@@ -558,19 +607,6 @@ class _Engine:
         notice = np.frombuffer(self.notice_at)
         arrival = self.arrival_at
         deadline = self.buffer.deadline(np.arange(n))
-        if not cfg.nc_fec:
-            # the receiver's give-up timer, planless operation's only notice:
-            # a generation's one burst, at its frame's arrival, fixes its
-            # last arrival and completion. An empty generation reads as link
-            # loss, not repairable noise, and gets the shorter patience.
-            # Only a base generation's notice loses a frame.
-            m.fec_rounds_hist[0] += lay.n_gens
-            sent = arrival[lay.frame_of]
-            last = np.frombuffer(self.last_arrival)
-            late = lay.is_base & ~(complete < math.inf)
-            notice[late] = np.where(last >= 0.0,
-                                    np.maximum(last, sent) + cfg.receiver_giveup_s,
-                                    sent + cfg.receiver_giveup_empty_s)[late]
         missed = ~(complete < deadline[lay.frame_of])
         m.nalus_lost += int(np.count_nonzero(np.logical_or.reduceat(missed, lay.nalu_starts)))
         # when each frame's base layer completed (inf if it never did), and

@@ -188,6 +188,41 @@ def test_a_failed_held_out_run_fails_the_comparison(tmp_path):
     assert bench_compare.verdict(record) == 0
 
 
+def test_the_acceptance_grid_pairs_alternate_after_the_round(tmp_path):
+    # the grid's wall seconds go in their own section, after the held-out
+    # pair, and move none of the round's figures; a failed grid run
+    # leaves its pair out and fails the comparison
+    calls = []
+
+    def fake(tree, workload, seed, seconds):
+        calls.append((seed, tree.name))
+        return json.loads(_line())
+
+    walls = {"base": iter([50.0, 52.0, 51.0]), "head": iter([45.0, 46.0, 53.0])}
+
+    def grid(tree):
+        calls.append(("grid", tree.name))
+        return next(walls[tree.name])
+
+    record = bench_compare.compare(*_held_out_trees(tmp_path), "grid_paper", [1, 2], 1,
+                                   run=fake, log=None, held_out=4242, grid_pairs=3,
+                                   grid_run=grid)
+    assert calls[4:] == [(4242, "head"), (4242, "base"),
+                         ("grid", "base"), ("grid", "head"), ("grid", "head"),
+                         ("grid", "base"), ("grid", "base"), ("grid", "head")]
+    acc = record["acceptance_grid"]
+    assert acc["wall_s"] == {"base": [50.0, 52.0, 51.0], "head": [45.0, 46.0, 53.0]}
+    assert acc["median_s"] == {"base": 51.0, "head": 46.0}
+    assert (acc["wins"], acc["pairs"], acc["failed"]) == (2, 3, {"base": 0, "head": 0})
+    assert record["metrics"]["source_mb_per_s"]["pairs"] == 2
+    assert bench_compare.verdict(record) == 0
+    failing = bench_compare.run_grid_pairs(Path("base"), Path("head"), 2,
+                                           run=lambda tree: None if tree.name == "head" else 50.0,
+                                           log=None)
+    assert failing["failed"] == {"base": 0, "head": 2} and failing["median_s"] is None
+    assert bench_compare.verdict({**record, "acceptance_grid": failing}) == 1
+
+
 def test_directory_against_directory(tmp_path):
     # two copies of this tree, one short codec run each side: every
     # end-to-end metric gets its pair, and the record names both sources

@@ -295,6 +295,32 @@ def test_loss_probability_tracks_mode():
         assert out.delivered == (modes[i] == LOS)
 
 
+def test_every_transmit_branch_returns_a_txoutcome():
+    # the engine unpacks an outcome like the plain 4-tuple, and the
+    # benchmark's traced runs read it by name: every branch must serve both
+    link = _los_link(mmwave_loss_los=0.5, mmwave_loss_nlos=0.5, ran_retx=True,
+                     ran_max_attempts=3, rng=random.Random(5))
+    outage = _los_link(initial_mode=NLOS, mmwave_snr_nlos_db=-10.0)
+    branches = {"outage": [outage.transmit(1000, now=0.5)]}
+    for i in range(200):
+        out = link.transmit(1000, now=i * 1.0)
+        if not out.delivered:
+            branch = "exhausted"
+        else:
+            branch = "first attempt" if out.attempts == 1 else "retried"
+        branches.setdefault(branch, []).append(out)
+    assert sorted(branches) == ["exhausted", "first attempt", "outage", "retried"]
+    names = ("delivered", "deliver_at", "attempts", "send_start")
+    for branch, outs in branches.items():
+        for out in outs:
+            assert type(out) is TxOutcome, branch
+            plain = tuple(out)
+            assert len(plain) == 4 and out == plain and plain == out, branch
+            assert [getattr(out, name) for name in names] == list(plain), branch
+            delivered, deliver_at, attempts, send_start = out
+            assert (delivered, deliver_at, attempts, send_start) == plain, branch
+
+
 def _reference_transmit(link, size_bytes, now):
     """``LinkModel.transmit`` as it was before the per-step rate cache."""
     send_start = now if now > link.busy_until else link.busy_until
@@ -304,7 +330,7 @@ def _reference_transmit(link, size_bytes, now):
         i = len(snrs) - 1
     snr = snrs[i]
     if snr < link.outage_threshold_db:
-        return TxOutcome(False, 0.0, 0, now)
+        return TxOutcome((False, 0.0, 0, now))
     rate = link.efficiency * link.bandwidth_hz * math.log2(1.0 + 10.0 ** (snr / 10.0))
     serialization = size_bytes * 8.0 / rate
     link.busy_until = send_start + serialization
@@ -320,8 +346,8 @@ def _reference_transmit(link, size_bytes, now):
                 + link.base_delay_s
                 + (attempts - 1) * link.retx_delay_s
             )
-            return TxOutcome(True, deliver_at, attempts, send_start)
-    return TxOutcome(False, 0.0, attempts, send_start)
+            return TxOutcome((True, deliver_at, attempts, send_start))
+    return TxOutcome((False, 0.0, attempts, send_start))
 
 
 def _bursts(seed, start, end):

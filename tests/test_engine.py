@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from mcnc.channel import LTE, MMWAVE, LinkModel, TxOutcome
-from mcnc.distribution import GenerationPlan
+from mcnc.distribution import GenerationPlan, initial_burst_size
 from mcnc.sim import engine
 from mcnc.sim.config import SimConfig, grid_cells
 from mcnc.sim.engine import TraceError, run
@@ -348,7 +348,7 @@ def _consumed(eng):
 
 
 def _attempts_and_failed(eng, gen_id):
-    plan = eng.plans[gen_id]
+    plan = eng.plans[gen_id] if eng.cfg.nc_fec else None  # planless: no plans
     return (plan.attempts_used, plan.failed) if plan else (0, False)
 
 
@@ -514,13 +514,14 @@ def test_each_generation_gives_up_at_most_once(monkeypatch):
     # a give-up is the generation's one notice_at, so neither the receiver
     # timer nor a failed sender plan may write it over an earlier notice
     giveups = 0
-    real_play, real_fail = engine._Engine._play, engine._Engine._fail_plan
+    real_give_up, real_fail = engine._Engine._give_up_timers, engine._Engine._fail_plan
 
-    def play(self):
-        # the give-up timer is set in playback, for every generation at once
+    def give_up(self):
+        # the give-up timer is set after the planless sends, for every
+        # generation at once
         nonlocal giveups
         before = list(self.notice_at)
-        real_play(self)
+        real_give_up(self)
         for gen_id, (was, now) in enumerate(zip(before, self.notice_at)):
             if now != was:
                 assert was == math.inf, gen_id
@@ -532,7 +533,7 @@ def test_each_generation_gives_up_at_most_once(monkeypatch):
         if self.notice_at[g.gen_id] != before:
             assert before == math.inf, g.gen_id
 
-    monkeypatch.setattr(engine._Engine, "_play", play)
+    monkeypatch.setattr(engine._Engine, "_give_up_timers", give_up)
     monkeypatch.setattr(engine._Engine, "_fail_plan", fail)
     for cell in grid_cells(SimConfig(duration_s=3.0, seed=7)):
         run(cell)
@@ -603,15 +604,17 @@ def test_run_restores_collector_state(collector_state, enabled):
     assert gc.isenabled() is enabled
 
 
-def test_collector_restored_when_a_handler_raises(collector_state, monkeypatch):
-    def broken(self, f, now):
+@pytest.mark.parametrize("nc_fec", [True, False])
+def test_collector_restored_when_a_handler_raises(collector_state, monkeypatch, nc_fec):
+    # both kinds of session send through LinkModel.transmit inside the held loop
+    def broken(self, size_bytes, now):
         assert not gc.isenabled()  # raised from inside the held loop
         raise ValueError("handler failed")
 
-    monkeypatch.setattr(engine._Engine, "_on_frame", broken)
+    monkeypatch.setattr(LinkModel, "transmit", broken)
     gc.enable()
     with pytest.raises(ValueError, match="handler failed"):
-        run(dataclasses.replace(BASE, duration_s=0.5), seed=1)
+        run(dataclasses.replace(BASE, duration_s=0.5, nc_fec=nc_fec), seed=1)
     assert gc.isenabled()
 
 
@@ -666,16 +669,25 @@ def test_waiting_out_a_blackout_matches_polling_it(staleness, monkeypatch):
 
 
 class _BurstPerGenerationEngine(engine._Engine):
-    """The engine with a planless frame sent as it once was: one
+    """The engine with a planless session sent as it once was: one
     ``_send_burst`` per generation, feeding the rank timeline that no look
-    reads without FEC."""
+    reads without FEC. It allocates the columns ``_send_burst`` feeds,
+    which a planless session does not have."""
 
-    def _on_frame(self, f, now):
-        if self.cfg.nc_fec:
-            return super()._on_frame(f, now)
-        path = self._current_path(now)
-        for gen_id in _frame_gens(self, f):
-            self._send_burst(gen_id, self._n_initial[path][self._k[gen_id]], path, now)
+    def _send_planless(self):
+        n_gens = self.layout.n_gens
+        self.seq = [0] * n_gens
+        self.rank = [0] * n_gens
+        self.ts = array("d", bytes(8 * self.layout.n_packets))
+        self._off = self.layout.off
+        self._n_initial = {path: [initial_burst_size(k, path, False)
+                                  for k in range(self.cfg.generation_size + 1)]
+                           for path in (MMWAVE, LTE)}
+        for f, now in enumerate(self.arrival_at.tolist()):
+            path = self._current_path(now)
+            for gen_id in _frame_gens(self, f):
+                self._send_burst(gen_id, self._n_initial[path][self._k[gen_id]], path, now)
+        self._give_up_timers()
 
 
 def test_a_planless_frame_sends_as_one_burst_per_generation_did():
@@ -696,12 +708,36 @@ def test_a_planless_frame_sends_as_one_burst_per_generation_did():
             for a, b in ((new.mm, ref.mm), (new.lte, ref.lte)):
                 assert a.busy_until == b.busy_until, (where, a.kind)
                 assert a.rng.getstate() == b.rng.getstate(), (where, a.kind)
+            assert any(ref.rank), where  # the reference's bursts fed its timeline
             for counts in new.metrics.packets.values():
                 drops[0] += counts[2]
                 drops[1] += counts[3]
             partial += sum(c == math.inf and a >= 0.0
                            for c, a in zip(new.complete_at, new.last_arrival))
     assert min(drops) > 0 and partial > 0
+
+
+#: what only the sender's FEC plans use: the rank timeline and its inputs,
+#: the plans, their initial burst sizes and the pending top-ups
+FEC_STATE = ("ts", "seq", "rank", "plans", "_off", "_n_initial", "_heap", "_dep", "_rank_rng")
+
+
+@pytest.mark.parametrize("nc_fec", [True, False])
+def test_only_an_fec_session_builds_the_fec_state(nc_fec):
+    eng = _small_engine(dataclasses.replace(BASE, nc_fec=nc_fec))
+    eng.run()
+    assert [hasattr(eng, name) for name in FEC_STATE] == [nc_fec] * len(FEC_STATE)
+    assert eng.metrics.frames_total == eng.n_frames  # the session did run
+
+
+def test_a_plan_carries_its_frames_display_instant():
+    # every generation of frame f is planned against frame f's deadline,
+    # the instant playback judges it by
+    eng = _small_engine(BASE)
+    eng.run()
+    frame_of = eng.layout.frame_of
+    assert [g.deadline for g in eng.plans] == [
+        eng.buffer.deadline(int(frame_of[g])) for g in range(eng.layout.n_gens)]
 
 
 def test_every_check_sends_a_top_up():
@@ -843,7 +879,7 @@ class _ScriptedLink:
 
     def transmit(self, size_bytes, now):
         deliver_at, attempts = next(self.script)
-        return TxOutcome(True, deliver_at, attempts, now)
+        return TxOutcome((True, deliver_at, attempts, now))
 
 
 def test_a_retried_packet_feeds_the_rank_in_arrival_order():
@@ -1057,6 +1093,7 @@ def test_the_give_up_mask_follows_the_per_generation_rule():
     expected = [_giveup_rule(eng.cfg, is_base[g], eng.complete_at[g], eng.last_arrival[g],
                              eng.arrival_at[eng.layout.frame_of[g]])
                 for g in range(eng.layout.n_gens)]
+    eng._give_up_timers()
     eng._play()
     assert list(eng.notice_at) == expected
     # each kind is there: the two patiences, and no notice

@@ -174,7 +174,9 @@ def _fates_record(eng):
         else:
             out.append(b"T" + _pack_float(c))
         out.append(b"\x01" if p else b"\x00")
-    for c, note, plan in zip(complete, notice, eng.plans):
+    # a planless session has no plans: every generation reads as no plan
+    plans = eng.plans if eng.cfg.nc_fec else [None] * len(complete)
+    for c, note, plan in zip(complete, notice, plans):
         attempts, failed = (plan.attempts_used, plan.failed) if plan else (0, False)
         out.append(_pack_float(c) + _pack_float(note) + struct.pack("<q?", attempts, failed))
     return b"".join(out)

@@ -2,7 +2,7 @@
 """Compare the benchmark on two revisions in alternated pairs, and keep the record.
 
     python3 tools/bench_compare.py --base REV [--head REV] --workload W --seeds 1-10 \
-        [--held-out SEED] [--seconds 10]
+        [--held-out SEED] [--acceptance-grid PAIRS] [--seconds 10]
 
 Each revision is checked out with ``git worktree add --detach`` in a
 temporary directory, removed and pruned on exit; without ``--head`` the
@@ -22,15 +22,20 @@ to the metric's bound and direction. With ``--held-out SEED`` one more
 alternated pair runs after the round, on a seed the round did not use, and
 the record keeps it under ``held_out``: both sides' values and, per
 end-to-end metric, the head's relative change and whether it is ahead.
-It enters no median, win count or spread. A working-tree head is labelled
+It enters no median, win count or spread. With ``--acceptance-grid
+PAIRS`` the acceptance grid, ``run_grid(SimConfig(runs=20), workers=1)``,
+runs PAIRS times more on each side after that, each in a fresh
+interpreter and alternated the same way, and the record keeps each
+side's wall seconds, their medians and the head's wins under
+``acceptance_grid``. It has no bound. A working-tree head is labelled
 ``<HEAD>-src<first 8 hex digits of its src_sha256>``, so records of
 different working trees do not overwrite each other. A metric is
 unresolved when either side's quartile spread, relative to its median,
 is wider than the bound, unless every head run beats every base run. A
 run fails if it exits non-zero, prints no result or reports a failed op.
-The exit status is 1 if a run failed, the held-out pair's included, or a
-metric's head median is worse than the base's by more than its bound,
-else 0; an unresolved metric is reported, not failed.
+The exit status is 1 if a run failed, the held-out pair's and the grid's
+included, or a metric's head median is worse than the base's by more
+than its bound, else 0; an unresolved metric is reported, not failed.
 """
 
 from __future__ import annotations
@@ -55,6 +60,21 @@ ROOT = Path(__file__).resolve().parent.parent
 #: set-up allowance, counts as failed
 TIMEOUT_FACTOR = 30
 TIMEOUT_SETUP_S = 300
+
+#: the acceptance grid, timed in a fresh interpreter; the last line printed
+#: is its wall seconds
+GRID_PROGRAM = """\
+import time
+from mcnc.sim.config import SimConfig
+from mcnc.sim.montecarlo import run_grid
+start = time.perf_counter()
+run_grid(SimConfig(runs=20), workers=1)
+print(time.perf_counter() - start)
+"""
+
+#: a grid run longer than this counts as failed: three times the
+#: acceptance test's budget
+GRID_TIMEOUT_S = 900
 
 
 def parse_seeds(text: str) -> List[int]:
@@ -119,6 +139,48 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int) -> Optional[dic
     if result is not None:
         result["src_sha256"] = report_source(proc.stdout, tree)
     return result
+
+
+def grid_once(tree: Path) -> Optional[float]:
+    """The acceptance grid's wall seconds in its own interpreter on tree's
+    source, or None if it exited non-zero, timed out or printed no time."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    try:
+        proc = subprocess.run([sys.executable, "-c", GRID_PROGRAM], cwd=tree, env=env,
+                              capture_output=True, text=True, timeout=GRID_TIMEOUT_S)
+        return float(proc.stdout.split()[-1]) if proc.returncode == 0 else None
+    except (subprocess.TimeoutExpired, IndexError, ValueError):
+        return None
+
+
+def run_grid_pairs(base: Path, head: Path, pairs: int, run: Callable = grid_once,
+                   log=sys.stderr) -> dict:
+    """The acceptance grid pairs times on each side, the base first in odd
+    pairs: each side's wall seconds (None: failed), their medians and the
+    pairs where the head was quicker."""
+    out = {"base": [], "head": []}
+    for pair in range(1, pairs + 1):
+        order = (("base", base), ("head", head))
+        for side, tree in (order if pair % 2 else order[::-1]):
+            seconds = run(tree)
+            out[side].append(seconds)
+            if log is not None:
+                print("acceptance grid %d %s: %s" % (
+                    pair, side, "FAILED" if seconds is None else "%.1f s" % seconds),
+                      file=log, flush=True)
+    both = [(b, h) for b, h in zip(out["base"], out["head"]) if b is not None and h is not None]
+    medians = None
+    if both:
+        medians = {"base": statistics.median(b for b, _ in both),
+                   "head": statistics.median(h for _, h in both)}
+    return {
+        "config": "run_grid(SimConfig(runs=20), workers=1)",
+        "wall_s": out,
+        "median_s": medians,
+        "wins": sum(h < b for b, h in both),
+        "pairs": len(both),
+        "failed": {side: sum(v is None for v in runs) for side, runs in out.items()},
+    }
 
 
 def run_failed(result: Optional[dict]) -> bool:
@@ -217,10 +279,10 @@ def held_out_pair(spec: dict, seed: int, results: dict) -> dict:
 
 
 def verdict(summary: dict) -> int:
-    """1 if a run failed (the held-out pair's included), a metric has no
-    pair, or a metric is worse than its bound; else 0."""
-    held_out = summary.get("held_out")
-    if any(summary["failed"].values()) or (held_out and any(held_out["failed"].values())):
+    """1 if a run failed (the held-out pair's and the grid's included), a
+    metric has no pair, or a metric is worse than its bound; else 0."""
+    extra = [summary[key]["failed"] for key in ("held_out", "acceptance_grid") if key in summary]
+    if any(failed for counts in [summary["failed"], *extra] for failed in counts.values()):
         return 1
     for entry in summary["metrics"].values():
         if not entry["pairs"] or entry["worse_than_bound"]:
@@ -238,9 +300,11 @@ def host_info() -> dict:
 
 
 def compare(base: Path, head: Path, workload: str, seeds: List[int], seconds: int,
-            run: Callable = run_once, log=sys.stderr, held_out: Optional[int] = None) -> dict:
+            run: Callable = run_once, log=sys.stderr, held_out: Optional[int] = None,
+            grid_pairs: int = 0, grid_run: Callable = grid_once) -> dict:
     """The record of one comparison of two prepared trees, with the
-    held-out pair after the round if a held-out seed is given."""
+    held-out pair after the round if a held-out seed is given, and then
+    grid_pairs pairs of the acceptance grid."""
     with open(head / "BENCHMARK.json", encoding="utf-8") as fh:
         spec = json.load(fh)
     results = run_pairs(base, head, workload, seeds, seconds, run, log)
@@ -255,6 +319,8 @@ def compare(base: Path, head: Path, workload: str, seeds: List[int], seconds: in
     if held_out is not None:
         pair = run_pairs(base, head, workload, [held_out], seconds, run, log)
         record["held_out"] = held_out_pair(spec, held_out, pair)
+    if grid_pairs:
+        record["acceptance_grid"] = run_grid_pairs(base, head, grid_pairs, grid_run, log)
     return record
 
 
@@ -292,6 +358,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 1-10")
     parser.add_argument("--held-out", type=int, metavar="SEED",
                         help="one more pair after the round, kept out of its statistics")
+    parser.add_argument("--acceptance-grid", type=int, default=0, metavar="PAIRS",
+                        help="then time the acceptance grid PAIRS times on each side")
     parser.add_argument("--seconds", type=int, default=10)
     args = parser.parse_args(argv)
     if args.held_out in args.seeds:
@@ -303,7 +371,7 @@ def main(argv=None) -> int:
         head = stack.enter_context(worktree(args.head, tmp / "head")) if args.head else ROOT
         use_benchmark_of(head, base)
         record = compare(base, head, args.workload, args.seeds, args.seconds,
-                         held_out=args.held_out)
+                         held_out=args.held_out, grid_pairs=args.acceptance_grid)
     if args.head:
         head_label = _git("rev-parse", "--short", args.head)
     else:
@@ -329,6 +397,14 @@ def main(argv=None) -> int:
                 name, held_out["seed"], held_out["base"][name], held_out["head"][name],
                 100 * m["rel_change"]))
         print("failed held-out runs: base %(base)d, head %(head)d" % held_out["failed"])
+    grid = record.get("acceptance_grid")
+    if grid:
+        if grid["median_s"]:
+            print("acceptance grid  base %10.1f s  head %10.1f s  %+7.2f %%  head quicker %d/%d"
+                  % (grid["median_s"]["base"], grid["median_s"]["head"],
+                     100 * (grid["median_s"]["head"] / grid["median_s"]["base"] - 1),
+                     grid["wins"], grid["pairs"]))
+        print("failed acceptance grid runs: base %(base)d, head %(head)d" % grid["failed"])
     print("failed runs: base %(base)d, head %(head)d" % record["failed"])
     print("record %s" % out.relative_to(ROOT))
     return verdict(record)

@@ -88,10 +88,13 @@ MUTANTS = (
            T_ENGINE + "test_static_event_wins_a_tie_with_a_dynamic_one"),
     Mutant("giveup_patiences_swapped", ENGINE,
            "sent) + cfg.receiver_giveup_s,\n"
-           "                                    sent + cfg.receiver_giveup_empty_s)",
+           "            sent + cfg.receiver_giveup_empty_s)",
            "sent) + cfg.receiver_giveup_empty_s,\n"
-           "                                    sent + cfg.receiver_giveup_s)",
+           "            sent + cfg.receiver_giveup_s)",
            T_ENGINE + "test_the_give_up_mask_follows_the_per_generation_rule"),
+    Mutant("plan_deadline_of_the_next_frame", ENGINE,
+           "deadline = deadlines[f]", "deadline = deadlines[f + 1]",
+           T_ENGINE + "test_a_plan_carries_its_frames_display_instant"),
     Mutant("freshness_window_off_by_one", ENGINE,
            "last_ok > idx - scan", "last_ok >= idx - scan"),
     Mutant("blackout_walk_deadline_tie", ENGINE,
@@ -201,6 +204,10 @@ MUTANTS = (
     Mutant("transmit_step_diverges_from_steps", "src/mcnc/channel.py",
            "i = int(send_start * self.inv_step)", "i = int(send_start * self.inv_step + 1e-9)",
            "tests/test_channel.py::test_transmit_reads_the_step_that_steps_gives"),
+    Mutant("transmit_returns_a_plain_tuple", "src/mcnc/channel.py",
+           "return TxOutcome((True, deliver_at, attempts, send_start))",
+           "return (True, deliver_at, attempts, send_start)",
+           "tests/test_channel.py::test_every_transmit_branch_returns_a_txoutcome"),
     Mutant("report_survival_one_attempt", "src/mcnc/channel.py",
            "ok = draws >= loss ** self.attempts_allowed", "ok = draws >= loss"),
     Mutant("retry_delay_per_attempt", "src/mcnc/channel.py",
