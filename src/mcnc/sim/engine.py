@@ -279,13 +279,13 @@ class _Engine:
         self.backhaul = cfg.backhaul_delay_s
         self.ul_delay = self.backhaul + fb_link.base_delay_s + _CTRL_PROC_S
         self.metrics = UEMetrics(ue_id=u)
-        self.metrics.packets = {MMWAVE: [0, 0, 0, 0], LTE: [0, 0, 0, 0]}
         self.metrics.feedback_sent = self.n_reports
         self.metrics.feedback_lost = int(np.count_nonzero(~fb_ok))
         self.arrival_at = self.stream_start + np.arange(self.n_frames) / cfg.fps
         self.buffer = PlayoutBuffer(
             self.stream_start + cfg.backhaul_delay_s + cfg.playout_buffer_frames / cfg.fps,
             fps=cfg.fps)
+        self.deadlines = self.buffer.deadline(np.arange(self.n_frames))
 
         # the session's columns, indexed by generation id: when the rank
         # reached k, when a failure notice reached the receiver and the
@@ -298,10 +298,8 @@ class _Engine:
         self.consumed_at = self.played = None  # per frame, set by _play
         if not cfg.nc_fec:
             return
-        # the sender's state, FEC only: per generation its emissions so far
-        # (the first k are source packets), the rank and its plan;
-        # ts[off[g] + i] is when g's rank reached i + 1
-        self.seq = [0] * n_gens
+        # the sender's state, FEC only: per generation the rank and its
+        # plan; ts[off[g] + i] is when g's rank reached i + 1
         self.rank = [0] * n_gens
         self.plans: List[Optional[GenerationPlan]] = [None] * n_gens
         self.ts = array("d", bytes(8 * layout.n_packets))
@@ -351,7 +349,7 @@ class _Engine:
         plans = self.plans
         ul_delay = self.ul_delay
         guard = self.cfg.plan_check_guard_s
-        deadlines = self.buffer.deadline(np.arange(self.n_frames)).tolist()
+        deadlines = self.deadlines.tolist()
         # a generation has at most one top-up pending, so the heap's
         # tuples order on (t, gen_id): equal times run in generation order
         arrivals = self.arrival_at.tolist()
@@ -372,7 +370,7 @@ class _Engine:
             for gen_id in range(first[f], first[f + 1]):
                 k = ks[gen_id]
                 g = plans[gen_id] = GenerationPlan(gen_id, k, sizes[k], deadline)
-                settle = send_burst(gen_id, g.n_initial, path, t_f)
+                settle = send_burst(gen_id, g.n_initial, k, path, t_f)
                 # look once the burst has settled and the report showing it
                 # can have arrived; settle >= t_f and ul_delay > 0, so after t_f
                 look(g, settle + ul_delay + guard)
@@ -416,18 +414,17 @@ class _Engine:
             self._dep[k] = probs
         return probs
 
-    def _send_burst(self, gen_id: int, n: int, path: str, now: float) -> float:
-        """Send n packets of FEC generation gen_id on path; returns when
-        the burst has settled.
+    def _send_burst(self, gen_id: int, n: int, sources: int, path: str, now: float) -> float:
+        """Send n packets of FEC generation gen_id on path, the first
+        ``sources`` of them source packets (k in an initial burst, none in a
+        top-up) and the rest tail packets; returns when the burst settled.
 
         Each surviving packet feeds the receiver's rank timeline in arrival
-        order, until the rank reaches k. A source packet (emission < k)
-        adds one rank; a tail packet adds one unless the Bernoulli draw
-        says it is dependent. An arrival that lands before an earlier burst last raised the rank
+        order, until the rank reaches k. A source packet adds one rank; a
+        tail packet adds one unless the Bernoulli draw says it is dependent.
+        An arrival that lands before an earlier burst last raised the rank
         is clamped to that time, so the timeline stays monotone.
         """
-        first = self.seq[gen_id]
-        self.seq[gen_id] = first + n
         k = self._k[gen_id]
         nbytes = self._wire[k]
         backhaul = self.backhaul
@@ -435,10 +432,10 @@ class _Engine:
         transmit = link.transmit
         survivors = []
         outage = exhausted = 0
-        for emission in range(first, first + n):
+        for i in range(n):
             delivered, deliver_at, attempts, _ = transmit(nbytes, now)
             if delivered:
-                survivors.append((deliver_at + backhaul, emission))
+                survivors.append((deliver_at + backhaul, i))
             elif attempts:
                 exhausted += 1  # every attempt the retry ladder allows was lost
             else:
@@ -466,8 +463,8 @@ class _Engine:
         off = self._off[gen_id]
         floor = ts[off + rank - 1] if rank else -math.inf
         probs = None
-        for arrival, emission in survivors:
-            if emission >= k:  # a tail packet; a source packet is independent
+        for arrival, i in survivors:
+            if i >= sources:  # a tail packet; a source packet is independent
                 if probs is None:
                     probs = self._dep_probs(k)
                 p = probs[rank]
@@ -591,7 +588,7 @@ class _Engine:
 
     def _on_check(self, g: GenerationPlan, count: int, now: float):
         # send the top-up a look decided on, and look again once it settled
-        settle = self._send_burst(g.gen_id, count, self._current_path(now), now)
+        settle = self._send_burst(g.gen_id, count, 0, self._current_path(now), now)
         self._look(g, settle + self.ul_delay + self.cfg.plan_check_guard_s)
 
     # ------------------------------------------------------------ playback
@@ -606,7 +603,7 @@ class _Engine:
         complete = np.frombuffer(self.complete_at)
         notice = np.frombuffer(self.notice_at)
         arrival = self.arrival_at
-        deadline = self.buffer.deadline(np.arange(n))
+        deadline = self.deadlines
         missed = ~(complete < deadline[lay.frame_of])
         m.nalus_lost += int(np.count_nonzero(np.logical_or.reduceat(missed, lay.nalu_starts)))
         # when each frame's base layer completed (inf if it never did), and

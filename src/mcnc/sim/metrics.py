@@ -11,6 +11,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..channel import LTE, MMWAVE
 from ..distribution import MAX_FEC_ATTEMPTS
 from ..video.trace import PSNR_CAP as PSNR_CAP_DB
 
@@ -80,10 +81,10 @@ def latency_stats(samples: Sequence[float]) -> Dict[str, float]:
 class UEMetrics:
     """Per-receiver accounting for one run.
 
-    ``packets`` maps each path to ``[sent, delivered, outage, exhausted]``:
-    packets handed to the link, delivered through it, dropped unsent with
-    the link in outage, and lost on every attempt the retry ladder allows.
-    The engine adds to it as it sends.
+    ``packets`` maps mmWave and LTE to ``[sent, delivered, outage,
+    exhausted]``, from zero: packets handed to the link, delivered through
+    it, dropped unsent with the link in outage, and lost on every attempt
+    the retry ladder allows. The engine adds to it as it sends.
     """
 
     ue_id: int
@@ -96,7 +97,8 @@ class UEMetrics:
     latency_samples: array = field(default_factory=lambda: array("d"))
     # index = extra FEC rounds spent on a generation (0 = initial burst only)
     fec_rounds_hist: List[int] = field(default_factory=lambda: [0] * (MAX_FEC_ATTEMPTS + 1))
-    packets: Dict[str, List[int]] = field(default_factory=dict)
+    packets: Dict[str, List[int]] = field(
+        default_factory=lambda: {MMWAVE: [0, 0, 0, 0], LTE: [0, 0, 0, 0]})
     generations_total: int = 0
     feedback_sent: int = 0
     feedback_lost: int = 0

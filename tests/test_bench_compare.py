@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from test_acceptance import GRID_RUNS
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("bench_compare",
                                                ROOT / "tools" / "bench_compare.py")
@@ -189,38 +191,67 @@ def test_a_failed_held_out_run_fails_the_comparison(tmp_path):
 
 
 def test_the_acceptance_grid_pairs_alternate_after_the_round(tmp_path):
-    # the grid's wall seconds go in their own section, after the held-out
-    # pair, and move none of the round's figures; a failed grid run
-    # leaves its pair out and fails the comparison
+    # the grid's pairs run grid_paper at criterion 6's size after the
+    # held-out pair, on seeds from 0, alternated like the round's; they
+    # go in their own section, where the head is twice as fast, and move
+    # none of the round's figures, where it is 10 % faster
     calls = []
 
     def fake(tree, workload, seed, seconds):
-        calls.append((seed, tree.name))
+        calls.append((workload, seconds, seed, tree.name))
+        if seconds == bench_compare.GRID_SECONDS:
+            rate = 300.0 + seed if tree.name == "base" else 600.0 + 2 * seed
+        else:
+            rate = 100.0 + seed if tree.name == "base" else 110.0 + 1.1 * seed
+        return json.loads(_line(source_mb_per_s=rate))
+
+    record = bench_compare.compare(*_held_out_trees(tmp_path), "codec_roundtrip", [1, 2], 1,
+                                   run=fake, log=None, held_out=4242, grid_pairs=3)
+    grid = ("grid_paper", bench_compare.GRID_SECONDS)
+    assert calls[4:6] == [("codec_roundtrip", 1, 4242, "head"),
+                          ("codec_roundtrip", 1, 4242, "base")]
+    assert calls[6:] == [(*grid, 0, "head"), (*grid, 0, "base"),
+                         (*grid, 1, "base"), (*grid, 1, "head"),
+                         (*grid, 2, "head"), (*grid, 2, "base")]
+    rate = record["metrics"]["source_mb_per_s"]
+    assert rate["base"]["values"] == [101.0, 102.0] and rate["pairs"] == 2
+    assert rate["rel_change"] == pytest.approx(0.1)
+    acc = record["acceptance_grid"]
+    assert [(s["seed"], s["head"]["attempted"]) for s in acc["per_seed"]] == [
+        (0, 10), (1, 10), (2, 10)]
+    assert acc["failed"] == {"base": 0, "head": 0}
+    grid_rate = acc["metrics"]["source_mb_per_s"]
+    assert grid_rate["base"]["values"] == [300.0, 301.0, 302.0]
+    assert grid_rate["rel_change"] == pytest.approx(1.0) and grid_rate["wins"] == 3
+    assert not grid_rate["unresolved"] and set(acc["metrics"]) == set(NAMES)
+    assert bench_compare.verdict(record) == 0
+
+
+def test_a_failed_acceptance_grid_run_fails_the_comparison(tmp_path):
+    def fake(tree, workload, seed, seconds):
+        if seconds == bench_compare.GRID_SECONDS and seed == 1 and tree.name == "head":
+            return json.loads(_line(failed=1))  # a run broke conservation
         return json.loads(_line())
 
-    walls = {"base": iter([50.0, 52.0, 51.0]), "head": iter([45.0, 46.0, 53.0])}
-
-    def grid(tree):
-        calls.append(("grid", tree.name))
-        return next(walls[tree.name])
-
     record = bench_compare.compare(*_held_out_trees(tmp_path), "grid_paper", [1, 2], 1,
-                                   run=fake, log=None, held_out=4242, grid_pairs=3,
-                                   grid_run=grid)
-    assert calls[4:] == [(4242, "head"), (4242, "base"),
-                         ("grid", "base"), ("grid", "head"), ("grid", "head"),
-                         ("grid", "base"), ("grid", "base"), ("grid", "head")]
-    acc = record["acceptance_grid"]
-    assert acc["wall_s"] == {"base": [50.0, 52.0, 51.0], "head": [45.0, 46.0, 53.0]}
-    assert acc["median_s"] == {"base": 51.0, "head": 46.0}
-    assert (acc["wins"], acc["pairs"], acc["failed"]) == (2, 3, {"base": 0, "head": 0})
-    assert record["metrics"]["source_mb_per_s"]["pairs"] == 2
+                                   run=fake, log=None, grid_pairs=2)
+    assert record["failed"] == {"base": 0, "head": 0}
+    assert record["acceptance_grid"]["failed"] == {"base": 0, "head": 1}
+    assert record["acceptance_grid"]["metrics"]["source_mb_per_s"]["pairs"] == 1
+    assert bench_compare.verdict(record) == 1
+    # without the grid the same round passes
+    del record["acceptance_grid"]
     assert bench_compare.verdict(record) == 0
-    failing = bench_compare.run_grid_pairs(Path("base"), Path("head"), 2,
-                                           run=lambda tree: None if tree.name == "head" else 50.0,
-                                           log=None)
-    assert failing["failed"] == {"base": 0, "head": 2} and failing["median_s"] is None
-    assert bench_compare.verdict({**record, "acceptance_grid": failing}) == 1
+
+
+def test_the_acceptance_grid_seconds_size_criterion_6s_grid(monkeypatch):
+    # a benchmark revision that resized grid_paper would time another grid
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))  # its own imports
+    spec = importlib.util.spec_from_file_location(
+        "sim_workloads", ROOT / "perfbench" / "sim_workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert workloads.size("grid_paper", bench_compare.GRID_SECONDS, False) == GRID_RUNS
 
 
 def test_directory_against_directory(tmp_path):

@@ -675,9 +675,7 @@ class _BurstPerGenerationEngine(engine._Engine):
     which a planless session does not have."""
 
     def _send_planless(self):
-        n_gens = self.layout.n_gens
-        self.seq = [0] * n_gens
-        self.rank = [0] * n_gens
+        self.rank = [0] * self.layout.n_gens
         self.ts = array("d", bytes(8 * self.layout.n_packets))
         self._off = self.layout.off
         self._n_initial = {path: [initial_burst_size(k, path, False)
@@ -686,7 +684,8 @@ class _BurstPerGenerationEngine(engine._Engine):
         for f, now in enumerate(self.arrival_at.tolist()):
             path = self._current_path(now)
             for gen_id in _frame_gens(self, f):
-                self._send_burst(gen_id, self._n_initial[path][self._k[gen_id]], path, now)
+                k = self._k[gen_id]
+                self._send_burst(gen_id, self._n_initial[path][k], k, path, now)
         self._give_up_timers()
 
 
@@ -719,7 +718,7 @@ def test_a_planless_frame_sends_as_one_burst_per_generation_did():
 
 #: what only the sender's FEC plans use: the rank timeline and its inputs,
 #: the plans, their initial burst sizes and the pending top-ups
-FEC_STATE = ("ts", "seq", "rank", "plans", "_off", "_n_initial", "_heap", "_dep", "_rank_rng")
+FEC_STATE = ("ts", "rank", "plans", "_off", "_n_initial", "_heap", "_dep", "_rank_rng")
 
 
 @pytest.mark.parametrize("nc_fec", [True, False])
@@ -899,7 +898,7 @@ def test_a_retried_packet_feeds_the_rank_in_arrival_order():
             return 0.0  # every tail packet is dependent
 
     eng._rank_rng = _DependentDraws()
-    settle = eng._send_burst(gen_id, 3, MMWAVE, 0.0)
+    settle = eng._send_burst(gen_id, 3, 2, MMWAVE, 0.0)
     b = BASE.backhaul_delay_s
     assert list(eng.ts[off:off + 2]) == [0.021 + b, 0.030 + b] and eng.rank[gen_id] == 2
     assert draws == [[0.021 + b, 0.0]]

@@ -15,19 +15,23 @@ run's standard output is its result.
 
 The record, ``BENCH_<W>_<base>_<head>.json`` at the repository root,
 holds the host, the Python and numpy versions, each tree's
-``src_sha256`` as its runs' reports give it, every seed's values on both
-sides, and for each end-to-end metric of ``BENCHMARK.json`` the medians,
-quartiles, wins and relative change of the head against the base, next
-to the metric's bound and direction. With ``--held-out SEED`` one more
-alternated pair runs after the round, on a seed the round did not use, and
-the record keeps it under ``held_out``: both sides' values and, per
-end-to-end metric, the head's relative change and whether it is ahead.
-It enters no median, win count or spread. With ``--acceptance-grid
-PAIRS`` the acceptance grid, ``run_grid(SimConfig(runs=20), workers=1)``,
-runs PAIRS times more on each side after that, each in a fresh
-interpreter and alternated the same way, and the record keeps each
-side's wall seconds, their medians and the head's wins under
-``acceptance_grid``. It has no bound. A working-tree head is labelled
+``src_sha256`` as its runs' reports give it, every seed's ops attempted
+and failed and values on both sides, and for each end-to-end metric of
+``BENCHMARK.json`` the medians, quartiles, wins and relative change of
+the head against the base, next to the metric's bound and direction.
+With ``--held-out SEED`` one more alternated pair runs after the round,
+on a seed the round did not use, and the record keeps it under
+``held_out``: both sides' values and, per end-to-end metric, the head's
+relative change and whether it is ahead. It enters no median, win count
+or spread. With ``--acceptance-grid PAIRS``, PAIRS more alternated pairs
+run after that, whatever the round's workload: grid_paper at
+``--seconds 250``, which perfbench sizes at 20 runs per cell, the
+acceptance grid ``run_grid(SimConfig(runs=20), workers=1)``, on seeds 0
+to PAIRS - 1 (seed 0 is the acceptance test's own grid). The record
+keeps them under ``acceptance_grid`` with the round's statistics:
+per-seed values and, per end-to-end metric, medians, quartiles, wins and
+the unresolved flag. No bound applies to them: a grid line marked worse
+than its bound fails nothing. A working-tree head is labelled
 ``<HEAD>-src<first 8 hex digits of its src_sha256>``, so records of
 different working trees do not overwrite each other. A metric is
 unresolved when either side's quartile spread, relative to its median,
@@ -61,20 +65,9 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_FACTOR = 30
 TIMEOUT_SETUP_S = 300
 
-#: the acceptance grid, timed in a fresh interpreter; the last line printed
-#: is its wall seconds
-GRID_PROGRAM = """\
-import time
-from mcnc.sim.config import SimConfig
-from mcnc.sim.montecarlo import run_grid
-start = time.perf_counter()
-run_grid(SimConfig(runs=20), workers=1)
-print(time.perf_counter() - start)
-"""
-
-#: a grid run longer than this counts as failed: three times the
-#: acceptance test's budget
-GRID_TIMEOUT_S = 900
+#: grid_paper runs ceil(seconds / 12.5) runs per cell: at this many
+#: seconds, the acceptance test's 20
+GRID_SECONDS = 250
 
 
 def parse_seeds(text: str) -> List[int]:
@@ -141,48 +134,6 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int) -> Optional[dic
     return result
 
 
-def grid_once(tree: Path) -> Optional[float]:
-    """The acceptance grid's wall seconds in its own interpreter on tree's
-    source, or None if it exited non-zero, timed out or printed no time."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    try:
-        proc = subprocess.run([sys.executable, "-c", GRID_PROGRAM], cwd=tree, env=env,
-                              capture_output=True, text=True, timeout=GRID_TIMEOUT_S)
-        return float(proc.stdout.split()[-1]) if proc.returncode == 0 else None
-    except (subprocess.TimeoutExpired, IndexError, ValueError):
-        return None
-
-
-def run_grid_pairs(base: Path, head: Path, pairs: int, run: Callable = grid_once,
-                   log=sys.stderr) -> dict:
-    """The acceptance grid pairs times on each side, the base first in odd
-    pairs: each side's wall seconds (None: failed), their medians and the
-    pairs where the head was quicker."""
-    out = {"base": [], "head": []}
-    for pair in range(1, pairs + 1):
-        order = (("base", base), ("head", head))
-        for side, tree in (order if pair % 2 else order[::-1]):
-            seconds = run(tree)
-            out[side].append(seconds)
-            if log is not None:
-                print("acceptance grid %d %s: %s" % (
-                    pair, side, "FAILED" if seconds is None else "%.1f s" % seconds),
-                      file=log, flush=True)
-    both = [(b, h) for b, h in zip(out["base"], out["head"]) if b is not None and h is not None]
-    medians = None
-    if both:
-        medians = {"base": statistics.median(b for b, _ in both),
-                   "head": statistics.median(h for _, h in both)}
-    return {
-        "config": "run_grid(SimConfig(runs=20), workers=1)",
-        "wall_s": out,
-        "median_s": medians,
-        "wins": sum(h < b for b, h in both),
-        "pairs": len(both),
-        "failed": {side: sum(v is None for v in runs) for side, runs in out.items()},
-    }
-
-
 def run_failed(result: Optional[dict]) -> bool:
     return result is None or not result.get("correct", False) or result.get("failed", 1) != 0
 
@@ -221,7 +172,7 @@ def summarize(spec: dict, seeds: List[int], results: dict) -> dict:
     for seed, b, h in zip(seeds, base, head):
         per_seed.append({"seed": seed, **{
             side: None if r is None else {
-                "failed": r.get("failed"),
+                "attempted": r.get("attempted"), "failed": r.get("failed"),
                 **{name: m["value"] for name, m in r["metrics"].items()}}
             for side, r in (("base", b), ("head", h))}})
     pairs = [(b, h) for b, h in zip(base, head) if not run_failed(b) and not run_failed(h)]
@@ -301,7 +252,7 @@ def host_info() -> dict:
 
 def compare(base: Path, head: Path, workload: str, seeds: List[int], seconds: int,
             run: Callable = run_once, log=sys.stderr, held_out: Optional[int] = None,
-            grid_pairs: int = 0, grid_run: Callable = grid_once) -> dict:
+            grid_pairs: int = 0) -> dict:
     """The record of one comparison of two prepared trees, with the
     held-out pair after the round if a held-out seed is given, and then
     grid_pairs pairs of the acceptance grid."""
@@ -320,8 +271,22 @@ def compare(base: Path, head: Path, workload: str, seeds: List[int], seconds: in
         pair = run_pairs(base, head, workload, [held_out], seconds, run, log)
         record["held_out"] = held_out_pair(spec, held_out, pair)
     if grid_pairs:
-        record["acceptance_grid"] = run_grid_pairs(base, head, grid_pairs, grid_run, log)
+        grid_seeds = list(range(grid_pairs))
+        grid = run_pairs(base, head, "grid_paper", grid_seeds, GRID_SECONDS, run, log)
+        record["acceptance_grid"] = summarize(spec, grid_seeds, grid)
     return record
+
+
+def print_metrics(metrics: dict, label: str = "") -> None:
+    """One line per end-to-end metric that has a pair."""
+    for name, m in metrics.items():
+        if m["pairs"]:
+            print("%s%-16s base %10.5g  head %10.5g  %+7.2f %%  wins %d/%d  spread %.0f %%"
+                  "  bound %.0f %%%s%s" % (
+                      label, name, m["base"]["median"], m["head"]["median"],
+                      100 * m["rel_change"], m["wins"], m["pairs"], 100 * m["spread"],
+                      100 * m["bound"], "  WORSE THAN BOUND" if m["worse_than_bound"] else "",
+                      "  UNRESOLVED" if m["unresolved"] else ""))
 
 
 def use_benchmark_of(head: Path, tree: Path) -> None:
@@ -359,7 +324,7 @@ def main(argv=None) -> int:
     parser.add_argument("--held-out", type=int, metavar="SEED",
                         help="one more pair after the round, kept out of its statistics")
     parser.add_argument("--acceptance-grid", type=int, default=0, metavar="PAIRS",
-                        help="then time the acceptance grid PAIRS times on each side")
+                        help="then PAIRS pairs of the acceptance grid")
     parser.add_argument("--seconds", type=int, default=10)
     args = parser.parse_args(argv)
     if args.held_out in args.seeds:
@@ -382,14 +347,7 @@ def main(argv=None) -> int:
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
-    for name, m in record["metrics"].items():
-        if m["pairs"]:
-            print("%-16s base %10.5g  head %10.5g  %+7.2f %%  wins %d/%d  spread %.0f %%"
-                  "  bound %.0f %%%s%s" % (
-                      name, m["base"]["median"], m["head"]["median"], 100 * m["rel_change"],
-                      m["wins"], m["pairs"], 100 * m["spread"], 100 * m["bound"],
-                      "  WORSE THAN BOUND" if m["worse_than_bound"] else "",
-                      "  UNRESOLVED" if m["unresolved"] else ""))
+    print_metrics(record["metrics"])
     held_out = record.get("held_out")
     if held_out:
         for name, m in held_out["metrics"].items():
@@ -399,11 +357,7 @@ def main(argv=None) -> int:
         print("failed held-out runs: base %(base)d, head %(head)d" % held_out["failed"])
     grid = record.get("acceptance_grid")
     if grid:
-        if grid["median_s"]:
-            print("acceptance grid  base %10.1f s  head %10.1f s  %+7.2f %%  head quicker %d/%d"
-                  % (grid["median_s"]["base"], grid["median_s"]["head"],
-                     100 * (grid["median_s"]["head"] / grid["median_s"]["base"] - 1),
-                     grid["wins"], grid["pairs"]))
+        print_metrics(grid["metrics"], "acceptance grid ")
         print("failed acceptance grid runs: base %(base)d, head %(head)d" % grid["failed"])
     print("failed runs: base %(base)d, head %(head)d" % record["failed"])
     print("record %s" % out.relative_to(ROOT))

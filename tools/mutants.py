@@ -128,6 +128,12 @@ MUTANTS = (
            T_ENGINE + "test_a_trace_file_may_need_exactly_the_packet_cap"),
     Mutant("drop_causes_swapped", ENGINE,
            "elif attempts:", "elif not attempts:"),
+    Mutant("tail_packet_counted_as_a_source", ENGINE,
+           "if i >= sources:", "if i > sources:",
+           T_ENGINE + "test_a_retried_packet_feeds_the_rank_in_arrival_order"),
+    Mutant("top_up_with_a_source_packet", ENGINE,
+           "self._send_burst(g.gen_id, count, 0,", "self._send_burst(g.gen_id, count, 1,",
+           "tests/test_golden.py::test_golden_digest"),
     Mutant("burst_never_sorted", ENGINE,
            "        survivors.sort()\n", "        pass\n",
            T_ENGINE + "test_a_retried_packet_feeds_the_rank_in_arrival_order"),
